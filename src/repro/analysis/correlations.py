@@ -44,18 +44,30 @@ class CorrelationResult:
         return abs(self.rho) > 3.0 / np.sqrt(self.n - 1)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    # Exact half-integers, so any rank formula gives the same bits.
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
-    """Spearman rank correlation coefficient."""
+    """Spearman rank correlation coefficient.
+
+    The Pearson correlation of the average ranks -- bit for bit what
+    ``scipy.stats.spearmanr(a, b)[0]`` returns, NaN included for a
+    constant input or one holding NaN.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 3:
         raise ValueError("need at least 3 observations")
-    from scipy.stats import spearmanr
-
-    rho, _ = spearmanr(a, b)
-    return float(rho)
+    if (a == a[0]).all() or (b == b[0]).all() or np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(a), _average_ranks(b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def session_correlations(

@@ -15,13 +15,20 @@ parameters of Figure 11 from a (synthesized) trace:
 
 Goodness of fit is reported via the Kolmogorov-Smirnov distance
 (:func:`ks_distance`) and, for Zipf fits, RMSE on the log-log line.
+
+The truncated fitters maximize their likelihood with :func:`_nelder_mead`,
+a step-for-step NumPy port of SciPy's Nelder-Mead that returns the same
+point bit for bit.  From SciPy this module needs only ``scipy.special``
+(``ndtr``/``ndtri``, imported inside the functions that use them), so
+fitting loads neither ``scipy.stats`` nor ``scipy.optimize``, the two
+heaviest SciPy packages to import (docs/METHODOLOGY.md, section 6).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,8 +86,7 @@ def fit_lognormal_truncated(
     likelihood so the recovered (mu, sigma) are directly comparable to
     the published untruncated parameters.
     """
-    from scipy.optimize import minimize
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     x = _clean(data)
     if low > 0:
@@ -97,16 +103,14 @@ def fit_lognormal_truncated(
         mu, log_sigma = params
         sigma = math.exp(log_sigma)
         z = (logs - mu) / sigma
-        mass = norm.cdf((log_high - mu) / sigma) - norm.cdf((log_low - mu) / sigma)
+        mass = ndtr((log_high - mu) / sigma) - ndtr((log_low - mu) / sigma)
         if mass <= 1e-12:
             return 1e12
         # Lognormal density in log space: drop the constant log(x) term.
         return float(0.5 * np.sum(z**2) + logs.size * (math.log(sigma) + math.log(mass)))
 
     start = np.array([float(logs.mean()), math.log(max(logs.std(), 0.1))])
-    best = minimize(nll, start, method="Nelder-Mead",
-                    options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000})
-    mu, log_sigma = best.x
+    mu, log_sigma = _nelder_mead(nll, start, xatol=1e-6, fatol=1e-9, maxiter=2000)
     return Lognormal(mu=float(mu), sigma=float(math.exp(log_sigma)))
 
 
@@ -184,8 +188,6 @@ def fit_weibull_truncated(
     data: Sequence[float], low: float = 0.0, high: float = math.inf
 ) -> Weibull:
     """MLE of a Weibull observed only on ``(low, high]`` (cf. Table A.3 bodies)."""
-    from scipy.optimize import minimize
-
     x = _clean(data)
     if low > 0:
         x = x[x > low]
@@ -216,10 +218,101 @@ def fit_weibull_truncated(
 
     free = fit_weibull(x)
     start = np.array([math.log(free.alpha), math.log(free.lam)])
-    best = minimize(nll, start, method="Nelder-Mead",
-                    options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 2000})
-    log_alpha, log_lam = best.x
+    log_alpha, log_lam = _nelder_mead(nll, start, xatol=1e-7, fatol=1e-9, maxiter=2000)
     return Weibull(alpha=float(math.exp(log_alpha)), lam=float(math.exp(log_lam)))
+
+
+def _nelder_mead(
+    fn: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    xatol: float,
+    fatol: float,
+    maxiter: int,
+) -> np.ndarray:
+    """Minimize ``fn`` from ``x0`` with the Nelder-Mead simplex; return the best vertex.
+
+    A step-for-step port of SciPy's unbounded, non-adaptive
+    ``_minimize_neldermead`` (``scipy/optimize/_optimize.py``, BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), so it
+    returns exactly ``minimize(fn, x0, method="Nelder-Mead", options=...).x``
+    without importing ``scipy.optimize``.  Kept as SciPy has them: the
+    initial simplex, the reflection/expansion/contraction/shrink formulas
+    and their operation order, the centroid ``np.add.reduce(...) / n``, the
+    (unstable) default ``np.argsort`` after every step, and each evaluation
+    on a copy of the vertex.  Setting ``maxiter`` leaves the evaluation
+    count unbounded, as in SciPy.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    def f(x: np.ndarray) -> float:
+        return fn(np.copy(x))
+
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    # SciPy sorts twice before the first step; an unstable sort may
+    # reorder tied vertices the second time, so both sorts are kept.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            shrink = False
+            if fxr < fsim[-1]:
+                # Outside contraction.
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                # Inside contraction.
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0]
 
 
 def fit_pareto(data: Sequence[float], beta: Optional[float] = None) -> Pareto:

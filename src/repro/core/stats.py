@@ -7,6 +7,7 @@ axes (Figure 11), and time-of-day binned averages (Figures 1, 3, 4).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -195,9 +196,13 @@ def ratio_binner_fraction(
             r = np.where(den > 0, num / np.maximum(den, 1e-12), np.nan)
         ratios.append(r)
     mat = np.stack(ratios)
-    avg = np.nanmean(mat, axis=0)
-    lo = np.nanmin(mat, axis=0)
-    hi = np.nanmax(mat, axis=0)
+    with warnings.catch_warnings():
+        # A bin with no sessions on any day is all-NaN and stays NaN.
+        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+        warnings.filterwarnings("ignore", "All-NaN slice encountered", RuntimeWarning)
+        avg = np.nanmean(mat, axis=0)
+        lo = np.nanmin(mat, axis=0)
+        hi = np.nanmax(mat, axis=0)
     return avg, lo, hi
 
 

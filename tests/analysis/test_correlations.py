@@ -1,7 +1,11 @@
 """Tests for the correlation analysis."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from repro.analysis.correlations import CorrelationResult, session_correlations, spearman
 from repro.analysis.active import ActiveSession
@@ -29,6 +33,45 @@ class TestSpearman:
             spearman([1, 2], [1, 2, 3])
         with pytest.raises(ValueError):
             spearman([1, 2], [1, 2])
+
+
+def scipy_spearman(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ConstantInputWarning
+        return spearmanr(a, b)[0]
+
+
+class TestSpearmanMatchesScipy:
+    """``spearman`` is scipy's ``spearmanr`` statistic, bit for bit."""
+
+    @pytest.mark.parametrize("a,b", [
+        ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]),
+        ([1.0, 1.0, 2.0], [5.0, 6.0, 6.0]),
+        ([2.0, 2.0, 2.0, 1.0, 1.0], [0.5, 0.25, 0.5, 0.25, 1.0]),
+        ([0.0, -0.0, 1.0, math.inf], [-math.inf, 1.0, 2.0, 2.0]),
+    ])
+    def test_small_and_tied(self, a, b):
+        assert spearman(a, b) == scipy_spearman(a, b)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_drawn_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 5000))
+        a = np.round(rng.lognormal(size=n), int(rng.integers(0, 3)))
+        b = np.ceil(a * rng.lognormal(size=n)) if seed % 2 else rng.integers(1, 8, size=n)
+        assert spearman(a, b) == scipy_spearman(a, b)
+
+    @pytest.mark.parametrize("a,b", [
+        ([4.0, 4.0, 4.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0, 4.0], [7.0, 7.0, 7.0, 7.0]),
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+        ([math.nan, math.nan, math.nan], [1.0, 2.0, 3.0]),
+    ])
+    def test_constant_or_nan_input_is_nan(self, a, b):
+        assert math.isnan(scipy_spearman(a, b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(spearman(a, b))
 
 
 def view(region, duration, gaps, after=100.0):

@@ -1,10 +1,17 @@
-"""Parameter-recovery tests for every fitter."""
+"""Parameter-recovery tests for every fitter, and SciPy as a test-only
+oracle for the code that replaced it in the truncated fitters."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import ndtr
+from scipy.stats import norm
 
+from repro.core import fitting
 from repro.core.distributions import Lognormal, Pareto, Truncated, Weibull, Zipf
 from repro.core.fitting import (
     fit_lognormal,
@@ -18,6 +25,12 @@ from repro.core.fitting import (
     fit_zipf_body_tail,
     ks_distance,
 )
+from repro.core.parameters import (
+    PASSIVE_BODY_BOUNDARY,
+    first_query_model,
+    passive_duration_model,
+)
+from repro.core.regions import Region
 
 RNG = np.random.default_rng(99)
 
@@ -191,3 +204,106 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance(Lognormal(0, 1), [])
+
+
+# -- SciPy oracles: the replacements must give the same bits ---------------
+
+#: The options each truncated fitter passes to its Nelder-Mead run.
+LOGNORMAL_OPTIONS = {"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000}
+WEIBULL_OPTIONS = {"xatol": 1e-7, "fatol": 1e-9, "maxiter": 2000}
+
+
+def scipy_nelder_mead(fn, x0, options):
+    return minimize(fn, x0, method="Nelder-Mead", options=options).x
+
+
+class TestNelderMeadMatchesScipy:
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Every (objective, start, options, result) the fitters solve."""
+        seen = []
+        real = fitting._nelder_mead
+
+        def spy(fn, x0, **options):
+            x = real(fn, x0, **options)
+            seen.append((fn, np.copy(x0), options, np.copy(x)))
+            return x
+
+        monkeypatch.setattr(fitting, "_nelder_mead", spy)
+        return seen
+
+    def assert_scipy_agrees(self, solved, n_runs, options):
+        assert len(solved) == n_runs
+        for fn, x0, used, x in solved:
+            assert used == options
+            assert np.array_equal(x, scipy_nelder_mead(fn, x0, options))
+
+    @pytest.mark.parametrize("peak", [True, False])
+    @pytest.mark.parametrize("seed,n", [(1, 60), (2, 400), (3, 2500)])
+    def test_ta1_window_objectives(self, solved, peak, seed, n):
+        """Table A.1's body on (64, 120] s -- the likelihood ridge -- and tail."""
+        durations = passive_duration_model(Region.NORTH_AMERICA, peak).sample(
+            np.random.default_rng(seed), n
+        )
+        fit_spliced(durations, boundary=PASSIVE_BODY_BOUNDARY, truncation_aware=True,
+                    body_low=64.0)
+        self.assert_scipy_agrees(solved, 2, LOGNORMAL_OPTIONS)
+
+    @pytest.mark.parametrize("peak,boundary", [(True, 45.0), (False, 120.0)])
+    @pytest.mark.parametrize("n_queries", [1, 3, 5])
+    def test_ta3_objectives(self, solved, peak, boundary, n_queries):
+        """Table A.3's Weibull body below the boundary; its lognormal tail."""
+        sample = first_query_model(Region.NORTH_AMERICA, peak, n_queries).sample(
+            np.random.default_rng(n_queries), 800
+        )
+        fit_spliced(sample, boundary=boundary, body_family="weibull",
+                    tail_family="lognormal", truncation_aware=True)
+        weibull, lognormal = solved
+        self.assert_scipy_agrees([weibull], 1, WEIBULL_OPTIONS)
+        self.assert_scipy_agrees([lognormal], 1, LOGNORMAL_OPTIONS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        center=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+        scale=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+        coupling=st.floats(-0.9, 0.9),
+        plateau=st.none() | st.floats(-20, 20),
+        floor=st.none() | st.floats(0, 100),
+        start=st.tuples(st.just(0.0) | st.floats(-100, 100),
+                        st.just(0.0) | st.floats(-100, 100)),
+        options=st.sampled_from([LOGNORMAL_OPTIONS, WEIBULL_OPTIONS]),
+        maxiter=st.just(2000) | st.integers(1, 40),
+    )
+    def test_drawn_objectives(self, center, scale, coupling, plateau, floor, start,
+                              options, maxiter):
+        """Zero starts take the absolute initial step; a start on the 1e12
+        plateau ties every vertex, so the unstable sort decides the order;
+        a floor makes trial points tie; a small ``maxiter`` binds."""
+
+        def fn(p):
+            if plateau is not None and p[0] > plateau:
+                return 1e12
+            d0, d1 = p[0] - center[0], p[1] - center[1]
+            value = (scale[0] * d0 * d0 + scale[1] * d1 * d1
+                     + 2 * coupling * math.sqrt(scale[0] * scale[1]) * d0 * d1)
+            return float(value if floor is None else max(value, floor))
+
+        x0 = np.array(start)
+        options = {**options, "maxiter": maxiter}
+        assert np.array_equal(fitting._nelder_mead(fn, x0, **options),
+                              scipy_nelder_mead(fn, x0, options))
+
+
+class TestNdtrMatchesNormCdf:
+    def test_infinities(self):
+        for x, expected in ((math.inf, 1.0), (-math.inf, 0.0)):
+            assert ndtr(x) == norm.cdf(x) == expected
+            assert ndtr(np.float64(x)) == norm.cdf(np.float64(x)) == expected
+
+    def test_finite_grid(self):
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 4001),
+            np.random.default_rng(5).normal(scale=10.0, size=2000),
+            [0.0, -0.0, 1e-300, -1e-300, 8.2, -38.5],
+        ])
+        assert np.array_equal(ndtr(x), norm.cdf(x))

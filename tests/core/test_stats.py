@@ -1,5 +1,7 @@
 """Unit tests for empirical statistics helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,18 @@ class TestRatioBinnerFraction:
         avg, lo, hi = ratio_binner_fraction(num, den)
         assert avg[1] == pytest.approx(0.5)
         assert np.isnan(avg[5])  # no sessions at hour 5
+
+    def test_empty_bins_stay_nan_without_warnings(self):
+        num, den = TimeOfDayBinner(), TimeOfDayBinner()
+        for day in range(2):
+            num.add(day * 86400.0 + 3600.0)
+            den.add(day * 86400.0 + 3600.0)
+            den.add(day * 86400.0 + 3600.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            avg, lo, hi = ratio_binner_fraction(num, den)
+        assert avg[1] == lo[1] == hi[1] == 0.5
+        assert np.isnan(avg[5]) and np.isnan(lo[5]) and np.isnan(hi[5])
 
     def test_requires_overlapping_days(self):
         num, den = TimeOfDayBinner(), TimeOfDayBinner()

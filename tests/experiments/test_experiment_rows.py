@@ -1,16 +1,31 @@
-"""Row-level semantics of each experiment (columns, units, bands)."""
+"""Row-level semantics of each experiment (columns, units, bands), and
+the rendered output of all of them, frozen as a golden file."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import ALL_EXPERIMENTS, run_experiment
+
+#: ``render()`` of every experiment, in registry order, on the shared
+#: ``context`` fixture (1 day, 0.3 conn/s, seed 424242).  Regenerate it
+#: only when a printed value is meant to change:
+#: ``PYTHONPATH=src python tests/experiments/test_experiment_rows.py``.
+GOLDEN = Path(__file__).with_name("experiments_golden.txt")
+
+
+def render_all(results) -> str:
+    return "\n\n".join(results[eid].render() for eid in ALL_EXPERIMENTS) + "\n"
 
 
 @pytest.fixture(scope="module")
 def results(context):
     """Run the full registry once against the shared trace."""
-    from repro.experiments import ALL_EXPERIMENTS
-
     return {eid: run_experiment(eid, context) for eid in ALL_EXPERIMENTS}
+
+
+def test_render_matches_golden(results):
+    assert render_all(results) == GOLDEN.read_text()
 
 
 class TestTableRows:
@@ -141,3 +156,11 @@ class TestExtensionRows:
     def test_x4_balance_near_one(self, results):
         rows = {r["measure"]: r for r in results["X4"].rows}
         assert 1.0 <= rows["arrivals/departures balance"]["value"] < 1.1
+
+
+if __name__ == "__main__":
+    from repro.experiments import ExperimentContext
+    from repro.synthesis import SynthesisConfig
+
+    ctx = ExperimentContext(SynthesisConfig(days=1.0, mean_arrival_rate=0.3, seed=424242))
+    GOLDEN.write_text(render_all({eid: run_experiment(eid, ctx) for eid in ALL_EXPERIMENTS}))
