@@ -20,7 +20,10 @@ import numpy as np
 from repro.core.events import SessionRecord
 from repro.core.stats import SECONDS_PER_HOUR, TimeOfDayBinner
 
-__all__ = ["ChurnProfile", "churn_by_hour", "concurrency_curve", "aggregate_availability"]
+__all__ = [
+    "ChurnProfile", "churn_by_hour", "concurrency_curve", "aggregate_availability",
+    "churn_from_lifetimes", "concurrency_from_lifetimes", "availability_from_lifetimes",
+]
 
 
 @dataclass
@@ -122,3 +125,62 @@ def aggregate_availability(
         raise ValueError("no sessions")
     durations = np.array([s.duration for s in sessions])
     return float(np.mean(durations) / trace_span_seconds)
+
+
+# -- per-session (start, end) columns -------------------------------------------
+#
+# The same three measures over flat lifetime columns in trace order, as
+# the streaming pass collects them.
+
+
+def churn_from_lifetimes(
+    start: np.ndarray, end: np.ndarray, end_time: float = float("inf")
+) -> ChurnProfile:
+    """:func:`churn_by_hour` over per-session ``start``/``end`` columns."""
+    if not start.size:
+        raise ValueError("no sessions")
+    arrivals = TimeOfDayBinner()
+    arrivals.add_array(start)
+    departed = end[end < end_time]
+    departures = TimeOfDayBinner()
+    departures.add_array(departed)
+    return ChurnProfile(
+        bin_hours=arrivals.bin_starts_hours(),
+        arrivals=arrivals.average(),
+        departures=departures.average() if departed.size else np.zeros(24),
+        total_arrivals=int(start.size),
+        total_departures=int(departed.size),
+    )
+
+
+def concurrency_from_lifetimes(
+    start: np.ndarray, end: np.ndarray, step_seconds: float = 300.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`concurrency_curve` over per-session ``start``/``end`` columns.
+
+    The sweep's level at a sample time is the number of starts at or
+    before it minus the number of ends at or before it.
+    """
+    if not start.size:
+        raise ValueError("no sessions")
+    if step_seconds <= 0:
+        raise ValueError("step_seconds must be positive")
+    t_start = min(start.min(), end.min())
+    t_end = max(start.max(), end.max())
+    times = np.arange(t_start, t_end + step_seconds, step_seconds)
+    online = np.searchsorted(np.sort(start), times, side="right") - np.searchsorted(
+        np.sort(end), times, side="right"
+    )
+    return times, online.astype(times.dtype)
+
+
+def availability_from_lifetimes(
+    start: np.ndarray, end: np.ndarray, trace_span_seconds: float
+) -> float:
+    """:func:`aggregate_availability` over per-session ``start``/``end``
+    columns (in trace order: the mean is order-sensitive)."""
+    if trace_span_seconds <= 0:
+        raise ValueError("trace_span_seconds must be positive")
+    if not start.size:
+        raise ValueError("no sessions")
+    return float(np.mean(end - start) / trace_span_seconds)

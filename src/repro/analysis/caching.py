@@ -11,11 +11,16 @@ result cache with entry expiry is driven once by the raw query stream
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.events import SessionRecord
 
-__all__ = ["LruResultCache", "query_stream", "cache_hit_rates"]
+__all__ = [
+    "LruResultCache", "query_stream", "cache_hit_rates",
+    "coded_query_stream", "stream_hit_rates",
+]
 
 #: Default result-cache entry lifetime; cached responses go stale fast in
 #: a churning network -- 10 minutes matches the GUID routing horizon.
@@ -32,11 +37,11 @@ class LruResultCache:
             raise ValueError(f"ttl must be positive, got {ttl}")
         self.capacity = capacity
         self.ttl = ttl
-        self._entries: "OrderedDict[str, float]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, float]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key: str, now: float) -> bool:
+    def lookup(self, key: Hashable, now: float) -> bool:
         """Look up (and on miss, insert) a query; returns hit/miss."""
         stored = self._entries.get(key)
         if stored is not None and now - stored <= self.ttl:
@@ -70,6 +75,17 @@ def query_stream(sessions: Iterable[SessionRecord]) -> List[Tuple[float, str]]:
     return stream
 
 
+def coded_query_stream(timestamp: np.ndarray, key: np.ndarray) -> List[Tuple[float, int]]:
+    """:func:`query_stream` over flat columns, with integer cache keys.
+
+    ``key`` codes must sort like the normalized strings they stand for
+    (codes into a sorted vocabulary); the cache itself only compares
+    keys for equality, so the hit rates equal the string stream's.
+    """
+    order = np.lexsort((key, timestamp))
+    return list(zip(timestamp[order].tolist(), key[order].tolist()))
+
+
 def cache_hit_rates(
     raw_sessions: Sequence[SessionRecord],
     user_sessions: Sequence[SessionRecord],
@@ -77,8 +93,18 @@ def cache_hit_rates(
     ttl: float = DEFAULT_TTL_SECONDS,
 ) -> List[Dict[str, float]]:
     """Cache hit rate rows for raw vs. filtered-user query streams."""
-    raw = query_stream(raw_sessions)
-    user = query_stream(user_sessions)
+    return stream_hit_rates(
+        query_stream(raw_sessions), query_stream(user_sessions), capacities, ttl
+    )
+
+
+def stream_hit_rates(
+    raw: Sequence[Tuple[float, Hashable]],
+    user: Sequence[Tuple[float, Hashable]],
+    capacities: Sequence[int] = (8, 64, 512),
+    ttl: float = DEFAULT_TTL_SECONDS,
+) -> List[Dict[str, float]]:
+    """Cache hit rate rows for two time-ordered ``(timestamp, key)`` streams."""
     if not raw or not user:
         raise ValueError("both streams must contain queries")
     rows = []

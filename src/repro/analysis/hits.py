@@ -15,6 +15,7 @@ response counts:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,9 +24,9 @@ import numpy as np
 from repro.core.events import SessionRecord
 from repro.core.regions import Region
 from repro.core.stats import Ccdf, empirical_ccdf
+from repro.measurement.columnar import REGION_CODE
 
 from .common import MAJOR
-from .popularity import daily_region_counts
 
 __all__ = [
     "HitRateSummary",
@@ -33,7 +34,11 @@ __all__ = [
     "hit_rate_by_region",
     "hits_ccdf",
     "hit_rate_by_popularity_decile",
+    "region_hit_rates",
+    "decile_hit_rates",
 ]
+
+_SECONDS_PER_DAY = 86400.0
 
 
 @dataclass(frozen=True)
@@ -101,23 +106,38 @@ def hit_rate_by_popularity_decile(
     Returns ``(decile, hit_rate, mean_hits)`` rows, decile 1 being the
     most popular queries of each day.  A positive popularity/hit-rate
     correlation is the expected signature: replication follows demand.
+
+    Each day's query strings are ranked by their count over the major
+    regions, descending.  Ties go to first occurrence: the string seen
+    first in that day's North American queries (trace order), then the
+    European ones, then the Asian ones.
     """
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
-    daily = daily_region_counts(sessions)
-    # Rank every query string per day by observed count (across regions).
+    counts: Dict[int, Counter] = {}
+    first_seen: Dict[int, Dict[str, Tuple[int, int]]] = {}
+    position = 0
+    for session in sessions:
+        if session.region not in MAJOR:
+            continue
+        region_order = MAJOR.index(session.region)
+        for query in session.queries:
+            day = int(query.timestamp // _SECONDS_PER_DAY)
+            counts.setdefault(day, Counter())[query.keywords] += 1
+            tie = (region_order, position)
+            seen = first_seen.setdefault(day, {})
+            if seen.setdefault(query.keywords, tie) > tie:
+                seen[query.keywords] = tie
+            position += 1
     day_rank: Dict[int, Dict[str, int]] = {}
-    for day, per_region in daily.items():
-        totals: Dict[str, int] = {}
-        for counter in per_region.values():
-            for query, count in counter.items():
-                totals[query] = totals.get(query, 0) + count
-        ranked = sorted(totals, key=totals.get, reverse=True)
+    for day, counter in counts.items():
+        tie_key = first_seen[day]
+        ranked = sorted(counter, key=lambda query: (-counter[query], tie_key[query]))
         day_rank[day] = {query: idx for idx, query in enumerate(ranked)}
     bins: List[List[int]] = [[] for _ in range(n_bins)]
     for session in sessions:
         for query in session.queries:
-            day = int(query.timestamp // 86400.0)
+            day = int(query.timestamp // _SECONDS_PER_DAY)
             ranks = day_rank.get(day)
             if not ranks or query.keywords not in ranks:
                 continue
@@ -129,4 +149,76 @@ def hit_rate_by_popularity_decile(
             continue
         arr = np.asarray(hits, dtype=float)
         rows.append((index, float((arr > 0).mean()), float(arr.mean())))
+    return rows
+
+
+# -- flat per-query columns ----------------------------------------------------
+#
+# The same measures over flat columns in trace order (session-major), as
+# the streaming pass collects them.  ``region_code`` is the owning
+# session's REGION_CODE per query.  Overall summaries and the responder
+# CCDF need no twin: HitRateSummary.from_hits and empirical_ccdf take
+# the hits column directly.
+
+
+def region_hit_rates(
+    hits: np.ndarray, region_code: np.ndarray
+) -> Dict[Region, HitRateSummary]:
+    """:func:`hit_rate_by_region` over per-query columns."""
+    out: Dict[Region, HitRateSummary] = {}
+    for region in MAJOR:
+        selected = hits[region_code == REGION_CODE[region]]
+        if selected.size:
+            out[region] = HitRateSummary.from_hits(selected)
+    return out
+
+
+def decile_hit_rates(
+    timestamp: np.ndarray,
+    keyword: np.ndarray,
+    region_code: np.ndarray,
+    hits: np.ndarray,
+    n_bins: int = 10,
+) -> List[Tuple[int, float, float]]:
+    """:func:`hit_rate_by_popularity_decile` over per-query columns.
+
+    ``keyword`` is any non-negative integer code of the query string.
+    The tie rule is the record function's, with a query's row index as
+    its trace position.
+    """
+    if n_bins < 2:
+        raise ValueError("need at least 2 bins")
+    day = (np.asarray(timestamp) // _SECONDS_PER_DAY).astype(np.int64)
+    keyword = np.asarray(keyword, dtype=np.int64)
+    n_keywords = np.int64(keyword.max() + 1 if keyword.size else 1)
+    pair = day * n_keywords + keyword  # (day, string) identity
+    region_order = np.full(region_code.shape, -1, dtype=np.int64)
+    for order, region in enumerate(MAJOR):
+        region_order[region_code == REGION_CODE[region]] = order
+    major = np.flatnonzero(region_order >= 0)
+    if not major.size:
+        return []
+    pairs, inverse, counts = np.unique(pair[major], return_inverse=True, return_counts=True)
+    # First occurrence: the first major region issuing the string, then
+    # its first row there.
+    first = np.full(pairs.size, np.iinfo(np.int64).max)
+    np.minimum.at(first, inverse, region_order[major] * np.int64(pair.size) + major)
+    pair_day = pairs // n_keywords
+    ranked = np.lexsort((first, -counts, pair_day))  # per day: count desc, first
+    ranked_day = pair_day[ranked]
+    day_lo = np.searchsorted(ranked_day, ranked_day, side="left")
+    rank = np.empty(pairs.size, dtype=np.int64)
+    rank[ranked] = np.arange(pairs.size) - day_lo
+    n_ranked = np.empty(pairs.size, dtype=np.int64)
+    n_ranked[ranked] = np.searchsorted(ranked_day, ranked_day, side="right") - day_lo
+    slot = np.minimum(np.searchsorted(pairs, pair), pairs.size - 1)
+    found = np.flatnonzero(pairs[slot] == pair)
+    position = rank[slot[found]] / n_ranked[slot[found]]
+    decile = np.minimum((position * n_bins).astype(np.int64), n_bins - 1)
+    binned_hits = np.asarray(hits)[found]
+    rows: List[Tuple[int, float, float]] = []
+    for index in range(n_bins):
+        arr = binned_hits[decile == index].astype(float)
+        if arr.size:
+            rows.append((index + 1, float((arr > 0).mean()), float(arr.mean())))
     return rows

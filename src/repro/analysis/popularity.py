@@ -63,8 +63,12 @@ def daily_region_counts(
     region of the session that issued it.  Given a
     :class:`~repro.filtering.ColumnarFilterResult` the binning runs as
     one ``np.unique`` reduction over a combined (day, region, query)
-    key; given session records it walks them (both produce identical
-    dictionaries).
+    key; given session records it walks them.  Both produce equal
+    dictionaries, but their key order differs: the record walk inserts
+    each query string at its first occurrence, the reduction (like the
+    streamed counts) in ascending order.  ``Counter.most_common()``
+    breaks count ties by that order, so rankings taken from the two
+    forms can differ on ties (see :func:`drift_counts`).
     """
     if isinstance(sessions, dict):
         return sessions  # already reduced (streaming accumulator output)
@@ -256,7 +260,11 @@ def drift_counts(
     top_n: int = 100,
 ) -> List[int]:
     """Figure 10 statistic: per day-pair, how many of day n's queries at
-    ranks ``rank_range`` appear in day n+1's top ``top_n``."""
+    ranks ``rank_range`` appear in day n+1's top ``top_n``.
+
+    Count ties rank in the daily dictionaries' key order, which depends
+    on the input form (see :func:`daily_region_counts`).
+    """
     daily = daily_region_counts(sessions)
     days = sorted(daily)
     lo, hi = rank_range

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.regions import KeyPeriod, Region
+from repro.core.regions import PEAK_HOURS, KeyPeriod, Region
 from repro.core.stats import (
     Ccdf,
     TimeOfDayBinner,
@@ -53,13 +53,17 @@ from .shared_files import SharedFilesProfile
 
 __all__ = [
     "ActiveArrays",
+    "KeptQueries",
     "PassiveDurations",
+    "QueryColumns",
+    "QueryTable",
     "StreamingActive",
     "StreamingAnalysis",
     "StreamingGeographic",
     "StreamingPassiveDurations",
     "StreamingPassiveFraction",
     "StreamingPopularity",
+    "StreamingQueryColumns",
     "StreamingQueryLoad",
     "StreamingSharedFiles",
     "run_streaming",
@@ -255,6 +259,14 @@ class PassiveDurations:
             if durations.size:
                 out[period] = empirical_ccdf(durations)
         return out
+
+    def peak_split(self, region: Region) -> Tuple[np.ndarray, np.ndarray]:
+        """(peak, off-peak) durations of ``region``'s passive sessions, in
+        trace order, split by :func:`~repro.core.regions.is_peak_hour` of
+        the session start (Table A.1's conditioning)."""
+        in_region = self.region_code == REGION_CODE[region]
+        peak = np.isin(_hour_of_day_array(self.start), sorted(PEAK_HOURS[region]))
+        return self.duration[in_region & peak], self.duration[in_region & ~peak]
 
 
 class StreamingPassiveDurations:
@@ -606,11 +618,164 @@ class StreamingPopularity:
         return out
 
 
+# -- X1-X4: query and session-lifetime columns ------------------------------------
+
+@dataclass
+class QueryTable:
+    """Flat per-query columns in trace order; ``keyword`` indexes
+    :attr:`QueryColumns.keywords`."""
+
+    timestamp: np.ndarray
+    keyword: np.ndarray
+    hits: np.ndarray
+    sha1: np.ndarray
+
+
+@dataclass
+class KeptQueries(QueryTable):
+    """The rules 1-3 kept queries of the rule-3 survivors, session-major:
+    the queries of ``FilterResult.sessions`` as flat columns.
+
+    Only sessions that kept a query appear.  Session ``j`` owns query
+    rows ``offsets[j]:offsets[j + 1]`` and carries its REGION_CODE,
+    ultrapeer flag and peer address.
+    """
+
+    offsets: np.ndarray
+    region: np.ndarray
+    ultrapeer: np.ndarray
+    peer_ip: np.ndarray
+
+    def query_region(self) -> np.ndarray:
+        """The owning session's REGION_CODE, per query."""
+        return np.repeat(self.region, np.diff(self.offsets))
+
+
+@dataclass
+class QueryColumns:
+    """Compact whole-trace columns for the extension experiments X1-X4.
+
+    ``raw`` holds every hop-1 query, ``user`` the filtered ones, and
+    ``session_start``/``session_end`` every session's lifetime, all in
+    trace order; ``start_time``/``end_time`` is the trace window.  Query
+    strings are codes into the sorted vocabulary ``keywords``;
+    ``cache_key[code]`` numbers the string's ``lower()`` form in sorted
+    order, so (timestamp, cache key) sorts like (timestamp, lowered
+    string).
+    """
+
+    start_time: float
+    end_time: float
+    session_start: np.ndarray
+    session_end: np.ndarray
+    keywords: np.ndarray
+    cache_key: np.ndarray
+    raw: QueryTable
+    user: KeptQueries
+
+
+def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+class StreamingQueryColumns:
+    """Accumulates :class:`QueryColumns` one filtered chunk at a time.
+
+    Each chunk contributes compact copies, its query strings factorized
+    against its own vocabulary; finalize merges the vocabularies and
+    concatenates in chunk order.  For whole-session shards that is the
+    concatenated trace's order, which the order-sensitive consumers --
+    X2's per-query RNG draws, X4's mean duration -- depend on.
+    """
+
+    def __init__(self) -> None:
+        self._chunks: List[Dict[str, np.ndarray]] = []
+        self._window: Optional[Tuple[float, float]] = None
+
+    def update(self, block: ColumnarFilterResult) -> None:
+        trace = block.trace
+        start, end = self._window or (trace.start_time, trace.end_time)
+        self._window = (float(start), max(float(end), float(trace.end_time)))
+        vocabulary, keyword = np.unique(trace.query_keywords, return_inverse=True)
+        kept = np.flatnonzero(block.query_mask)
+        owners, owned = np.unique(block.session_index[kept], return_counts=True)
+        self._chunks.append(
+            {
+                "session_start": np.array(trace.session_start),
+                "session_end": np.array(trace.session_end),
+                "vocabulary": vocabulary,
+                "timestamp": np.array(trace.query_timestamp),
+                "keyword": keyword,
+                "hits": np.array(trace.query_hits),
+                "sha1": np.array(trace.query_sha1),
+                "kept": kept,
+                "owned": owned,
+                "region": trace.session_region[owners],
+                "ultrapeer": trace.session_ultrapeer[owners],
+                "peer_ip": trace.session_peer_ip[owners],
+            }
+        )
+
+    def finalize(self) -> QueryColumns:
+        chunks = self._chunks
+        start_time, end_time = self._window or (0.0, 0.0)
+
+        def cat(name: str, dtype) -> np.ndarray:
+            return _concat([chunk[name] for chunk in chunks], dtype)
+
+        keywords, merged = np.unique(cat("vocabulary", np.str_), return_inverse=True)
+        vocab_edges = np.cumsum([0] + [chunk["vocabulary"].size for chunk in chunks])
+        query_base = np.cumsum([0] + [chunk["timestamp"].size for chunk in chunks])
+        keyword = _concat(
+            [
+                merged[vocab_edges[i]:vocab_edges[i + 1]][chunk["keyword"]]
+                for i, chunk in enumerate(chunks)
+            ],
+            np.int64,
+        )
+        kept = _concat(
+            [chunk["kept"] + query_base[i] for i, chunk in enumerate(chunks)], np.int64
+        )
+        # str.lower, the record path's normalization, on distinct strings only.
+        vocabulary = keywords.tolist()  # repro: noqa[MEM501] -- distinct strings, not a per-query column
+        lowered = np.array([k.lower() for k in vocabulary], dtype=np.str_)
+        raw = QueryTable(
+            timestamp=cat("timestamp", np.float64),
+            keyword=keyword,
+            hits=cat("hits", np.int64),
+            sha1=cat("sha1", np.bool_),
+        )
+        owned = cat("owned", np.int64)
+        return QueryColumns(
+            start_time=start_time,
+            end_time=end_time,
+            session_start=cat("session_start", np.float64),
+            session_end=cat("session_end", np.float64),
+            keywords=keywords,
+            cache_key=np.unique(lowered, return_inverse=True)[1],
+            raw=raw,
+            user=KeptQueries(
+                timestamp=raw.timestamp[kept],
+                keyword=raw.keyword[kept],
+                hits=raw.hits[kept],
+                sha1=raw.sha1[kept],
+                offsets=np.concatenate(([0], np.cumsum(owned))).astype(np.int64),
+                region=cat("region", np.int8),
+                ultrapeer=cat("ultrapeer", np.bool_),
+                peer_ip=cat("peer_ip", np.str_),
+            ),
+        )
+
+
 # -- one-pass driver -------------------------------------------------------------
 
 @dataclass
 class StreamingAnalysis:
-    """Everything the Figure 1-11 / Table 2-3 consumers need, from one pass."""
+    """Everything the Figure 1-11 / Table 2-3 consumers need, from one pass.
+
+    ``queries`` is filled only on request (``run_streaming(...,
+    query_columns=True)``); it feeds the extension experiments X1-X4.
+    """
 
     report: FilterReport
     geographic: GeographicProfile
@@ -620,17 +785,21 @@ class StreamingAnalysis:
     passive: PassiveDurations
     active: ActiveArrays
     daily: Dict[int, Dict[Region, Counter]]
+    queries: Optional[QueryColumns] = None
 
 
 def run_streaming(
     shards: Union[Iterable[ColumnarTrace], "object"],
     split_sessions: bool = False,
+    query_columns: bool = False,
 ) -> StreamingAnalysis:
     """Filter and analyze a sharded trace in one bounded-memory pass.
 
     ``shards`` is a :class:`~repro.measurement.shards.ShardedTrace` (its
     shards are visited memory-mapped, one at a time) or any iterable of
-    time-ordered :class:`ColumnarTrace` chunks.
+    time-ordered :class:`ColumnarTrace` chunks.  ``query_columns=True``
+    also folds :class:`QueryColumns` in the same pass; its columns grow
+    with the trace, so callers that do not run X1-X4 leave it off.
     """
     chunks = shards.iter_shards() if hasattr(shards, "iter_shards") else iter(shards)
     filt = StreamingFilter(split_sessions=split_sessions)
@@ -641,9 +810,10 @@ def run_streaming(
     passive = StreamingPassiveDurations()
     active = StreamingActive()
     popularity = StreamingPopularity()
+    columns = StreamingQueryColumns() if query_columns else None
     reducers = (
         geographic, shared_files, load, passive_fraction, passive, active, popularity,
-    )
+    ) + ((columns,) if columns else ())
     for chunk in chunks:
         block = filt.push(chunk)
         if block is not None:
@@ -662,4 +832,5 @@ def run_streaming(
         passive=passive.finalize(),
         active=active.finalize(),
         daily=popularity.finalize(),
+        queries=columns.finalize() if columns else None,
     )

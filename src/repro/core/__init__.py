@@ -65,14 +65,7 @@ from .regions import (
     local_hour,
 )
 from .stats import Ccdf, TimeOfDayBinner, ccdf_at, empirical_ccdf, log_bins, rank_pmf
-from .validation import (
-    ComparisonVerdict,
-    KsResult,
-    ccdf_max_gap,
-    compare_models,
-    ks_two_sample,
-    quantile_report,
-)
+from .validation import ComparisonVerdict, ccdf_max_gap, compare_models, quantile_report
 from .workload_io import (
     from_jsonl,
     from_npz,
@@ -109,8 +102,7 @@ __all__ = [
     # stats
     "Ccdf", "TimeOfDayBinner", "ccdf_at", "empirical_ccdf", "log_bins", "rank_pmf",
     # validation
-    "ComparisonVerdict", "KsResult", "ccdf_max_gap", "compare_models",
-    "ks_two_sample", "quantile_report",
+    "ComparisonVerdict", "ccdf_max_gap", "compare_models", "quantile_report",
     # workload io
     "from_jsonl", "from_npz", "session_record", "to_csv", "to_event_schedule",
     "to_jsonl", "to_npz",

@@ -5,10 +5,10 @@ the heavier machinery used by the closed-loop validation and available
 to downstream users who want to check their own workloads against the
 model:
 
-* :func:`ks_two_sample` -- two-sample Kolmogorov-Smirnov test;
 * :func:`quantile_report` -- side-by-side quantiles of two samples;
 * :func:`ccdf_max_gap` -- largest vertical gap between two empirical
-  CCDFs, evaluated on the union of their supports;
+  CCDFs, evaluated on the union of their supports (the two-sample
+  Kolmogorov-Smirnov statistic);
 * :func:`compare_models` -- one-line verdicts ("close" / "divergent")
   given a tolerance, for batch validation runs.
 """
@@ -21,44 +21,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "KsResult",
-    "ks_two_sample",
     "quantile_report",
     "ccdf_max_gap",
     "ComparisonVerdict",
     "compare_models",
 ]
-
-
-@dataclass(frozen=True)
-class KsResult:
-    """Outcome of a two-sample KS test."""
-
-    statistic: float
-    pvalue: float
-    n_a: int
-    n_b: int
-
-    def rejects_at(self, alpha: float = 0.01) -> bool:
-        """Whether equality of distributions is rejected at level alpha."""
-        return self.pvalue < alpha
-
-
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
-    """Two-sample KS test (scipy implementation, asymptotic p-value)."""
-    from scipy.stats import ks_2samp
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise ValueError(f"need >= 2 samples per side, got {a.size} and {b.size}")
-    result = ks_2samp(a, b, method="asymp")
-    return KsResult(
-        statistic=float(result.statistic),
-        pvalue=float(result.pvalue),
-        n_a=int(a.size),
-        n_b=int(b.size),
-    )
 
 
 def quantile_report(
@@ -90,9 +57,9 @@ def quantile_report(
 def ccdf_max_gap(a: Sequence[float], b: Sequence[float]) -> float:
     """Largest |CCDF_a(x) - CCDF_b(x)| over the union of sample points.
 
-    Identical to the two-sample KS statistic, exposed separately because
-    the experiments report it as the "curve gap" even when the sample
-    sizes make the KS p-value uninformatively tiny.
+    This is the two-sample Kolmogorov-Smirnov statistic.  It is reported
+    as the "curve gap" without a p-value, which at trace sample sizes
+    is uninformatively tiny.
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))

@@ -14,7 +14,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.analysis import active_sessions, run_streaming
+from repro.analysis import run_streaming
 from repro.analysis.active import ActiveSession
 from repro.analysis.streaming import StreamingAnalysis
 from repro.filtering import ColumnarFilterResult, FilterResult, apply_filters, apply_filters_columnar
@@ -97,16 +97,20 @@ class ExperimentContext:
     False -- the default -- to always synthesize fresh, keeping library
     and test runs hermetic; the CLI opts in).
 
-    ``stream=True`` switches the context to the out-of-core pipeline:
-    synthesis spills time-ordered shards to disk (:attr:`shards`), and
-    the Table 2 / Figure 1-11 products come from one bounded-memory
-    streaming pass (:attr:`streaming`) instead of whole-trace arrays.
-    Experiments with a streaming branch read those products directly --
-    with results identical to the in-memory path -- while the rest fall
-    back transparently (:attr:`columnar` concatenates the shards, and
-    :attr:`views` materializes the streamed active arrays).
-    ``shard_hours`` sets the shard window width (the config's
-    ``shard_days`` drives both sharded synthesis and shard granularity).
+    Every experiment reads the products of one streaming pass
+    (:attr:`streaming`): the filter report, the Figure 1-11 reducers and
+    the query columns of the extensions X1-X4.  ``stream=True`` switches
+    the context to the out-of-core pipeline: synthesis spills
+    time-ordered shards to disk (:attr:`shards`) and the pass visits
+    them one at a time, so no whole-trace view is built.  In-memory
+    contexts run the same reducers over :attr:`columnar` as one chunk,
+    with identical results.  The whole-trace views (:attr:`trace`,
+    :attr:`filtered`, :attr:`cfiltered`) remain for the figure
+    renderers, which fall back to them transparently (in stream mode
+    :attr:`columnar` concatenates the shards), and for in-memory F10's
+    tie order.  ``shard_hours`` sets the shard window width (the
+    config's ``shard_days`` drives both sharded synthesis and shard
+    granularity).
     """
 
     #: Default scale: big enough for stable distributions, small enough
@@ -169,8 +173,11 @@ class ExperimentContext:
 
     @cached_property
     def streaming(self) -> StreamingAnalysis:
-        """Single-pass filter + Figure 1-11 reducers over :attr:`shards`."""
-        return run_streaming(self.shards)
+        """Single-pass filter, Figure 1-11 reducers and X1-X4 query
+        columns, over :attr:`shards` in stream mode and over
+        :attr:`columnar` as one chunk otherwise."""
+        chunks = self.shards if self.stream else [self.columnar]
+        return run_streaming(chunks, query_columns=True)
 
     @cached_property
     def filtered(self) -> FilterResult:
@@ -184,6 +191,4 @@ class ExperimentContext:
 
     @cached_property
     def views(self) -> List[ActiveSession]:
-        if self.stream:
-            return self.streaming.active.views()
-        return active_sessions(self.filtered)
+        return self.streaming.active.views()

@@ -4,53 +4,11 @@ from __future__ import annotations
 
 from repro.core.regions import KeyPeriod, Region
 
-from repro.analysis import (
-    first_query_ccdf,
-    interarrival_ccdf,
-    queries_per_session_ccdf,
-    queries_per_session_ccdf_unfiltered,
-    time_after_last_ccdf,
-)
-
 from .base import ExperimentContext, ExperimentResult
 
 __all__ = ["run_fig6", "run_fig7", "run_fig8", "run_fig9"]
 
 _MAJOR = (Region.NORTH_AMERICA, Region.EUROPE, Region.ASIA)
-
-
-class _ViewStats:
-    """The Figure 6-9 CCDFs over materialized record views.
-
-    Same method surface as the streamed
-    :class:`~repro.analysis.streaming.ActiveArrays`, so the experiments
-    below dispatch on the context mode once and read CCDFs uniformly.
-    """
-
-    def __init__(self, views):
-        self._views = views
-
-    def queries_per_session_ccdf(self, region=None):
-        return queries_per_session_ccdf(self._views, region=region)
-
-    def queries_per_session_ccdf_unfiltered(self):
-        return queries_per_session_ccdf_unfiltered(self._views)
-
-    def first_query_ccdf(self, region=None, by_query_class=False):
-        return first_query_ccdf(self._views, region=region, by_query_class=by_query_class)
-
-    def interarrival_ccdf(self, region=None, by_query_class=False):
-        return interarrival_ccdf(self._views, region=region, by_query_class=by_query_class)
-
-    def time_after_last_ccdf(self, region=None, by_query_class=False):
-        return time_after_last_ccdf(self._views, region=region, by_query_class=by_query_class)
-
-
-def _active_stats(ctx: ExperimentContext):
-    """Streamed active-session arrays, or the record views (identical output)."""
-    if ctx.stream:
-        return ctx.streaming.active
-    return _ViewStats(ctx.views)
 
 
 def run_fig6(ctx: ExperimentContext) -> ExperimentResult:
@@ -60,7 +18,7 @@ def run_fig6(ctx: ExperimentContext) -> ExperimentResult:
     """
     result = ExperimentResult("F6", "Queries per active session")
     paper_lt5 = {Region.ASIA: 0.92, Region.NORTH_AMERICA: 0.80, Region.EUROPE: 0.70}
-    stats = _active_stats(ctx)
+    stats = ctx.streaming.active
     by_region = stats.queries_per_session_ccdf()
     unfiltered = stats.queries_per_session_ccdf_unfiltered()
     for region in _MAJOR:
@@ -102,7 +60,7 @@ def run_fig7(ctx: ExperimentContext) -> ExperimentResult:
     """
     result = ExperimentResult("F7", "Time until first query")
     paper_lt10 = {Region.NORTH_AMERICA: 0.20, Region.EUROPE: 0.20, Region.ASIA: 0.10}
-    stats = _active_stats(ctx)
+    stats = ctx.streaming.active
     by_region = stats.first_query_ccdf()
     for region in _MAJOR:
         if region not in by_region:
@@ -148,7 +106,7 @@ def run_fig8(ctx: ExperimentContext) -> ExperimentResult:
     """
     result = ExperimentResult("F8", "Query interarrival time")
     paper_lt100 = {Region.EUROPE: 0.90, Region.ASIA: 0.80, Region.NORTH_AMERICA: 0.70}
-    stats = _active_stats(ctx)
+    stats = ctx.streaming.active
     by_region = stats.interarrival_ccdf()
     for region in _MAJOR:
         if region not in by_region:
@@ -197,7 +155,7 @@ def run_fig9(ctx: ExperimentContext) -> ExperimentResult:
     """
     result = ExperimentResult("F9", "Time after last query")
     paper_gt1000 = {Region.NORTH_AMERICA: 0.20, Region.EUROPE: 0.20, Region.ASIA: 0.10}
-    stats = _active_stats(ctx)
+    stats = ctx.streaming.active
     by_region = stats.time_after_last_ccdf()
     for region in _MAJOR:
         if region not in by_region:

@@ -9,18 +9,11 @@ positive time-after-last correlation (Fig. 9b).
 
 from __future__ import annotations
 
-from repro.analysis.correlations import session_correlations
 from repro.core.regions import Region
 
 from .base import ExperimentContext, ExperimentResult
 
 __all__ = ["run_correlations"]
-
-
-def _correlations(ctx: ExperimentContext, region: Region):
-    if ctx.stream:
-        return ctx.streaming.active.correlations(region=region)
-    return session_correlations(ctx.views, region=region)
 
 
 def run_correlations(ctx: ExperimentContext) -> ExperimentResult:
@@ -34,7 +27,7 @@ def run_correlations(ctx: ExperimentContext) -> ExperimentResult:
         ("EU", "time-after-last vs #queries"): "positive",
     }
     for region in (Region.NORTH_AMERICA, Region.EUROPE):
-        for corr in _correlations(ctx, region):
+        for corr in ctx.streaming.active.correlations(region=region):
             result.add(
                 region=region.short,
                 correlation=corr.name,
@@ -43,7 +36,7 @@ def run_correlations(ctx: ExperimentContext) -> ExperimentResult:
                 significant=corr.significant,
                 paper=expectations.get((region.short, corr.name), ""),
             )
-    na = {c.name: c for c in _correlations(ctx, Region.NORTH_AMERICA)}
+    na = {c.name: c for c in ctx.streaming.active.correlations(region=Region.NORTH_AMERICA)}
     duration = na.get("duration vs #queries")
     gaps = na.get("median interarrival vs #queries")
     if duration and gaps:

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis import (
-    geographic_distribution,
-    peak_period_table,
-    query_load,
-    shared_files_distribution,
-)
+from repro.analysis import peak_period_table
 from repro.core.parameters import geographic_mix
 from repro.core.regions import KeyPeriod, Region
 
@@ -25,7 +20,7 @@ def run_fig1(ctx: ExperimentContext) -> ExperimentResult:
     one-hop/all-peers divergence (the representativeness check).
     """
     result = ExperimentResult("F1", "Geographic distribution of peers")
-    profile = ctx.streaming.geographic if ctx.stream else geographic_distribution(ctx.trace)
+    profile = ctx.streaming.geographic
     for hour in (0, 3, 12):
         paper_mix = geographic_mix(hour)
         for region in _MAJOR:
@@ -47,7 +42,7 @@ def run_fig1(ctx: ExperimentContext) -> ExperimentResult:
 def run_fig2(ctx: ExperimentContext) -> ExperimentResult:
     """Figure 2: shared-files distribution, one-hop vs. all peers."""
     result = ExperimentResult("F2", "Shared files of one-hop vs. all peers")
-    profile = ctx.streaming.shared_files if ctx.stream else shared_files_distribution(ctx.trace)
+    profile = ctx.streaming.shared_files
     for count in (0, 1, 10, 50, 100):
         result.add(
             shared_files=count,
@@ -74,8 +69,7 @@ def run_fig3(ctx: ExperimentContext) -> ExperimentResult:
     19:00-20:00 joint NA/EU peak.
     """
     result = ExperimentResult("F3", "Query load vs. time of day")
-    profiles = ctx.streaming.load if ctx.stream else query_load(ctx.trace.sessions)
-    table = peak_period_table(profiles)
+    table = peak_period_table(ctx.streaming.load)
     for period in KeyPeriod:
         row = {"period": period.label}
         for region in _MAJOR:

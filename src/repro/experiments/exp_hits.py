@@ -12,12 +12,8 @@ extension's findings with the qualitative expectations stated inline.
 
 from __future__ import annotations
 
-from repro.analysis.hits import (
-    hit_rate_by_popularity_decile,
-    hit_rate_by_region,
-    hit_rate_summary,
-    hits_ccdf,
-)
+from repro.analysis.hits import HitRateSummary, decile_hit_rates, region_hit_rates
+from repro.core.stats import empirical_ccdf
 
 from .base import ExperimentContext, ExperimentResult
 
@@ -26,9 +22,11 @@ __all__ = ["run_hit_rate"]
 
 def run_hit_rate(ctx: ExperimentContext) -> ExperimentResult:
     result = ExperimentResult("X1", "Query hit rate (extension: paper's future work)")
-    sessions = ctx.filtered.sessions
+    queries = ctx.streaming.queries
+    raw, user = queries.raw, queries.user
+    user_region = user.query_region()
 
-    overall = hit_rate_summary(sessions)
+    overall = HitRateSummary.from_hits(user.hits)
     result.add(
         measure="all user queries",
         n=overall.n_queries,
@@ -37,8 +35,8 @@ def run_hit_rate(ctx: ExperimentContext) -> ExperimentResult:
         mean_hits_answered=overall.mean_hits_answered,
     )
     # SHA1 source searches only exist pre-filtering; measure on raw trace.
-    raw_sha1 = hit_rate_summary(ctx.trace.sessions, sha1=True)
-    raw_user = hit_rate_summary(ctx.trace.sessions, sha1=False)
+    raw_sha1 = HitRateSummary.from_hits(raw.hits[raw.sha1])
+    raw_user = HitRateSummary.from_hits(raw.hits[~raw.sha1])
     result.add(
         measure="raw keyword queries", n=raw_user.n_queries,
         hit_rate=raw_user.hit_rate, mean_hits=raw_user.mean_hits,
@@ -49,14 +47,14 @@ def run_hit_rate(ctx: ExperimentContext) -> ExperimentResult:
         hit_rate=raw_sha1.hit_rate, mean_hits=raw_sha1.mean_hits,
         mean_hits_answered=raw_sha1.mean_hits_answered,
     )
-    for region, summary in hit_rate_by_region(sessions).items():
+    for region, summary in region_hit_rates(user.hits, user_region).items():
         result.add(
             measure=f"queries from {region.short}", n=summary.n_queries,
             hit_rate=summary.hit_rate, mean_hits=summary.mean_hits,
             mean_hits_answered=summary.mean_hits_answered,
         )
 
-    deciles = hit_rate_by_popularity_decile(sessions)
+    deciles = decile_hit_rates(user.timestamp, user.keyword, user_region, user.hits)
     if len(deciles) >= 2:
         top = deciles[0]
         bottom = deciles[-1]
@@ -64,7 +62,7 @@ def run_hit_rate(ctx: ExperimentContext) -> ExperimentResult:
             f"popularity correlation: decile 1 hit rate {top[1]:.3f} vs decile "
             f"{bottom[0]} hit rate {bottom[1]:.3f} (expected: popular queries hit more)"
         )
-    ccdf = hits_ccdf(sessions)
+    ccdf = empirical_ccdf(user.hits)
     result.note(
         f"responder tail: P[hits > 5] = {ccdf.at(5):.3f}, P[hits > 20] = {ccdf.at(20):.3f}"
     )

@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.availability import (
-    aggregate_availability,
-    churn_by_hour,
-    concurrency_curve,
+    availability_from_lifetimes,
+    churn_from_lifetimes,
+    concurrency_from_lifetimes,
 )
-from repro.analysis.caching import cache_hit_rates
+from repro.analysis.caching import coded_query_stream, stream_hit_rates
 
 from .base import ExperimentContext, ExperimentResult
 
@@ -29,7 +29,12 @@ def run_caching(ctx: ExperimentContext) -> ExperimentResult:
     issue queries on the users action."
     """
     result = ExperimentResult("X3", "Result caching vs. automated re-queries")
-    rows = cache_hit_rates(ctx.trace.sessions, ctx.filtered.sessions)
+    queries = ctx.streaming.queries
+    raw, user = queries.raw, queries.user
+    rows = stream_hit_rates(
+        coded_query_stream(raw.timestamp, queries.cache_key[raw.keyword]),
+        coded_query_stream(user.timestamp, queries.cache_key[user.keyword]),
+    )
     for row in rows:
         result.add(
             cache_capacity=row["capacity"],
@@ -54,8 +59,9 @@ def run_caching(ctx: ExperimentContext) -> ExperimentResult:
 def run_availability(ctx: ExperimentContext) -> ExperimentResult:
     """X4: peer availability and churn (Bhagwan et al.'s measures)."""
     result = ExperimentResult("X4", "Peer availability and churn (extension)")
-    sessions = ctx.trace.sessions
-    churn = churn_by_hour(sessions, end_time=ctx.trace.end_time)
+    lifetimes = ctx.streaming.queries
+    start, end = lifetimes.session_start, lifetimes.session_end
+    churn = churn_from_lifetimes(start, end, end_time=lifetimes.end_time)
     result.add(
         measure="peak arrival hour (measurement-node time)",
         value=churn.peak_arrival_hour,
@@ -66,7 +72,7 @@ def run_availability(ctx: ExperimentContext) -> ExperimentResult:
         value=churn.churn_balance,
         reference="~1.0 in steady state",
     )
-    times, counts = concurrency_curve(sessions)
+    times, counts = concurrency_from_lifetimes(start, end)
     result.add(
         measure="mean concurrent connections",
         value=float(np.mean(counts)),
@@ -77,10 +83,10 @@ def run_availability(ctx: ExperimentContext) -> ExperimentResult:
         value=float(np.max(counts)),
         reference="",
     )
-    span = ctx.trace.end_time - ctx.trace.start_time
+    span = lifetimes.end_time - lifetimes.start_time
     result.add(
         measure="mean per-connection availability",
-        value=aggregate_availability(sessions, span),
+        value=availability_from_lifetimes(start, end, span),
         reference="well under 10% over day scales (Bhagwan et al.)",
     )
     swing = (np.max(churn.arrivals) - np.min(churn.arrivals)) / max(np.mean(churn.arrivals), 1e-9)

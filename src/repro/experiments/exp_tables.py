@@ -19,7 +19,7 @@ def run_table1(ctx: ExperimentContext) -> ExperimentResult:
     result = ExperimentResult("T1", "Overall trace characteristics")
     # table1 only reads counters/connection/query totals, which the
     # sharded manifest carries -- no shard is loaded in stream mode.
-    trace = ctx.shards if ctx.stream else ctx.trace
+    trace = ctx.shards if ctx.stream else ctx.columnar
     for row, values in table1_comparison(trace).items():
         result.add(
             measure=row,
@@ -44,8 +44,7 @@ def run_table1(ctx: ExperimentContext) -> ExperimentResult:
 def run_table2(ctx: ExperimentContext) -> ExperimentResult:
     """Table 2: queries and sessions removed by each filter rule."""
     result = ExperimentResult("T2", "Filtered queries (rules 1-5)")
-    report = ctx.streaming.report if ctx.stream else ctx.filtered.report
-    for row, values in table2_comparison(report).items():
+    for row, values in table2_comparison(ctx.streaming.report).items():
         result.add(
             measure=row,
             paper=values["paper"],
@@ -64,13 +63,12 @@ def run_table3(ctx: ExperimentContext) -> ExperimentResult:
     automatically when the context is big enough.
     """
     result = ExperimentResult("T3", "Query class sizes")
-    sessions = ctx.streaming.daily if ctx.stream else ctx.filtered.sessions
     available_days = int(ctx.config.days)
     for period in (1, 2, 4):
         if period > available_days:
             result.note(f"{period}-day period skipped: trace spans only {available_days} day(s)")
             continue
-        ours = query_class_sizes(sessions, period)
+        ours = query_class_sizes(ctx.streaming.daily, period)
         paper = QUERY_CLASS_SIZES[period]
         for name in ("na_only", "eu_only", "as_only", "na_eu", "na_as", "eu_as", "all_three"):
             result.add(

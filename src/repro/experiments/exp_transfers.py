@@ -27,7 +27,8 @@ __all__ = ["run_downloads"]
 def run_downloads(ctx: ExperimentContext) -> ExperimentResult:
     result = ExperimentResult("X2", "Derived download workload (extension)")
     model = DownloadModel(seed=ctx.config.seed + 7)
-    downloads = model.generate(ctx.filtered.sessions)
+    queries = ctx.streaming.queries
+    downloads = model.generate_from_columns(queries.user, queries.keywords)
     if not downloads:
         result.note("no answered queries at this scale; enlarge the trace")
         return result

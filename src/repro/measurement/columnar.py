@@ -162,6 +162,10 @@ class ColumnarTrace:
     def duration_days(self) -> float:
         return (self.end_time - self.start_time) / 86400.0
 
+    def hop1_query_count(self) -> int:
+        """Alias matching :meth:`~repro.measurement.trace.Trace.hop1_query_count`."""
+        return self.n_queries
+
     def query_session_index(self) -> np.ndarray:
         """Owning session row for each flat query row."""
         return segment_ids(np.diff(self.query_offsets))

@@ -13,13 +13,14 @@ sizes, Sen & Wang's time between downloads).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.distributions import Lognormal
 from repro.core.events import SessionRecord
 from repro.core.regions import Region
+from repro.measurement.columnar import REGION_ORDER
 
 from .bandwidth import BandwidthClass, link_kbps, sample_bandwidth_class
 
@@ -87,39 +88,86 @@ class DownloadModel:
 
     def generate(self, sessions: Sequence[SessionRecord]) -> List[DownloadRecord]:
         """One pass over the trace: answered queries spawn downloads."""
-        rng = self._rng
         downloads: List[DownloadRecord] = []
         for session in sessions:
-            requester_class: Optional[BandwidthClass] = None
-            for query in session.queries:
-                if query.hits <= 0 or query.sha1:
-                    continue
-                if rng.random() >= self.download_prob:
-                    continue
-                if requester_class is None:
-                    requester_class = sample_bandwidth_class(rng, session.ultrapeer)
-                responder_class = sample_bandwidth_class(rng, ultrapeer=rng.random() < 0.4)
-                size = int(max(self.size_dist.sample(rng), 10_000))
-                down_kbps, _ = link_kbps(requester_class)
-                _, up_kbps = link_kbps(responder_class)
-                bottleneck = min(down_kbps, up_kbps) * self.efficiency
-                full_duration = size * 8.0 / 1000.0 / bottleneck
-                completed = rng.random() >= self.abort_prob
-                duration = full_duration if completed else full_duration * rng.uniform(0.05, 0.95)
-                # The download starts shortly after the results arrive.
-                start = query.timestamp + rng.uniform(2.0, 30.0)
-                downloads.append(
-                    DownloadRecord(
-                        started_at=start,
-                        peer_ip=session.peer_ip,
-                        region=session.region,
-                        keywords=query.keywords,
-                        size_bytes=size,
-                        duration_seconds=float(duration),
-                        completed=completed,
-                        requester_class=requester_class,
-                        responder_class=responder_class,
-                    )
+            answered = [
+                (query.timestamp, query.keywords)
+                for query in session.queries
+                if query.hits > 0 and not query.sha1
+            ]
+            downloads.extend(
+                self._session_downloads(
+                    session.peer_ip, session.region, session.ultrapeer, answered
                 )
+            )
         downloads.sort(key=lambda d: d.started_at)
         return downloads
+
+    def generate_from_columns(self, queries, keywords: np.ndarray) -> List[DownloadRecord]:
+        """:meth:`generate` over flat session-major query columns.
+
+        ``queries`` carries per-query ``timestamp``, ``keyword`` (codes
+        into ``keywords``), ``hits`` and ``sha1``, and per-session CSR
+        ``offsets`` with ``peer_ip``, ``region`` (REGION_CODE) and
+        ``ultrapeer`` -- e.g. a
+        :class:`~repro.analysis.streaming.KeptQueries`.  The RNG draws
+        happen in the same order as :meth:`generate` over the sessions
+        the columns were taken from, so the downloads are equal.
+        """
+        answered = np.flatnonzero((queries.hits > 0) & ~queries.sha1)
+        owner = np.searchsorted(queries.offsets, answered, side="right") - 1
+        sessions, first = np.unique(owner, return_index=True)
+        bounds = np.append(first, answered.size).tolist()
+        timestamps = queries.timestamp[answered].tolist()
+        strings = keywords[queries.keyword[answered]].tolist()
+        downloads: List[DownloadRecord] = []
+        for j, session in enumerate(sessions.tolist()):
+            lo, hi = bounds[j], bounds[j + 1]
+            downloads.extend(
+                self._session_downloads(
+                    str(queries.peer_ip[session]),
+                    REGION_ORDER[queries.region[session]],
+                    bool(queries.ultrapeer[session]),
+                    zip(timestamps[lo:hi], strings[lo:hi]),
+                )
+            )
+        downloads.sort(key=lambda d: d.started_at)
+        return downloads
+
+    def _session_downloads(
+        self,
+        peer_ip: str,
+        region: Region,
+        ultrapeer: bool,
+        answered: Iterable[Tuple[float, str]],
+    ) -> Iterator[DownloadRecord]:
+        """Downloads spawned by one session's answered ``(timestamp,
+        keywords)`` queries, drawing from the model RNG in query order."""
+        rng = self._rng
+        requester_class: Optional[BandwidthClass] = None
+        for timestamp, keywords in answered:
+            if rng.random() >= self.download_prob:
+                continue
+            if requester_class is None:
+                requester_class = sample_bandwidth_class(rng, ultrapeer)
+            responder_class = sample_bandwidth_class(rng, ultrapeer=rng.random() < 0.4)
+            size = int(max(self.size_dist.sample(rng), 10_000))
+            down_kbps, _ = link_kbps(requester_class)
+            _, up_kbps = link_kbps(responder_class)
+            bottleneck = min(down_kbps, up_kbps) * self.efficiency
+            full_duration = size * 8.0 / 1000.0 / bottleneck
+            completed = rng.random() >= self.abort_prob
+            duration = full_duration if completed else full_duration * rng.uniform(0.05, 0.95)
+            # The download starts shortly after the results arrive.
+            start = timestamp + rng.uniform(2.0, 30.0)
+            yield DownloadRecord(
+                started_at=start,
+                peer_ip=peer_ip,
+                region=region,
+                keywords=keywords,
+                size_bytes=size,
+                duration_seconds=float(duration),
+                completed=completed,
+                requester_class=requester_class,
+                responder_class=responder_class,
+            )

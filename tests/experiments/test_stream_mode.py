@@ -1,28 +1,31 @@
 """Stream-mode contexts: same experiments, same rows, bounded memory.
 
 ``ExperimentContext(stream=True)`` swaps whole-trace arrays for the
-sharded synthesis + single-pass reducers; every experiment -- the
-streaming-aware ones and the ``columnar``-fallback ones alike -- must
-return results identical to the in-memory context under the same
-config (``shard_days`` included: the shard layout is part of the trace
-identity, so both sides here carry it).
+sharded synthesis + single-pass reducers; every experiment must return
+results identical to the in-memory context under the same config
+(``shard_days`` included: the shard layout is part of the trace
+identity, so both sides here carry it), and the streamed context must
+get there without building a whole-trace view.
 """
 
 import math
 
 import pytest
 
-from repro.experiments import ExperimentContext, run_many
+from repro.experiments import ALL_EXPERIMENTS, ExperimentContext, run_many
 from repro.synthesis import SynthesisConfig, TraceCache
 
+#: Five shards over 0.35 days: 00:00-08:24 at the node covers North
+#: American peak and off-peak hours, so TA1 fits both periods.
 CFG = SynthesisConfig(
-    days=0.2, mean_arrival_rate=0.3, seed=20040315, shard_days=0.05
+    days=0.35, mean_arrival_rate=0.3, seed=20040315, shard_days=0.07
 )
 
-#: Streaming-aware families (tables, geography, passive, active,
-#: correlations, popularity) plus ``G1``, which has no streaming branch
-#: and exercises the transparent concat fallback.
-IDS = ["T2", "F1", "F4", "F6", "F8", "C1", "F10", "G1"]
+#: Every registered experiment.
+IDS = list(ALL_EXPERIMENTS)
+
+#: Whole-trace views a streamed ``experiment all`` must not build.
+WHOLE_TRACE_VIEWS = ("columnar", "trace", "filtered", "cfiltered")
 
 
 def _rows_equal(a, b):
@@ -58,8 +61,15 @@ def in_memory_results():
 
 class TestStreamParity:
     def test_sequential_stream_matches_in_memory(self, in_memory_results):
-        streamed = run_many(IDS, ExperimentContext(CFG, stream=True))
+        ctx = ExperimentContext(CFG, stream=True)
+        streamed = run_many(IDS, ctx)
         assert_same_results(streamed, in_memory_results)
+        built = [name for name in WHOLE_TRACE_VIEWS if name in ctx.__dict__]
+        assert built == [], f"streamed run built whole-trace views: {built}"
+
+    def test_config_fits_both_ta1_periods(self, in_memory_results):
+        ta1 = next(r for r in in_memory_results if r.experiment_id == "TA1")
+        assert {row["period"] for row in ta1.rows} == {"peak", "non-peak"}
 
     def test_parallel_stream_matches_in_memory(self, tmp_path, in_memory_results):
         cache = TraceCache(tmp_path / "cache")
