@@ -4,8 +4,9 @@ These time the steps downstream of synthesis (not a paper artifact):
 
 * warm trace loads -- archival JSONL parse vs. columnar ``.npz`` read,
 * the rules 1-5 filter plus the analysis measures on its output --
-  record loop vs. vectorized columnar (which must reproduce the Table 2
-  accounting exactly to count at all),
+  record loop vs. the streaming pass over the columnar trace as one
+  chunk (which must reproduce the Table 2 accounting exactly to count
+  at all),
 * the ``run_all`` experiment fan-out at 1 vs. N worker processes.
 
 ``ANALYSIS_DAYS`` scales the measured window (default 0.5) and
@@ -20,10 +21,10 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.analysis import active_sessions
+from repro.analysis import active_sessions, run_streaming
 from repro.analysis.bench import measure_analysis
 from repro.analysis.popularity import daily_region_counts
-from repro.filtering import apply_filters, apply_filters_columnar
+from repro.filtering import apply_filters
 from repro.measurement import ColumnarTrace
 from repro.synthesis import SynthesisConfig, TraceCache, load_or_synthesize
 from repro.synthesis.bench import write_bench_report
@@ -84,17 +85,12 @@ def test_filter_analysis_columnar(benchmark, tmp_path):
     columnar = ColumnarTrace.from_trace(trace)
     baseline = apply_filters(trace.sessions).report.as_dict()
 
-    def run():
-        cfiltered = apply_filters_columnar(columnar)
-        daily_region_counts(cfiltered)
-        active_sessions(cfiltered)
-        cfiltered.interarrival_times()
-        return cfiltered
-
-    cfiltered = benchmark.pedantic(run, rounds=3, iterations=1)
-    print(f"\n  columnar path kept {cfiltered.report.final_sessions} sessions, "
-          f"{cfiltered.report.final_queries} queries per round")
-    assert cfiltered.report.as_dict() == baseline
+    streamed = benchmark.pedantic(
+        lambda: run_streaming([columnar]), rounds=3, iterations=1
+    )
+    print(f"\n  streaming pass kept {streamed.report.final_sessions} sessions, "
+          f"{streamed.report.final_queries} queries per round")
+    assert streamed.report.as_dict() == baseline
 
 
 def test_emit_analysis_report(tmp_path):

@@ -27,10 +27,8 @@ BENCH_CONFIG = SynthesisConfig(days=2.0, mean_arrival_rate=0.35, seed=20040315)
 @pytest.fixture(scope="session")
 def ctx():
     context = ExperimentContext(BENCH_CONFIG)
-    # Materialize the shared trace and filtered views outside any timer.
-    context.trace
-    context.filtered
-    context.views
+    # Materialize the shared trace and its streaming pass outside any timer.
+    context.streaming
     return context
 
 

@@ -20,11 +20,8 @@ session's query-count class where the paper finds correlations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.events import SessionRecord
 from repro.core.parameters import (
     first_query_class,
     interarrival_query_class,
@@ -32,8 +29,7 @@ from repro.core.parameters import (
 )
 from repro.core.regions import KeyPeriod, Region, hour_of_day
 from repro.core.stats import Ccdf, empirical_ccdf
-from repro.filtering import ColumnarFilterResult, FilterResult
-from repro.measurement.columnar import REGION_ORDER
+from repro.filtering import FilterResult
 
 from .common import MAJOR, session_start_period
 
@@ -72,19 +68,14 @@ class ActiveSession:
         return None
 
 
-def active_sessions(
-    result: Union[FilterResult, ColumnarFilterResult],
-) -> List[ActiveSession]:
+def active_sessions(result: FilterResult) -> List[ActiveSession]:
     """Extract the active-session views from a filter result.
 
-    Accepts the record-oriented :class:`FilterResult` (per-session loop)
-    or a :class:`~repro.filtering.ColumnarFilterResult`, where the
-    first/last-query anchors, counts, and interarrival gaps come from
-    ``searchsorted``/``bincount``/``diff`` reductions over the flat
-    query table.  Both produce value-identical views.
+    The per-session reference loop; the streaming pass builds the same
+    measures as arrays
+    (:class:`~repro.analysis.streaming.ActiveArrays`, whose ``views()``
+    equal this list).
     """
-    if isinstance(result, ColumnarFilterResult):
-        return _active_sessions_columnar(result)
     views: List[ActiveSession] = []
     for session, eligible in zip(result.sessions, result.interarrival_queries):
         if not eligible:
@@ -105,67 +96,6 @@ def active_sessions(
             )
         )
     return views
-
-
-def _active_sessions_columnar(result: ColumnarFilterResult) -> List[ActiveSession]:
-    """Vectorized view extraction over the eligible query stream."""
-    trace = result.trace
-    eligible_rows = np.flatnonzero(result.eligible_mask)
-    if not eligible_rows.size:
-        return []
-    seg = result.session_index[eligible_rows]
-    ts = trace.query_timestamp[eligible_rows]
-
-    n_eligible = np.bincount(seg, minlength=trace.n_sessions)
-    active_rows = np.flatnonzero(n_eligible > 0)
-    # seg is sorted (queries are session-major), so the first/last
-    # eligible timestamp of each active session is a searchsorted pair.
-    first_ts = ts[np.searchsorted(seg, active_rows, side="left")]
-    last_ts = ts[np.searchsorted(seg, active_rows, side="right") - 1]
-    n_kept = np.bincount(
-        result.session_index[result.query_mask], minlength=trace.n_sessions
-    )
-
-    start = trace.session_start[active_rows]
-    end = trace.session_end[active_rows]
-    counts = n_eligible[active_rows]
-    per_session_gaps = np.split(
-        np.diff(ts)[seg[1:] == seg[:-1]], np.cumsum(counts - 1)[:-1]
-    )
-
-    period_by_hour = {p.start_hour: p for p in KeyPeriod}
-    start_hours = ((start % 86400.0) // 3600.0).astype(np.int64).tolist()
-    last_hours = ((last_ts % 86400.0) // 3600.0).astype(np.int64).tolist()
-    rows = zip(
-        trace.session_region[active_rows].tolist(),
-        start.tolist(),
-        (end - start).tolist(),
-        counts.tolist(),
-        n_kept[active_rows].tolist(),
-        (first_ts - start).tolist(),
-        (end - last_ts).tolist(),
-        per_session_gaps,
-        start_hours,
-        last_hours,
-    )
-    return [
-        ActiveSession(
-            region=REGION_ORDER[code],
-            start=s_start,
-            duration=s_duration,
-            n_queries=n,
-            n_queries_unfiltered=n_unfiltered,
-            time_until_first=until_first,
-            time_after_last=after_last,
-            interarrivals=tuple(gaps.tolist()),
-            start_period=period_by_hour.get(start_hour),
-            last_query_hour=last_hour,
-        )
-        for (
-            code, s_start, s_duration, n, n_unfiltered,
-            until_first, after_last, gaps, start_hour, last_hour,
-        ) in rows
-    ]
 
 
 def _by_region(views: Sequence[ActiveSession], measure) -> Dict[Region, Ccdf]:

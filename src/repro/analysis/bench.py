@@ -3,11 +3,12 @@
 :func:`measure_analysis` times the performance-critical paths downstream
 of synthesis -- warm trace loads (archival JSONL vs. columnar ``.npz``),
 the rules 1-5 filter plus the analysis measures that sit on its output
-(record-loop vs. vectorized columnar), and the ``run_all`` experiment
-fan-out at different worker counts -- and returns a plain dict of
-timing figures.  It also asserts that the vectorized filter reproduces
-the record-loop Table 2 accounting *exactly*; a benchmark that got a
-different answer faster would be worthless.
+(record loop vs. the streaming pass over the columnar trace as one
+chunk), and the ``run_all`` experiment fan-out at different worker
+counts -- and returns a plain dict of timing figures.  It also asserts
+that the streaming pass reproduces the record-loop Table 2 accounting
+*exactly*; a benchmark that got a different answer faster would be
+worthless.
 
 The real benchmark suite (``benchmarks/bench_analysis.py``) runs it at
 bench scale; the tier-1 smoke test runs the same code at tiny scale so
@@ -22,10 +23,10 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.analysis import active_sessions
+from repro.analysis import active_sessions, run_streaming
 from repro.analysis.popularity import daily_region_counts
 from repro.core import host_block, peak_rss_mb
-from repro.filtering import apply_filters, apply_filters_columnar
+from repro.filtering import apply_filters
 from repro.synthesis import SynthesisConfig, TraceCache, load_or_synthesize
 from repro.synthesis.cache import effective_shard_count
 
@@ -80,7 +81,7 @@ def measure_analysis(
     columnar = timed("trace_load_npz", lambda: cache_npz.load_columnar(config))
     _speedup(report, "trace_load_npz", "trace_load_jsonl")
 
-    # -- filter + analysis stage: record loop vs. vectorized columnar -----
+    # -- filter + analysis stage: record loop vs. the streaming pass ------
     def loop_stage():
         filtered = apply_filters(trace.sessions)
         daily_region_counts(filtered.sessions)
@@ -88,24 +89,17 @@ def measure_analysis(
         filtered.interarrival_times()
         return filtered
 
-    def columnar_stage():
-        cfiltered = apply_filters_columnar(columnar)
-        daily_region_counts(cfiltered)
-        active_sessions(cfiltered)
-        cfiltered.interarrival_times()
-        return cfiltered
-
     filtered = timed("filter_analysis_loop", loop_stage)
-    cfiltered = timed("filter_analysis_columnar", columnar_stage)
+    streamed = timed("filter_analysis_columnar", lambda: run_streaming([columnar]))
     _speedup(report, "filter_analysis_columnar", "filter_analysis_loop")
 
     # The speedup only counts if the answers agree: Table 2 must be
-    # reproduced exactly by the vectorized path.
+    # reproduced exactly by the streaming pass.
     loop_table2 = filtered.report.as_dict()
-    columnar_table2 = cfiltered.report.as_dict()
+    columnar_table2 = streamed.report.as_dict()
     if loop_table2 != columnar_table2:
         raise AssertionError(
-            f"columnar filter diverged from the record loop: "
+            f"streaming pass diverged from the record loop: "
             f"{loop_table2} != {columnar_table2}"
         )
     report["table2"] = dict(loop_table2)

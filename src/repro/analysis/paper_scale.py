@@ -10,9 +10,9 @@ and returns a report proving two things at once:
   the process's peak RSS stays under a laptop-class budget;
 * **it's right**: at a scale where both pipelines run
   (``equivalence_days``), the streamed Table 2 report and every figure
-  product are *bit-identical* to the in-memory path (tolerance 0.0 --
-  the reducers are engineered for identical reduction order, not
-  KS-approximate agreement).
+  product are *bit-identical* to the in-memory record functions
+  (tolerance 0.0 -- the reducers are engineered for identical reduction
+  order, not KS-approximate agreement).
 
 The real gate (``benchmarks/bench_paper_scale.py``) runs it at the full
 40 days and emits ``BENCH_paper_scale.json``; the tier-1 smoke test and
@@ -96,14 +96,17 @@ def _traces_identical(a, b) -> bool:
 
 
 def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Path]) -> dict:
-    """Streamed vs. in-memory products at the SAME config: exact equality.
+    """Streamed products vs. the record functions at the SAME config:
+    exact equality.
 
-    Both pipelines must run the same configuration (including
-    ``shard_days``): the shard windows partition the synthesis RNG
-    streams, so a sharded config compared against an unsharded one would
-    legitimately differ.  With the config held fixed, every product is
-    required to match bit for bit -- the returned ``tolerance`` is 0.0
-    by construction, recorded so the report states what "equal" meant.
+    The references are the ``SessionRecord`` functions over the
+    in-memory trace and its filter result.  Both pipelines must run the
+    same configuration (including ``shard_days``): the shard windows
+    partition the synthesis RNG streams, so a sharded config compared
+    against an unsharded one would legitimately differ.  With the config
+    held fixed, every product is required to match bit for bit -- the
+    returned ``tolerance`` is 0.0 by construction, recorded so the report
+    states what "equal" meant.
     """
     workdir = Path(workdir)
     sharded = TraceSynthesizer(config).run_sharded(workdir / "equivalence-trace")
@@ -112,7 +115,8 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
     full = TraceSynthesizer(config).run_columnar()
     block = apply_filters_columnar(full)
     record = full.to_trace()
-    views = active_sessions(block)
+    filtered = block.to_filter_result()
+    views = active_sessions(filtered)
 
     checks = {}
     checks["trace_concat_byte_identical"] = _traces_identical(sharded.concat(), full)
@@ -135,17 +139,17 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
         and _arrays_equal(streamed.load[r].maximum, load[r].maximum)
         for r in load
     )
-    frac = passive_fraction_by_hour(block.to_filter_result().sessions)
+    frac = passive_fraction_by_hour(filtered.sessions)
     checks["f4_passive_fraction"] = set(streamed.passive_fraction) == set(frac) and all(
         _arrays_equal(streamed.passive_fraction[r].average, frac[r].average)
         for r in frac
     )
     checks["f5_passive_durations"] = _ccdf_dicts_equal(
-        streamed.passive.by_region(), passive_duration_ccdf_by_region(block)
+        streamed.passive.by_region(), passive_duration_ccdf_by_region(filtered.sessions)
     ) and all(
         _ccdf_dicts_equal(
             streamed.passive.by_period(region),
-            passive_duration_ccdf_by_period(block, region),
+            passive_duration_ccdf_by_period(filtered.sessions, region),
         )
         for region in (Region.NORTH_AMERICA, Region.EUROPE)
     )
@@ -194,7 +198,9 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
         ]
         for region in (None, *_MAJOR)
     )
-    checks["t3_f10_f11_daily_counts"] = streamed.daily == daily_region_counts(block)
+    checks["t3_f10_f11_daily_counts"] = streamed.daily == daily_region_counts(
+        filtered.sessions
+    )
 
     return {
         "days": config.days,

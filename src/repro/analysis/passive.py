@@ -10,15 +10,13 @@ region, (b)/(c) per Section 4.2 key period within a region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.core.events import SessionRecord
 from repro.core.regions import KeyPeriod, Region
 from repro.core.stats import Ccdf, TimeOfDayBinner, empirical_ccdf, ratio_binner_fraction
-from repro.filtering import ColumnarFilterResult
-from repro.measurement.columnar import REGION_CODE
 
 from .common import MAJOR, session_start_period
 
@@ -82,37 +80,11 @@ def passive_fraction_by_hour(sessions: Sequence[SessionRecord]) -> Dict[Region, 
     return profiles
 
 
-def _passive_columns(result: ColumnarFilterResult):
-    """(region code, start, duration) columns of the passive survivors.
-
-    A passive session is a rule-3 survivor whose rules-1-3 kept query
-    stream is empty — exactly ``is_passive`` on the materialized records.
-    """
-    trace = result.trace
-    kept_per_session = np.bincount(
-        result.session_index[result.query_mask], minlength=trace.n_sessions
-    )
-    passive_rows = np.flatnonzero(result.session_mask & (kept_per_session == 0))
-    start = trace.session_start[passive_rows]
-    return (
-        trace.session_region[passive_rows],
-        start,
-        trace.session_end[passive_rows] - start,
-    )
-
-
 def passive_duration_ccdf_by_region(
-    sessions: Union[Sequence[SessionRecord], ColumnarFilterResult],
+    sessions: Sequence[SessionRecord],
 ) -> Dict[Region, Ccdf]:
     """Figure 5(a): passive session duration CCDF per region (seconds)."""
     out: Dict[Region, Ccdf] = {}
-    if isinstance(sessions, ColumnarFilterResult):
-        code, _, duration = _passive_columns(sessions)
-        for region in MAJOR:
-            durations = duration[code == REGION_CODE[region]]
-            if durations.size:
-                out[region] = empirical_ccdf(durations.tolist())
-        return out
     for region in MAJOR:
         durations = [
             s.duration for s in sessions if s.region is region and s.is_passive
@@ -123,20 +95,11 @@ def passive_duration_ccdf_by_region(
 
 
 def passive_duration_ccdf_by_period(
-    sessions: Union[Sequence[SessionRecord], ColumnarFilterResult],
+    sessions: Sequence[SessionRecord],
     region: Region,
 ) -> Dict[KeyPeriod, Ccdf]:
     """Figures 5(b)/(c): duration CCDF per key start period, one region."""
     out: Dict[KeyPeriod, Ccdf] = {}
-    if isinstance(sessions, ColumnarFilterResult):
-        code, start, duration = _passive_columns(sessions)
-        in_region = code == REGION_CODE[region]
-        hour = ((start % 86400.0) // 3600.0).astype(np.int64)
-        for period in KeyPeriod:
-            durations = duration[in_region & (hour == period.start_hour)]
-            if durations.size:
-                out[period] = empirical_ccdf(durations.tolist())
-        return out
     for period in KeyPeriod:
         durations = [
             s.duration

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -26,19 +26,13 @@ from repro.core.fitting import ZipfFit, fit_zipf, fit_zipf_body_tail
 from repro.core.parameters import QueryClassSizes
 from repro.core.popularity import QueryClassId
 from repro.core.regions import Region
-from repro.filtering.columnar import ColumnarFilterResult
-from repro.measurement.columnar import REGION_CODE, REGION_ORDER
 
 from .common import MAJOR
 
 #: Every popularity measure accepts the rules-1-3 filtered session
-#: records, the columnar filter result (the vectorized path), or an
-#: already-reduced daily dictionary (the streaming path's accumulator).
-SessionsLike = Union[
-    Sequence[SessionRecord],
-    ColumnarFilterResult,
-    Dict[int, Dict[Region, Counter]],
-]
+#: records or an already-reduced daily dictionary (the streaming pass's
+#: :attr:`~repro.analysis.streaming.StreamingAnalysis.daily`).
+SessionsLike = Union[Sequence[SessionRecord], Dict[int, Dict[Region, Counter]]]
 
 __all__ = [
     "daily_region_counts",
@@ -60,20 +54,10 @@ def daily_region_counts(
     """Per-day, per-region query string counts.
 
     A query is attributed to the day containing its timestamp and the
-    region of the session that issued it.  Given a
-    :class:`~repro.filtering.ColumnarFilterResult` the binning runs as
-    one ``np.unique`` reduction over a combined (day, region, query)
-    key; given session records it walks them.  Both produce equal
-    dictionaries, but their key order differs: the record walk inserts
-    each query string at its first occurrence, the reduction (like the
-    streamed counts) in ascending order.  ``Counter.most_common()``
-    breaks count ties by that order, so rankings taken from the two
-    forms can differ on ties (see :func:`drift_counts`).
+    region of the session that issued it.
     """
     if isinstance(sessions, dict):
         return sessions  # already reduced (streaming accumulator output)
-    if isinstance(sessions, ColumnarFilterResult):
-        return _daily_region_counts_columnar(sessions)
     out: Dict[int, Dict[Region, Counter]] = {}
     for session in sessions:
         if session.region not in MAJOR:
@@ -83,37 +67,6 @@ def daily_region_counts(
             out.setdefault(day, {r: Counter() for r in MAJOR})[session.region][
                 query.keywords
             ] += 1
-    return out
-
-
-def _daily_region_counts_columnar(
-    result: ColumnarFilterResult,
-) -> Dict[int, Dict[Region, Counter]]:
-    """Array-reduction implementation over the rules-1-3 kept queries."""
-    trace = result.trace
-    rows = np.flatnonzero(result.query_mask)
-    region_code = trace.session_region[result.session_index[rows]]
-    major = np.isin(region_code, [REGION_CODE[r] for r in MAJOR])
-    rows = rows[major]
-    region_code = region_code[major].astype(np.int64)
-    out: Dict[int, Dict[Region, Counter]] = {}
-    if not rows.size:
-        return out
-    day = (trace.query_timestamp[rows] // _SECONDS_PER_DAY).astype(np.int64)
-    keywords, kw_code = np.unique(trace.query_keywords[rows], return_inverse=True)
-    n_regions = np.int64(len(REGION_ORDER))
-    n_keywords = np.int64(keywords.size)
-    combined = (day * n_regions + region_code) * n_keywords + kw_code
-    unique, counts = np.unique(combined, return_counts=True)
-    u_keyword = keywords[unique % n_keywords]
-    u_region = (unique // n_keywords) % n_regions
-    u_day = unique // (n_keywords * n_regions)
-    for d, code, keyword, count in zip(
-        u_day.tolist(), u_region.tolist(), u_keyword.tolist(), counts.tolist()
-    ):
-        out.setdefault(d, {r: Counter() for r in MAJOR})[REGION_ORDER[code]][
-            keyword
-        ] = count
     return out
 
 
@@ -172,7 +125,8 @@ def query_class_sizes(
 def daily_class_ranking(
     daily: Dict[int, Dict[Region, Counter]], day: int, cls: QueryClassId
 ) -> List[Tuple[str, int]]:
-    """The (query, count) ranking of one class on one day, descending.
+    """The (query, count) ranking of one class on one day: count
+    descending, count ties by query string ascending.
 
     A query's class membership is decided by which regions issued it that
     day; its count is the total across the member regions.
@@ -193,7 +147,14 @@ def daily_class_ranking(
         for query in membership:
             if query in counts[region]:
                 totals[query] += counts[region][query]
-    return totals.most_common()
+    return _ranking(totals)
+
+
+def _ranking(counts: Mapping[str, int]) -> List[Tuple[str, int]]:
+    """(query, count) pairs by count descending, count ties by query
+    string ascending: the one popularity ranking rule, independent of
+    the key order of ``counts``."""
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 def popularity_pmf(
@@ -262,8 +223,8 @@ def drift_counts(
     """Figure 10 statistic: per day-pair, how many of day n's queries at
     ranks ``rank_range`` appear in day n+1's top ``top_n``.
 
-    Count ties rank in the daily dictionaries' key order, which depends
-    on the input form (see :func:`daily_region_counts`).
+    Each day ranks by count, ties by query string (as in
+    :func:`daily_class_ranking`).
     """
     daily = daily_region_counts(sessions)
     days = sorted(daily)
@@ -272,8 +233,8 @@ def drift_counts(
     for a, b in zip(days, days[1:]):
         if b != a + 1:
             continue  # only consecutive days
-        rank_a = [q for q, _ in daily[a][region].most_common()]
-        rank_b = [q for q, _ in daily[b][region].most_common()]
+        rank_a = [q for q, _ in _ranking(daily[a][region])]
+        rank_b = [q for q, _ in _ranking(daily[b][region])]
         subset = set(rank_a[lo - 1 : hi])
         counts.append(len(subset & set(rank_b[:top_n])))
     return counts

@@ -47,8 +47,7 @@ from .common import MAJOR
 from .correlations import CorrelationResult, spearman
 from .geographic import GeographicProfile
 from .load import LoadProfile
-from .passive import PassiveFractionProfile, _passive_columns
-from .popularity import _daily_region_counts_columnar
+from .passive import PassiveFractionProfile
 from .shared_files import SharedFilesProfile
 
 __all__ = [
@@ -276,10 +275,17 @@ class StreamingPassiveDurations:
         self._parts: List[tuple] = []
 
     def update(self, block: ColumnarFilterResult) -> None:
-        code, start, duration = _passive_columns(block)
-        if code.size:
+        trace = block.trace
+        kept = np.bincount(
+            block.session_index[block.query_mask], minlength=trace.n_sessions
+        )
+        # Passive: a rule-3 survivor whose rules 1-3 kept query stream is
+        # empty, exactly ``is_passive`` on the filtered records.
+        rows = np.flatnonzero(block.session_mask & (kept == 0))
+        if rows.size:
+            start = trace.session_start[rows]
             self._parts.append(
-                (np.asarray(code), np.asarray(start), np.asarray(duration))
+                (trace.session_region[rows], start, trace.session_end[rows] - start)
             )
 
     def finalize(self) -> PassiveDurations:
@@ -369,15 +375,46 @@ class ActiveArrays:
         return out
 
     def _ccdf_by_class(
-        self, values: np.ndarray, labels: tuple, masks: tuple, region: Region
+        self, values: np.ndarray, classes: Dict[str, np.ndarray], in_region: np.ndarray
     ) -> Dict[str, Ccdf]:
         out: Dict[str, Ccdf] = {}
-        in_region = self._region_mask(region)
-        for label, mask in zip(labels, masks):
+        for label, mask in classes.items():
             selected = values[in_region & mask]
             if selected.size:
                 out[label] = empirical_ccdf(selected)
         return out
+
+    # -- session selections -----------------------------------------------------
+
+    def peak_sessions(self, region: Region, peak: bool = True) -> np.ndarray:
+        """Mask of ``region``'s sessions started in (``peak=True``) or
+        outside its peak hours: :func:`~repro.core.regions.is_peak_hour`
+        of the session start, the Appendix tables' conditioning."""
+        in_peak = np.isin(self.start_hour, sorted(PEAK_HOURS[region]))
+        return self._region_mask(region) & (in_peak == peak)
+
+    def first_query_classes(self) -> Dict[str, np.ndarray]:
+        """:func:`~repro.core.parameters.first_query_class` as one
+        session mask per class (Fig. 7b, Table A.3)."""
+        n = self.n_queries
+        return {"<3": n < 3, "=3": n == 3, ">3": n > 3}
+
+    def interarrival_classes(self) -> Dict[str, np.ndarray]:
+        """:func:`~repro.core.parameters.interarrival_query_class` as one
+        session mask per class (Fig. 8b)."""
+        n = self.n_queries
+        return {"=2": n <= 2, "3-7": (n >= 3) & (n <= 7), ">7": n > 7}
+
+    def last_query_classes(self) -> Dict[str, np.ndarray]:
+        """:func:`~repro.core.parameters.last_query_class` as one session
+        mask per class (Fig. 9b, Table A.5)."""
+        n = self.n_queries
+        return {"1": n <= 1, "2-7": (n >= 2) & (n <= 7), ">7": n > 7}
+
+    def gaps_of(self, sessions: np.ndarray) -> np.ndarray:
+        """The interarrival gaps owned by the sessions a boolean mask
+        selects, in session-major order."""
+        return self.gaps[self._gap_owner(sessions)]
 
     # -- Figure 6 -----------------------------------------------------------
 
@@ -399,9 +436,8 @@ class ActiveArrays:
         if region is None:
             return self._ccdf_by_region(values, self.region)
         if by_query_class:
-            n = self.n_queries
             return self._ccdf_by_class(
-                values, ("<3", "=3", ">3"), (n < 3, n == 3, n > 3), region
+                values, self.first_query_classes(), self._region_mask(region)
             )
         return self._ccdf_by_period(values, self.region, self.start_hour, region)
 
@@ -413,18 +449,13 @@ class ActiveArrays:
         if region is None:
             return self._ccdf_by_region(self.gaps, gap_region)
         if by_query_class:
-            gap_n = self._gap_owner(self.n_queries)
-            out: Dict[str, Ccdf] = {}
-            in_region = gap_region == REGION_CODE[region]
-            for label, mask in (
-                ("=2", gap_n <= 2),
-                ("3-7", (gap_n >= 3) & (gap_n <= 7)),
-                (">7", gap_n > 7),
-            ):
-                selected = self.gaps[in_region & mask]
-                if selected.size:
-                    out[label] = empirical_ccdf(selected)
-            return out
+            classes = {
+                label: self._gap_owner(mask)
+                for label, mask in self.interarrival_classes().items()
+            }
+            return self._ccdf_by_class(
+                self.gaps, classes, gap_region == REGION_CODE[region]
+            )
         return self._ccdf_by_period(
             self.gaps, gap_region, self._gap_owner(self.start_hour), region
         )
@@ -437,9 +468,8 @@ class ActiveArrays:
         if region is None:
             return self._ccdf_by_region(values, self.region)
         if by_query_class:
-            n = self.n_queries
             return self._ccdf_by_class(
-                values, ("1", "2-7", ">7"), (n <= 1, (n >= 2) & (n <= 7), n > 7), region
+                values, self.last_query_classes(), self._region_mask(region)
             )
         return self._ccdf_by_period(values, self.region, self.last_hour, region)
 
@@ -486,7 +516,7 @@ class ActiveArrays:
 
         The explicit opt-out of streaming for consumers that still want
         per-session objects; identical to
-        ``active_sessions(apply_filters_columnar(trace))`` on the full
+        ``active_sessions(apply_filters(trace.sessions))`` on the full
         trace.  Costs O(total gaps) Python objects -- avoid at paper
         scale.
         """
@@ -526,9 +556,9 @@ class ActiveArrays:
 class StreamingActive:
     """Accumulates :class:`ActiveArrays` one filtered chunk at a time.
 
-    The per-chunk extraction mirrors
-    :func:`~repro.analysis.active._active_sessions_columnar` reduction
-    for reduction: everything per-session (first/last anchors, gap
+    The per-chunk extraction is :func:`~repro.analysis.active.active_sessions`
+    as ``searchsorted``/``bincount``/``diff`` reductions over the flat
+    query table: everything per-session (first/last anchors, gap
     medians) is computed inside the owning chunk, so concatenation in
     chunk order reproduces the full-trace arrays exactly.
     """
@@ -545,6 +575,8 @@ class StreamingActive:
         ts = np.asarray(trace.query_timestamp)[eligible_rows]
         n_eligible = np.bincount(seg, minlength=trace.n_sessions)
         active_rows = np.flatnonzero(n_eligible > 0)
+        # seg is sorted (queries are session-major), so the first/last
+        # eligible timestamp of each active session is a searchsorted pair.
         first_ts = ts[np.searchsorted(seg, active_rows, side="left")]
         last_ts = ts[np.searchsorted(seg, active_rows, side="right") - 1]
         n_kept = np.bincount(
@@ -591,31 +623,43 @@ class StreamingActive:
 class StreamingPopularity:
     """Streaming :func:`~repro.analysis.popularity.daily_region_counts`.
 
-    Per-chunk (day, region, query) counts merge by summation; finalize
-    rebuilds each day's Counters with keys in ascending order, which is
-    exactly the insertion order the full-trace ``np.unique`` reduction
-    produces -- so even ``Counter.most_common()`` tie-breaking matches.
+    Each chunk's rules 1-3 kept queries of the major regions reduce to
+    (day, region, query) counts in one ``np.unique`` over a combined key;
+    the counts merge across chunks by summation.
     """
 
     def __init__(self) -> None:
         self._acc: Dict[int, Dict[Region, Counter]] = {}
 
     def update(self, block: ColumnarFilterResult) -> None:
-        for day, regions in _daily_region_counts_columnar(block).items():
-            dst = self._acc.setdefault(day, {r: Counter() for r in MAJOR})
-            for region in MAJOR:
-                dst[region].update(regions[region])
+        trace = block.trace
+        rows = np.flatnonzero(block.query_mask)
+        region_code = trace.session_region[block.session_index[rows]]
+        major = np.isin(region_code, [REGION_CODE[r] for r in MAJOR])
+        rows = rows[major]
+        if not rows.size:
+            return
+        region_code = region_code[major].astype(np.int64)
+        day = (trace.query_timestamp[rows] // 86400.0).astype(np.int64)
+        keywords, kw_code = np.unique(trace.query_keywords[rows], return_inverse=True)
+        n_regions = np.int64(_N_REGIONS)
+        n_keywords = np.int64(keywords.size)
+        combined = (day * n_regions + region_code) * n_keywords + kw_code
+        unique, counts = np.unique(combined, return_counts=True)
+        u_keyword = keywords[unique % n_keywords]
+        u_region = (unique // n_keywords) % n_regions
+        u_day = unique // (n_keywords * n_regions)
+        columns = [
+            col.tolist()  # repro: noqa[MEM501] -- one entry per distinct (day, region, query)
+            for col in (u_day, u_region, u_keyword, counts)
+        ]
+        for d, code, keyword, count in zip(*columns):
+            self._acc.setdefault(d, {r: Counter() for r in MAJOR})[REGION_ORDER[code]][
+                keyword
+            ] += count
 
     def finalize(self) -> Dict[int, Dict[Region, Counter]]:
-        out: Dict[int, Dict[Region, Counter]] = {}
-        for day in sorted(self._acc):
-            rebuilt: Dict[Region, Counter] = {r: Counter() for r in MAJOR}
-            for region in MAJOR:
-                source = self._acc[day][region]
-                for keyword in sorted(source):
-                    rebuilt[region][keyword] = source[keyword]
-            out[day] = rebuilt
-        return out
+        return {day: self._acc[day] for day in sorted(self._acc)}
 
 
 # -- X1-X4: query and session-lifetime columns ------------------------------------

@@ -371,7 +371,7 @@ def _cmd_figures(args) -> int:
     for path in paths:
         print(path)
     print(f"rendered {len(paths)} figures into {args.outdir}")
-    return 0
+    return _check_rss(args)
 
 
 def _cmd_compare(args) -> int:

@@ -12,13 +12,11 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.analysis import run_streaming
-from repro.analysis.active import ActiveSession
 from repro.analysis.streaming import StreamingAnalysis
-from repro.filtering import ColumnarFilterResult, FilterResult, apply_filters, apply_filters_columnar
-from repro.measurement import ColumnarTrace, ShardedTrace, Trace
+from repro.measurement import ColumnarTrace, ShardedTrace
 from repro.synthesis import (
     SynthesisConfig,
     TraceCache,
@@ -85,11 +83,12 @@ def _fmt(value: object) -> str:
 
 
 class ExperimentContext:
-    """Shared synthesized trace and derived views for a batch of experiments.
+    """The shared trace source and its one streaming pass, for a batch of
+    experiments.
 
-    Synthesis and filtering run lazily, once, and are reused by every
-    experiment -- the same way the paper derives all figures from one
-    trace.
+    Synthesis and the streaming pass run lazily, once, and every
+    experiment and figure reads the pass's products -- the same way the
+    paper derives all of them from one trace.
 
     ``jobs`` overrides the config's synthesis worker count; ``cache``
     selects the content-addressed trace cache (True for the default
@@ -97,20 +96,17 @@ class ExperimentContext:
     False -- the default -- to always synthesize fresh, keeping library
     and test runs hermetic; the CLI opts in).
 
-    Every experiment reads the products of one streaming pass
-    (:attr:`streaming`): the filter report, the Figure 1-11 reducers and
-    the query columns of the extensions X1-X4.  ``stream=True`` switches
-    the context to the out-of-core pipeline: synthesis spills
-    time-ordered shards to disk (:attr:`shards`) and the pass visits
-    them one at a time, so no whole-trace view is built.  In-memory
-    contexts run the same reducers over :attr:`columnar` as one chunk,
-    with identical results.  The whole-trace views (:attr:`trace`,
-    :attr:`filtered`, :attr:`cfiltered`) remain for the figure
-    renderers, which fall back to them transparently (in stream mode
-    :attr:`columnar` concatenates the shards), and for in-memory F10's
-    tie order.  ``shard_hours`` sets the shard window width (the
-    config's ``shard_days`` drives both sharded synthesis and shard
-    granularity).
+    The context holds three things: the config, the trace source
+    (:attr:`source`) and :attr:`streaming`, the single pass that yields
+    the filter report, the Figure 1-11 reducers and the query columns of
+    the extensions X1-X4.  In-memory contexts take the trace as columns
+    (:attr:`columnar`) and run the pass over it as one chunk.
+    ``stream=True`` switches to the out-of-core pipeline: synthesis
+    spills time-ordered shards to disk (:attr:`shards`) and the pass
+    visits them one at a time, so no whole-trace view is built.  Both
+    modes print identical results.  ``shard_hours`` sets the shard window
+    width (the config's ``shard_days`` drives both sharded synthesis and
+    shard granularity).
     """
 
     #: Default scale: big enough for stable distributions, small enough
@@ -133,24 +129,21 @@ class ExperimentContext:
         self.cache = TraceCache() if cache is True else (cache or None)
         self.stream = bool(stream)
 
-    @cached_property
-    def trace(self) -> Trace:
-        return self.columnar.to_trace()
+    @property
+    def source(self) -> Union[ColumnarTrace, ShardedTrace]:
+        """The trace source: :attr:`shards` in stream mode, else
+        :attr:`columnar`.  Both carry the Table 1 totals
+        (``n_connections``, ``counters``, ``hop1_query_count()``)."""
+        return self.shards if self.stream else self.columnar
 
     @cached_property
     def columnar(self) -> ColumnarTrace:
-        """The trace as columns -- the primary product.
+        """The whole trace as columns, the in-memory source.
 
         The columnar synthesis backend emits this directly (no per-event
-        Python loop), a warm ``.npz`` cache entry loads it as plain array
-        bundles, and the record view (:attr:`trace`) is derived from it
-        on demand.
+        Python loop) and a warm ``.npz`` cache entry loads it as plain
+        array bundles.
         """
-        if self.stream:
-            # Streamed contexts still serve whole-trace consumers; the
-            # shard windows partition the sort keys, so this is
-            # byte-identical to a direct run_columnar().
-            return self.shards.concat()
         if self.cache is None:
             return TraceSynthesizer(self.config).run_columnar()
         return load_or_synthesize_columnar(self.config, cache=self.cache)
@@ -178,17 +171,3 @@ class ExperimentContext:
         :attr:`columnar` as one chunk otherwise."""
         chunks = self.shards if self.stream else [self.columnar]
         return run_streaming(chunks, query_columns=True)
-
-    @cached_property
-    def filtered(self) -> FilterResult:
-        return apply_filters(self.trace.sessions)
-
-    @cached_property
-    def cfiltered(self) -> ColumnarFilterResult:
-        """Vectorized rules 1-5 over the columnar trace (bit-identical
-        Table 2 report to :attr:`filtered`)."""
-        return apply_filters_columnar(self.columnar)
-
-    @cached_property
-    def views(self) -> List[ActiveSession]:
-        return self.streaming.active.views()

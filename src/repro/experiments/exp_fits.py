@@ -1,30 +1,26 @@
 """Experiments TA1-TA5 and FA1: refitting the Appendix model tables.
 
 Each experiment extracts the conditional sample the paper fit (North
-American peers, split by peak/non-peak and query-count class), fits the
-same model family with :mod:`repro.core.fitting`, and reports fitted
-parameters next to the published ones, plus the KS distance as the
-goodness-of-fit the paper shows graphically in Figure A.1.
+American peers, split by peak/non-peak and query-count class) from the
+streaming pass's columns, fits the same model family with
+:mod:`repro.core.fitting`, and reports fitted parameters next to the
+published ones, plus the KS distance as the goodness-of-fit the paper
+shows graphically in Figure A.1.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import numpy as np
 
-from repro.analysis.active import ActiveSession
 from repro.core.fitting import (
     fit_lognormal,
     fit_lognormal_discrete,
     fit_spliced,
     ks_distance,
 )
-from repro.core.parameters import (
-    INTERARRIVAL_BOUNDARY,
-    PASSIVE_BODY_BOUNDARY,
-    first_query_class,
-    last_query_class,
-)
-from repro.core.regions import Region, is_peak_hour
+from repro.core.parameters import INTERARRIVAL_BOUNDARY, PASSIVE_BODY_BOUNDARY
+from repro.core.regions import Region
+from repro.measurement.columnar import REGION_CODE
 
 from .base import ExperimentContext, ExperimentResult
 
@@ -65,8 +61,6 @@ _PAPER_A5 = {
 
 def _discrete_ccdf_error(fit, counts) -> float:
     """Max |model CCDF - empirical CCDF| over integer anchors 1..max."""
-    import numpy as np
-
     arr = np.asarray(counts, dtype=float)
     errs = []
     for k in range(1, int(arr.max()) + 1):
@@ -75,8 +69,10 @@ def _discrete_ccdf_error(fit, counts) -> float:
     return max(errs) if errs else 0.0
 
 
-def _na_views(views: Sequence[ActiveSession], peak: bool) -> List[ActiveSession]:
-    return [v for v in views if v.region is _NA and is_peak_hour(_NA, v.start) == peak]
+def _query_counts(ctx: ExperimentContext, region: Region) -> np.ndarray:
+    """Queries per active session of ``region``, as floats."""
+    active = ctx.streaming.active
+    return active.n_queries[active.region == REGION_CODE[region]].astype(float)
 
 
 def run_tableA1(ctx: ExperimentContext) -> ExperimentResult:
@@ -117,7 +113,7 @@ def run_tableA2(ctx: ExperimentContext) -> ExperimentResult:
     """Table A.2: lognormal fit of queries per active session, per region."""
     result = ExperimentResult("TA2", "Active session length model")
     for region in (_NA, Region.EUROPE, Region.ASIA):
-        counts = [float(v.n_queries) for v in ctx.views if v.region is region]
+        counts = _query_counts(ctx, region)
         if len(counts) < 20:
             result.note(f"{region.short}: only {len(counts)} sessions; skipped")
             continue
@@ -139,15 +135,13 @@ def run_tableA2(ctx: ExperimentContext) -> ExperimentResult:
 def run_tableA3(ctx: ExperimentContext) -> ExperimentResult:
     """Table A.3: Weibull-body/lognormal-tail fit of time until first query."""
     result = ExperimentResult("TA3", "Time until first query model (NA)")
+    active = ctx.streaming.active
+    until_first = np.maximum(active.until_first, 1e-3)
     for peak in (True, False):
         boundary = 45.0 if peak else 120.0
-        views = _na_views(ctx.views, peak)
-        for label in ("<3", "=3", ">3"):
-            sample = [
-                max(v.time_until_first, 1e-3)
-                for v in views
-                if first_query_class(v.n_queries) == label
-            ]
+        sessions = active.peak_sessions(_NA, peak)
+        for label, in_class in active.first_query_classes().items():
+            sample = until_first[sessions & in_class]
             if len(sample) < 30:
                 result.note(f"peak={peak} class={label}: n={len(sample)}; skipped")
                 continue
@@ -177,8 +171,9 @@ def run_tableA3(ctx: ExperimentContext) -> ExperimentResult:
 def run_tableA4(ctx: ExperimentContext) -> ExperimentResult:
     """Table A.4: lognormal-body/Pareto-tail fit of interarrival time (NA)."""
     result = ExperimentResult("TA4", "Query interarrival model (NA)")
+    active = ctx.streaming.active
     for peak in (True, False):
-        gaps = [g for v in _na_views(ctx.views, peak) for g in v.interarrivals]
+        gaps = active.gaps_of(active.peak_sessions(_NA, peak))
         if len(gaps) < 30:
             result.note(f"peak={peak}: only {len(gaps)} gaps; skipped")
             continue
@@ -201,14 +196,12 @@ def run_tableA4(ctx: ExperimentContext) -> ExperimentResult:
 def run_tableA5(ctx: ExperimentContext) -> ExperimentResult:
     """Table A.5: lognormal fit of time after last query (NA)."""
     result = ExperimentResult("TA5", "Time after last query model (NA)")
+    active = ctx.streaming.active
+    after_last = np.maximum(active.after_last, 1e-3)
     for peak in (True, False):
-        views = _na_views(ctx.views, peak)
-        for label in ("1", "2-7", ">7"):
-            sample = [
-                max(v.time_after_last, 1e-3)
-                for v in views
-                if last_query_class(v.n_queries) == label
-            ]
+        sessions = active.peak_sessions(_NA, peak)
+        for label, in_class in active.last_query_classes().items():
+            sample = after_last[sessions & in_class]
             if len(sample) < 30:
                 result.note(f"peak={peak} class={label}: n={len(sample)}; skipped")
                 continue
@@ -232,18 +225,19 @@ def run_figA1(ctx: ExperimentContext) -> ExperimentResult:
     until first query (<3 queries, peak), and (c) interarrival (peak).
     """
     result = ExperimentResult("FA1", "Example fitted distributions (NA)")
-    counts = [float(v.n_queries) for v in ctx.views if v.region is _NA]
+    counts = _query_counts(ctx, _NA)
     if len(counts) >= 30:
         fit = fit_lognormal_discrete(counts)
         result.add(panel="(a) queries/session", model="lognormal (discrete)",
                    ks=_discrete_ccdf_error(fit, counts), n=len(counts))
-    peak_views = _na_views(ctx.views, True)
-    first = [max(v.time_until_first, 1e-3) for v in peak_views if first_query_class(v.n_queries) == "<3"]
+    active = ctx.streaming.active
+    peak = active.peak_sessions(_NA, True)
+    first = np.maximum(active.until_first, 1e-3)[peak & active.first_query_classes()["<3"]]
     if len(first) >= 30:
         fit = fit_spliced(first, boundary=45.0, body_family="weibull",
                           tail_family="lognormal", truncation_aware=True)
         result.add(panel="(b) first query", model="weibull+lognormal", ks=fit.ks, n=len(first))
-    gaps = [g for v in peak_views for g in v.interarrivals]
+    gaps = active.gaps_of(peak)
     if len(gaps) >= 30:
         fit = fit_spliced(gaps, boundary=INTERARRIVAL_BOUNDARY,
                           body_family="lognormal", tail_family="pareto",

@@ -20,17 +20,13 @@ def run_fig10(ctx: ExperimentContext) -> ExperimentResult:
     most 4 of the top 10 are in the next day's top 100.
     """
     result = ExperimentResult("F10", "Hot-set drift")
-    # drift_counts breaks count ties by key order: first occurrence on the
-    # record view, ascending on the streamed counts.  From two days on the
-    # two orders print different retained counts, so in-memory contexts
-    # keep ranking from the record view.
-    sessions = ctx.streaming.daily if ctx.stream else ctx.filtered.sessions
+    daily = ctx.streaming.daily
     ranges = (("top10", (1, 10)), ("rank11-20", (11, 20)), ("rank21-100", (21, 100)))
     any_pairs = False
     for label, rank_range in ranges:
         for top_n in (10, 20, 100):
             counts = drift_counts(
-                sessions, Region.NORTH_AMERICA, rank_range=rank_range, top_n=top_n
+                daily, Region.NORTH_AMERICA, rank_range=rank_range, top_n=top_n
             )
             if not counts:
                 continue

@@ -19,8 +19,7 @@ def run_table1(ctx: ExperimentContext) -> ExperimentResult:
     result = ExperimentResult("T1", "Overall trace characteristics")
     # table1 only reads counters/connection/query totals, which the
     # sharded manifest carries -- no shard is loaded in stream mode.
-    trace = ctx.shards if ctx.stream else ctx.columnar
-    for row, values in table1_comparison(trace).items():
+    for row, values in table1_comparison(ctx.source).items():
         result.add(
             measure=row,
             paper=values["paper"],

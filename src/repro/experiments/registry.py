@@ -107,11 +107,13 @@ def run_many(
 ) -> List[ExperimentResult]:
     """Run the given experiments against one shared trace.
 
+    Every experiment reads the context's one streaming pass
+    (:attr:`ExperimentContext.streaming`), which runs on first use.
     ``jobs`` > 1 fans the experiments out across a process pool.  The
     parent synthesizes (or cache-loads) the trace exactly once and
-    publishes it as a cache entry; each worker owns a disjoint chunk of
-    the experiment list and builds its derived views (filtering, active
-    sessions) once for the whole chunk.  Results come back in ``ids``
+    publishes it as a cache entry; each worker runs the streaming pass
+    over it once and reuses it for every experiment the pool hands that
+    worker.  Results come back in ``ids``
     order either way.  The effective worker count is
     :func:`effective_run_jobs` -- a request for more workers than CPUs
     (or tasks) falls back to what the host can actually parallelize,
@@ -136,9 +138,9 @@ def run_all(
 
 
 #: Per-worker-process context, built once by :func:`_init_worker`; the
-#: trace comes out of the shared cache entry, and the lazily cached
-#: derived views (filtering, active sessions) are reused by every
-#: experiment the pool hands this process.
+#: trace comes out of the shared cache entry, and the lazily run
+#: streaming pass is reused by every experiment the pool hands this
+#: process.
 _WORKER_CTX: Optional[ExperimentContext] = None
 
 

@@ -55,12 +55,11 @@ def write_experiments_md(
     """Run every experiment and write the paper-vs-measured record."""
     ctx = ctx or ExperimentContext()
     path = Path(path)
-    trace = ctx.trace
     parts = [
         _HEADER.format(
             days=ctx.config.days,
             rate=ctx.config.mean_arrival_rate,
-            connections=trace.n_connections,
+            connections=ctx.source.n_connections,
         )
     ]
     for experiment_id, runner in ALL_EXPERIMENTS.items():

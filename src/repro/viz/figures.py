@@ -1,9 +1,11 @@
 """Render the paper's figures as SVG from a synthesized trace.
 
 One function per figure builds a :class:`~repro.viz.plot.LinePlot` from
-the analysis outputs; :func:`render_all` regenerates the full set into a
-directory, axis conventions matching the paper (CCDFs on log-log axes,
-time-of-day curves on linear axes, popularity pmf on log-log).
+the products of the context's streaming pass (``ctx.streaming``), the
+same ones the experiments read, so ``figures --stream`` runs in bounded
+memory; :func:`render_all` regenerates the full set into a directory,
+axis conventions matching the paper (CCDFs on log-log axes, time-of-day
+curves on linear axes, popularity pmf on log-log).
 """
 
 from __future__ import annotations
@@ -13,25 +15,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.analysis import (
-    drift_counts,
-    drift_distribution,
-    first_query_ccdf,
-    geographic_distribution,
-    interarrival_ccdf,
-    passive_duration_ccdf_by_period,
-    passive_duration_ccdf_by_region,
-    passive_fraction_by_hour,
-    queries_per_session_ccdf,
-    query_load,
-    shared_files_distribution,
-    time_after_last_ccdf,
-)
+from repro.analysis import drift_counts, drift_distribution
+from repro.analysis.availability import concurrency_from_lifetimes
 from repro.analysis.popularity import popularity_pmf
 from repro.core.fitting import fit_zipf
 from repro.core.popularity import QueryClassId
-from repro.core.regions import KeyPeriod, Region
-from repro.core.stats import Ccdf
+from repro.core.regions import Region
+from repro.core.stats import Ccdf, empirical_ccdf
 from repro.experiments import ExperimentContext
 
 from .plot import LinePlot
@@ -51,7 +41,7 @@ def _add_ccdf(plot: LinePlot, label: str, ccdf: Ccdf, x_scale: float = 1.0) -> N
 
 
 def _fig1(ctx: ExperimentContext) -> Dict[str, LinePlot]:
-    profile = geographic_distribution(ctx.trace)
+    profile = ctx.streaming.geographic
     out = {}
     for region in _MAJOR:
         plot = LinePlot(
@@ -67,7 +57,7 @@ def _fig1(ctx: ExperimentContext) -> Dict[str, LinePlot]:
 
 
 def _fig2(ctx: ExperimentContext) -> Dict[str, LinePlot]:
-    profile = shared_files_distribution(ctx.trace)
+    profile = ctx.streaming.shared_files
     plot = LinePlot(
         title="Fig. 2: shared files of one-hop vs all peers",
         xlabel="Number of Shared Files",
@@ -80,7 +70,7 @@ def _fig2(ctx: ExperimentContext) -> Dict[str, LinePlot]:
 
 
 def _fig3(ctx: ExperimentContext) -> Dict[str, LinePlot]:
-    profiles = query_load(ctx.trace.sessions)
+    profiles = ctx.streaming.load
     out = {}
     for region, profile in profiles.items():
         plot = LinePlot(
@@ -96,7 +86,7 @@ def _fig3(ctx: ExperimentContext) -> Dict[str, LinePlot]:
 
 
 def _fig4(ctx: ExperimentContext) -> Dict[str, LinePlot]:
-    profiles = passive_fraction_by_hour(ctx.filtered.sessions)
+    profiles = ctx.streaming.passive_fraction
     out = {}
     for region, profile in profiles.items():
         plot = LinePlot(
@@ -115,16 +105,17 @@ def _fig4(ctx: ExperimentContext) -> Dict[str, LinePlot]:
 
 def _fig5(ctx: ExperimentContext) -> Dict[str, LinePlot]:
     out = {}
+    passive = ctx.streaming.passive
     plot = LinePlot(
         title="Fig. 5(a): passive session duration by region",
         xlabel="Session Duration, x (min)",
         ylabel="Fraction of Sessions with Duration > x",
         log_x=True, log_y=True,
     )
-    for region, ccdf in passive_duration_ccdf_by_region(ctx.filtered.sessions).items():
+    for region, ccdf in passive.by_region().items():
         _add_ccdf(plot, _REGION_LABEL[region], ccdf, x_scale=1 / 60.0)
     out["fig05a"] = plot
-    by_period = passive_duration_ccdf_by_period(ctx.filtered.sessions, Region.EUROPE)
+    by_period = passive.by_period(Region.EUROPE)
     if len(by_period) >= 2:
         plot_c = LinePlot(
             title="Fig. 5(c): passive duration by key period (Europe)",
@@ -145,7 +136,7 @@ def _fig6(ctx: ExperimentContext) -> Dict[str, LinePlot]:
         ylabel="Fraction of Sessions with #Queries > x",
         log_x=True, log_y=True,
     )
-    for region, ccdf in queries_per_session_ccdf(ctx.views).items():
+    for region, ccdf in ctx.streaming.active.queries_per_session_ccdf().items():
         _add_ccdf(plot, _REGION_LABEL[region], ccdf)
     return {"fig06a": plot}
 
@@ -157,10 +148,11 @@ def _fig7(ctx: ExperimentContext) -> Dict[str, LinePlot]:
         ylabel="Fraction of Sessions with Time > x",
         log_x=True, log_y=True,
     )
-    for region, ccdf in first_query_ccdf(ctx.views).items():
+    active = ctx.streaming.active
+    for region, ccdf in active.first_query_ccdf().items():
         _add_ccdf(plot, _REGION_LABEL[region], ccdf)
     out = {"fig07a": plot}
-    by_class = first_query_ccdf(ctx.views, region=Region.NORTH_AMERICA, by_query_class=True)
+    by_class = active.first_query_ccdf(region=Region.NORTH_AMERICA, by_query_class=True)
     if len(by_class) >= 2:
         plot_b = LinePlot(
             title="Fig. 7(b): first query vs session length (NA)",
@@ -181,7 +173,7 @@ def _fig8(ctx: ExperimentContext) -> Dict[str, LinePlot]:
         ylabel="Fraction of Queries with Interarrival Time > x",
         log_x=True, log_y=True,
     )
-    for region, ccdf in interarrival_ccdf(ctx.views).items():
+    for region, ccdf in ctx.streaming.active.interarrival_ccdf().items():
         _add_ccdf(plot, _REGION_LABEL[region], ccdf)
     return {"fig08a": plot}
 
@@ -193,13 +185,14 @@ def _fig9(ctx: ExperimentContext) -> Dict[str, LinePlot]:
         ylabel="Fraction of Sessions with Time > x",
         log_x=True, log_y=True,
     )
-    for region, ccdf in time_after_last_ccdf(ctx.views).items():
+    for region, ccdf in ctx.streaming.active.time_after_last_ccdf().items():
         _add_ccdf(plot, _REGION_LABEL[region], ccdf)
     return {"fig09a": plot}
 
 
 def _fig10(ctx: ExperimentContext) -> Dict[str, LinePlot]:
-    counts = drift_counts(ctx.filtered.sessions, Region.NORTH_AMERICA)
+    daily = ctx.streaming.daily
+    counts = drift_counts(daily, Region.NORTH_AMERICA)
     if len(counts) < 2:
         return {}
     plot = LinePlot(
@@ -210,9 +203,7 @@ def _fig10(ctx: ExperimentContext) -> Dict[str, LinePlot]:
     )
     xs = list(range(5))
     for top_n in (100, 20, 10):
-        dist = drift_distribution(
-            drift_counts(ctx.filtered.sessions, Region.NORTH_AMERICA, top_n=top_n)
-        )
+        dist = drift_distribution(drift_counts(daily, Region.NORTH_AMERICA, top_n=top_n))
         plot.add(f"N={top_n}", xs, list(dist))
     return {"fig10a": plot}
 
@@ -220,7 +211,7 @@ def _fig10(ctx: ExperimentContext) -> Dict[str, LinePlot]:
 def _fig11(ctx: ExperimentContext) -> Dict[str, LinePlot]:
     out = {}
     for cls, name in ((QueryClassId.NA_ONLY, "na"), (QueryClassId.EU_ONLY, "eu")):
-        pmf = popularity_pmf(ctx.filtered.sessions, cls)
+        pmf = popularity_pmf(ctx.streaming.daily, cls)
         if pmf.size < 5:
             continue
         fit = fit_zipf(pmf)
@@ -241,11 +232,9 @@ def _fig11(ctx: ExperimentContext) -> Dict[str, LinePlot]:
 def _fig_extensions(ctx: ExperimentContext) -> Dict[str, LinePlot]:
     """Extension figures: hit-count CCDF (X1) and the concurrency curve (X4)."""
     out = {}
-    from repro.analysis.availability import concurrency_curve
-    from repro.analysis.hits import hits_ccdf
-
+    queries = ctx.streaming.queries
     try:
-        ccdf = hits_ccdf(ctx.filtered.sessions)
+        ccdf = empirical_ccdf(queries.user.hits)
     except ValueError:
         ccdf = None
     if ccdf is not None and len(ccdf) >= 3:
@@ -258,7 +247,9 @@ def _fig_extensions(ctx: ExperimentContext) -> Dict[str, LinePlot]:
         plot.add("All user queries", [x + 1.0 for x in ccdf.x], list(ccdf.fraction))
         if plot.series:
             out["ext_x1_hits"] = plot
-    times, counts = concurrency_curve(ctx.trace.sessions, step_seconds=900.0)
+    times, counts = concurrency_from_lifetimes(
+        queries.session_start, queries.session_end, step_seconds=900.0
+    )
     plot = LinePlot(
         title="Ext. X4: concurrent one-hop connections",
         xlabel="Trace Time (h)",

@@ -1,5 +1,11 @@
 """Unit tests for the analysis modules on hand-crafted sessions."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +20,7 @@ from repro.analysis import (
     query_load,
     sessions_by_region,
 )
-from repro.analysis.common import session_start_period
+from repro.analysis.common import MAJOR, session_start_period
 from repro.analysis.popularity import daily_class_ranking
 from repro.core.events import QueryRecord, SessionRecord
 from repro.core.popularity import QueryClassId
@@ -152,6 +158,54 @@ class TestPopularityAnalysis:
         counts = drift_counts(self.make_sessions(), Region.NORTH_AMERICA,
                               rank_range=(1, 10), top_n=10)
         assert counts == [1]  # "a" survives to day 1's top 10
+
+    def test_drift_counts_ignore_key_order(self):
+        # Count ties rank by query string, whatever order the daily
+        # dictionaries hold their keys in (first occurrence on records,
+        # ascending on the streamed counts).
+        def two_days(order):
+            days = ({"a": 2, "z": 1, "m": 1, "b": 1}, {"z": 2, "b": 1, "m": 1})
+            return {
+                day: {
+                    r: Counter({k: counts[k] for k in order(counts)})
+                    if r is Region.NORTH_AMERICA else Counter()
+                    for r in MAJOR
+                }
+                for day, counts in enumerate(days)
+            }
+
+        forward, backward = two_days(list), two_days(lambda c: list(c)[::-1])
+        assert forward == backward
+        for rank in range(1, 5):
+            for top_n in range(1, 4):
+                args = (Region.NORTH_AMERICA, (rank, rank), top_n)
+                assert drift_counts(forward, *args) == drift_counts(backward, *args)
+        # Day 0 ranks a, b, m, z; day 1 ranks z, b, m.
+        assert drift_counts(forward, Region.NORTH_AMERICA, (2, 2), 2) == [1]
+        assert drift_counts(forward, Region.NORTH_AMERICA, (4, 4), 1) == [1]
+
+    def test_class_ranking_ignores_hash_seed(self):
+        # Eight tied NA-only queries: the ranking must not follow set
+        # iteration order, which changes with PYTHONHASHSEED.
+        script = (
+            "from collections import Counter\n"
+            "from repro.analysis.popularity import daily_class_ranking\n"
+            "from repro.core.popularity import QueryClassId\n"
+            "from repro.core.regions import Region\n"
+            "na = Counter({q: 1 for q in ['kw%d' % i for i in (7, 3, 5, 0, 6, 1, 4, 2)]})\n"
+            "daily = {0: {Region.NORTH_AMERICA: na, Region.EUROPE: Counter(),"
+            " Region.ASIA: Counter()}}\n"
+            "print([q for q, _ in daily_class_ranking(daily, 0, QueryClassId.NA_ONLY)])\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        orders = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            orders.append(proc.stdout.strip())
+        assert orders == [str(["kw%d" % i for i in range(8)])] * 2
 
     def test_drift_distribution(self):
         dist = drift_distribution([0, 1, 2, 5, 5])

@@ -124,7 +124,9 @@ class TestSessionCorrelations:
         assert not tiny_sample.significant
 
     def test_on_shared_trace(self, context):
-        results = session_correlations(context.views, region=Region.NORTH_AMERICA)
+        results = session_correlations(
+            context.streaming.active.views(), region=Region.NORTH_AMERICA
+        )
         by_name = {c.name: c for c in results}
         duration = by_name["duration vs #queries"]
         gaps = by_name["median interarrival vs #queries"]

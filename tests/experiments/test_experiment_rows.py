@@ -1,21 +1,36 @@
 """Row-level semantics of each experiment (columns, units, bands), and
-the rendered output of all of them, frozen as a golden file."""
+the rendered output of all of them and of every figure, frozen as
+golden files."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, run_experiment
+from repro.viz import build_figures
 
 #: ``render()`` of every experiment, in registry order, on the shared
 #: ``context`` fixture (1 day, 0.3 conn/s, seed 424242).  Regenerate it
-#: only when a printed value is meant to change:
-#: ``PYTHONPATH=src python tests/experiments/test_experiment_rows.py``.
+#: (and :data:`FIGURES_GOLDEN`) only when a printed value is meant to
+#: change: ``PYTHONPATH=src python tests/experiments/test_experiment_rows.py``.
 GOLDEN = Path(__file__).with_name("experiments_golden.txt")
+
+#: Figure name -> SHA-256 of its SVG ``render()``, for every figure
+#: ``build_figures`` draws on the same context.
+FIGURES_GOLDEN = Path(__file__).with_name("figures_golden.json")
 
 
 def render_all(results) -> str:
     return "\n\n".join(results[eid].render() for eid in ALL_EXPERIMENTS) + "\n"
+
+
+def figure_digests(ctx) -> dict:
+    return {
+        name: hashlib.sha256(plot.render().encode()).hexdigest()
+        for name, plot in sorted(build_figures(ctx).items())
+    }
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +41,10 @@ def results(context):
 
 def test_render_matches_golden(results):
     assert render_all(results) == GOLDEN.read_text()
+
+
+def test_figures_match_golden(context):
+    assert figure_digests(context) == json.loads(FIGURES_GOLDEN.read_text())
 
 
 class TestTableRows:
@@ -164,3 +183,4 @@ if __name__ == "__main__":
 
     ctx = ExperimentContext(SynthesisConfig(days=1.0, mean_arrival_rate=0.3, seed=424242))
     GOLDEN.write_text(render_all({eid: run_experiment(eid, ctx) for eid in ALL_EXPERIMENTS}))
+    FIGURES_GOLDEN.write_text(json.dumps(figure_digests(ctx), indent=1) + "\n")

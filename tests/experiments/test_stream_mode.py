@@ -1,11 +1,11 @@
 """Stream-mode contexts: same experiments, same rows, bounded memory.
 
 ``ExperimentContext(stream=True)`` swaps whole-trace arrays for the
-sharded synthesis + single-pass reducers; every experiment must return
-results identical to the in-memory context under the same config
+sharded synthesis + single-pass reducers; every experiment and figure
+must come out identical to the in-memory context under the same config
 (``shard_days`` included: the shard layout is part of the trace
-identity, so both sides here carry it), and the streamed context must
-get there without building a whole-trace view.
+identity, so both sides here carry it), and neither context may build a
+record view to get there.
 """
 
 import math
@@ -14,6 +14,7 @@ import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, ExperimentContext, run_many
 from repro.synthesis import SynthesisConfig, TraceCache
+from repro.viz import build_figures
 
 #: Five shards over 0.35 days: 00:00-08:24 at the node covers North
 #: American peak and off-peak hours, so TA1 fits both periods.
@@ -24,8 +25,9 @@ CFG = SynthesisConfig(
 #: Every registered experiment.
 IDS = list(ALL_EXPERIMENTS)
 
-#: Whole-trace views a streamed ``experiment all`` must not build.
-WHOLE_TRACE_VIEWS = ("columnar", "trace", "filtered", "cfiltered")
+#: Whole-trace views a streamed run must not build; an in-memory run
+#: builds only its source, ``columnar``.
+WHOLE_TRACE_VIEWS = ("columnar", "trace", "filtered", "cfiltered", "views")
 
 
 def _rows_equal(a, b):
@@ -54,9 +56,22 @@ def assert_same_results(streamed, in_memory):
         assert rs.notes == rm.notes, rs.experiment_id
 
 
+def built_views(ctx):
+    return [name for name in WHOLE_TRACE_VIEWS if name in ctx.__dict__]
+
+
+def figure_svgs(ctx):
+    return {name: plot.render() for name, plot in build_figures(ctx).items()}
+
+
 @pytest.fixture(scope="module")
-def in_memory_results():
-    return run_many(IDS, ExperimentContext(CFG))
+def in_memory_ctx():
+    return ExperimentContext(CFG)
+
+
+@pytest.fixture(scope="module")
+def in_memory_results(in_memory_ctx):
+    return run_many(IDS, in_memory_ctx)
 
 
 class TestStreamParity:
@@ -64,8 +79,7 @@ class TestStreamParity:
         ctx = ExperimentContext(CFG, stream=True)
         streamed = run_many(IDS, ctx)
         assert_same_results(streamed, in_memory_results)
-        built = [name for name in WHOLE_TRACE_VIEWS if name in ctx.__dict__]
-        assert built == [], f"streamed run built whole-trace views: {built}"
+        assert built_views(ctx) == [], "streamed run built whole-trace views"
 
     def test_config_fits_both_ta1_periods(self, in_memory_results):
         ta1 = next(r for r in in_memory_results if r.experiment_id == "TA1")
@@ -79,30 +93,31 @@ class TestStreamParity:
         # The parent published the sharded entry for the pool workers.
         assert cache.load_sharded(CFG) is not None
 
+    def test_f10_matches_with_day_pairs(self):
+        # The default config spans two days, so F10 ranks a day pair and
+        # count ties decide some of its rows.
+        in_memory = run_many(["F10"], ExperimentContext())
+        streamed = run_many(["F10"], ExperimentContext(stream=True))
+        assert any(row["source"] == "trace" for row in in_memory[0].rows)
+        assert_same_results(streamed, in_memory)
+
     def test_shard_hours_sets_the_window(self):
         ctx = ExperimentContext(CFG, stream=True, shard_hours=1.2)
         assert ctx.config.shard_days == pytest.approx(0.05)
 
 
 class TestStreamContextViews:
-    def test_columnar_fallback_is_byte_identical(self):
-        import dataclasses
-
-        import numpy as np
-
-        streamed = ExperimentContext(CFG, stream=True).columnar
-        in_memory = ExperimentContext(CFG).columnar
-        for field in dataclasses.fields(type(streamed)):
-            va = getattr(streamed, field.name)
-            vb = getattr(in_memory, field.name)
-            if isinstance(va, np.ndarray):
-                assert va.dtype == vb.dtype and np.array_equal(va, vb), field.name
-            else:
-                assert va == vb, field.name
-
-    def test_views_come_from_the_streaming_pass(self):
+    def test_views_come_from_the_streaming_pass(self, in_memory_ctx):
         ctx = ExperimentContext(CFG, stream=True)
-        assert ctx.views == ExperimentContext(CFG).views
-        # The streamed context never built the whole-trace filter result.
-        assert "cfiltered" not in ctx.__dict__
-        assert "filtered" not in ctx.__dict__
+        assert ctx.streaming.active.views() == in_memory_ctx.streaming.active.views()
+        assert built_views(ctx) == []
+
+    def test_experiments_and_figures_build_no_record_view(
+        self, in_memory_ctx, in_memory_results
+    ):
+        ctx = ExperimentContext(CFG, stream=True)
+        run_many(IDS, ctx)
+        streamed_svgs = figure_svgs(ctx)
+        assert built_views(ctx) == []
+        assert streamed_svgs == figure_svgs(in_memory_ctx)
+        assert built_views(in_memory_ctx) == ["columnar"]

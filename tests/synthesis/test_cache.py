@@ -193,10 +193,10 @@ class TestExperimentContextCache:
         cfg = SynthesisConfig(days=0.02, seed=99)
         cache = TraceCache(tmp_path)
         ctx = ExperimentContext(cfg, cache=cache)
-        trace = ctx.trace
+        trace = ctx.columnar
         assert cache.contains(cfg)
         ctx2 = ExperimentContext(cfg, cache=cache)
-        assert ctx2.trace.counters == trace.counters
+        assert ctx2.columnar.counters == trace.counters
 
     def test_context_cache_false_bypasses(self, tmp_path, monkeypatch):
         from repro.experiments import ExperimentContext
@@ -204,7 +204,7 @@ class TestExperimentContextCache:
         monkeypatch.setenv("REPRO_P2P_CACHE", str(tmp_path))
         cfg = SynthesisConfig(days=0.02, seed=99)
         ctx = ExperimentContext(cfg, cache=False)
-        ctx.trace
+        ctx.columnar
         assert not TraceCache().contains(cfg)
 
     def test_context_jobs_override(self):

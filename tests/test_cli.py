@@ -159,6 +159,13 @@ class TestFiguresCommand:
         assert svgs
         assert "rendered" in capsys.readouterr().out
 
+    def test_figures_max_rss_exceeded_exits_3(self, tmp_path, capsys):
+        code = main(["figures", "--stream", "--days", "0.05", "--rate", "0.25",
+                     "--seed", "9", "--shard-hours", "0.6", "--no-cache",
+                     "--outdir", str(tmp_path / "figs"), "--max-rss-mb", "1"])
+        assert code == 3
+        assert "exceeds --max-rss-mb" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_compare_same_trace_is_close(self, tmp_path, capsys):
