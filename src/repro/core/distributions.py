@@ -27,6 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .special import erf, ndtri
+
 __all__ = [
     "Distribution",
     "Lognormal",
@@ -38,6 +40,7 @@ __all__ = [
     "Truncated",
     "Spliced",
     "Empirical",
+    "DistributionStack",
 ]
 
 
@@ -68,8 +71,9 @@ class Distribution(ABC):
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw exactly ``n`` samples as a flat float64 array.
 
-        The bulk-sampling entry point of the vectorized generator
-        backends, delegating to
+        The bulk-sampling entry point (the columnar generator draws a
+        whole conditional table the same way through
+        :class:`DistributionStack`), delegating to
         :func:`repro.core.kernels.distribution_sample_n`: one uniform
         batch, one vectorized ``ppf`` pass, always an array (``sample``
         returns a scalar for ``size=None`` and whatever shape ``ppf``
@@ -105,7 +109,7 @@ class Lognormal(Distribution):
         out = np.zeros_like(x)
         pos = x > 0
         z = (np.log(x[pos]) - self.mu) / self.sigma
-        out[pos] = 0.5 * (1.0 + _erf_vec(z / math.sqrt(2.0)))
+        out[pos] = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
         return out if out.shape else float(out)
 
     def ppf(self, q):
@@ -428,16 +432,97 @@ class Empirical(Distribution):
         return f"Empirical(n={self.data.size})"
 
 
-def _erf_vec(z):
-    """Vectorized error function (avoids importing scipy at module load)."""
-    from scipy.special import erf
+class DistributionStack:
+    """The quantile functions of several distributions, evaluated together.
 
-    return erf(z)
+    ``ppf(q, group)`` returns ``dists[group[i]].ppf(q[i])`` for every
+    ``i``, bit for bit, in one pass instead of one ``ppf`` call per
+    distribution: when all of ``dists`` are of one family, their
+    parameters are stacked into arrays and gathered per element.  The
+    columnar generator evaluates a whole conditional table once per
+    wave this way.  Every step is elementwise, the same operation on
+    the same operands as in the single-distribution ``ppf``, with two
+    parts kept per group:
+
+    * ``x ** c`` keeps each group's Python-float exponent, because NumPy
+      takes a sqrt or square fast path for ``c`` of 0.5 or 2 (a Weibull
+      of shape 2) that an array of exponents would not;
+    * mixed families, and families without a stacked form (subclasses
+      included), call each distribution's own ``ppf`` on its group.
+    """
+
+    def __init__(self, dists: Sequence[Distribution]):
+        self.dists = tuple(dists)
+        self._ppf = _stacked_ppf(self.dists)
+
+    def __reduce__(self):
+        return (DistributionStack, (self.dists,))
+
+    def ppf(self, q, group) -> np.ndarray:
+        """Quantile ``q[i]`` of ``dists[group[i]]``, as a float64 array."""
+        return self._ppf(np.asarray(q, dtype=np.float64), np.asarray(group, dtype=np.intp))
+
+
+def _per_group(fns, x: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """``fns[g](x[group == g])`` for every group ``g`` present."""
+    out = np.empty_like(x)
+    for g in np.unique(group).tolist():
+        sel = group == g
+        out[sel] = fns[g](x[sel])
+    return out
+
+
+def _powers(exponents: Sequence[float]):
+    """``x ** c`` per group, ``c`` a Python float as in the scalar ``ppf``."""
+    return [lambda x, c=c: x ** c for c in exponents]
+
+
+def _stacked_ppf(dists: Sequence[Distribution]):
+    """``ppf(q, group)`` over ``dists``, step for step as in their ``ppf``."""
+    family = type(dists[0])
+    if any(type(d) is not family for d in dists):
+        family = None
+
+    def param(name):
+        return np.array([getattr(d, name) for d in dists], dtype=np.float64)
+
+    if family is Lognormal:
+        mu, sigma = param("mu"), param("sigma")
+        return lambda q, g: np.exp(mu[g] + sigma[g] * _norm_ppf_vec(q))
+    if family is Weibull:
+        lam, power = param("lam"), _powers([1.0 / d.alpha for d in dists])
+        return lambda q, g: _per_group(power, -np.log1p(-q) / lam[g], g)
+    if family is Pareto:
+        beta, power = param("beta"), _powers([-1.0 / d.alpha for d in dists])
+        return lambda q, g: beta[g] * _per_group(power, 1.0 - q, g)
+    if family is Truncated:
+        base = DistributionStack([d.base for d in dists])
+        cdf_low, mass = param("_cdf_low"), param("_mass")
+        low, high = param("low"), param("high")
+        return lambda q, g: np.clip(base.ppf(cdf_low[g] + q * mass[g], g), low[g], high[g])
+    if family is Spliced:
+        body = DistributionStack([d.body for d in dists])
+        tail = DistributionStack([d.tail for d in dists])
+        weight = param("body_weight")
+
+        def spliced(q, g):
+            w = weight[g]
+            body_mask = q <= w
+            in_body = np.flatnonzero(body_mask)
+            in_tail = np.flatnonzero(~body_mask)
+            out = np.empty_like(q)
+            wb, wt = w[in_body], w[in_tail]
+            out[in_body] = body.ppf(np.clip(q[in_body] / wb, 0.0, 1.0), g[in_body])
+            qt = np.clip((q[in_tail] - wt) / (1.0 - wt), 0.0, 1.0)
+            out[in_tail] = tail.ppf(qt, g[in_tail])
+            return out
+
+        return spliced
+    own = [d.ppf for d in dists]
+    return lambda q, g: _per_group(own, q, g)
 
 
 def _norm_ppf_vec(q):
     """Vectorized standard normal quantile function."""
-    from scipy.special import ndtri
-
     q = np.clip(q, 1e-15, 1.0 - 1e-15)
     return ndtri(q)

@@ -18,10 +18,10 @@ Goodness of fit is reported via the Kolmogorov-Smirnov distance
 
 The truncated fitters maximize their likelihood with :func:`_nelder_mead`,
 a step-for-step NumPy port of SciPy's Nelder-Mead that returns the same
-point bit for bit.  From SciPy this module needs only ``scipy.special``
-(``ndtr``/``ndtri``, imported inside the functions that use them), so
-fitting loads neither ``scipy.stats`` nor ``scipy.optimize``, the two
-heaviest SciPy packages to import (docs/METHODOLOGY.md, section 6).
+point bit for bit, and take ``ndtr``/``ndtri`` from
+:mod:`repro.core.special`, a bit-exact port of the Cephes functions
+SciPy compiles.  Fitting therefore imports no SciPy at all
+(docs/METHODOLOGY.md, section 6).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .distributions import (
     Weibull,
     Zipf,
 )
+from .special import ndtr, ndtri
 
 __all__ = [
     "fit_lognormal",
@@ -86,8 +87,6 @@ def fit_lognormal_truncated(
     likelihood so the recovered (mu, sigma) are directly comparable to
     the published untruncated parameters.
     """
-    from scipy.special import ndtr
-
     x = _clean(data)
     if low > 0:
         x = x[x > low]
@@ -127,8 +126,6 @@ def fit_lognormal_discrete(counts: Sequence[int]) -> Lognormal:
     -- which is how one fits a line through a CCDF plot, the procedure
     the Appendix figures depict.
     """
-    from scipy.special import ndtri
-
     arr = np.asarray(counts, dtype=float)
     arr = arr[np.isfinite(arr) & (arr >= 1)]
     if arr.size < 10:

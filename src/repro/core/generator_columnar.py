@@ -56,6 +56,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .distributions import DistributionStack
 from .events import GeneratedQuery, GeneratedSession
 from .kernels import (
     CategoricalTableStack,
@@ -133,18 +134,21 @@ class GeneratorTables:
 
     Distribution objects (not the model's factory callables) plus the
     precomputed per-hour tables, so shards work for fitted models whose
-    factories are unpicklable closures.  Grid keys use integer codes --
-    see :meth:`WorkloadModel.conditional_grid`.
+    factories are unpicklable closures.  Each conditional table is a
+    :class:`~repro.core.distributions.DistributionStack` indexed by the
+    integer key the wave computes (see
+    :meth:`WorkloadModel.conditional_grid` for the codes), so one wave
+    evaluates a whole table in one pass.
     """
 
     region_cum: np.ndarray                    # (24, 3) cumulative Fig. 1 mix
     passive_prob: np.ndarray                  # (3, 24) Fig. 4 passive fraction
     peak: np.ndarray                          # (3, 24) peak-hour flags
-    queries_per_session: dict                 # region -> Distribution
-    passive_duration: dict                    # (region, peak) -> Distribution
-    first_query: dict                         # (region, peak, class) -> Distribution
-    interarrival: dict
-    last_query: dict
+    queries_per_session: DistributionStack    # region
+    passive_duration: DistributionStack       # region * 2 + peak
+    first_query: DistributionStack            # (region * 2 + peak) * 3 + class
+    interarrival: DistributionStack
+    last_query: DistributionStack
     sampler: ClassRankSampler
     #: O(1) per-hour region draw table over ``region_cum`` (built lazily
     #: so unpickled snapshots from older callers keep working).
@@ -160,6 +164,12 @@ class GeneratorTables:
         cls, model: WorkloadModel, universe: QueryUniverse
     ) -> "GeneratorTables":
         grid = model.conditional_grid()
+        # Sorted grid keys -- region, then peak (False first), then class
+        # -- enumerate exactly the integer keys the wave encodes.
+        stacks = {
+            name: DistributionStack([table[key] for key in sorted(table)])
+            for name, table in grid.items()
+        }
         passive_prob = np.empty((len(MAJOR_REGIONS), 24), dtype=np.float64)
         for code, region in enumerate(MAJOR_REGIONS):
             for hour in range(24):
@@ -169,13 +179,9 @@ class GeneratorTables:
             region_cum=region_cum,
             passive_prob=passive_prob,
             peak=_PEAK_TABLE.copy(),
-            queries_per_session=grid["queries_per_session"],
-            passive_duration=grid["passive_duration"],
-            first_query=grid["first_query"],
-            interarrival=grid["interarrival"],
-            last_query=grid["last_query"],
             sampler=universe.batch_sampler(),
             region_table=CategoricalTableStack(region_cum),
+            **stacks,
         )
 
 
@@ -341,23 +347,18 @@ class ColumnarWorkload:
 # ---------------------------------------------------------------------------
 
 
-def _draw_grouped(rng, table, keys, size: int, cap: float) -> np.ndarray:
-    """Bulk draws from ``table[(region, peak, class)]`` per encoded key.
+def _draw_grouped(rng, table: DistributionStack, keys: np.ndarray) -> np.ndarray:
+    """One draw from ``table.dists[key]`` per element of ``keys``.
 
-    ``keys`` encodes ``(region * 2 + peak) * 3 + class``; groups are
-    visited in ascending key order (the :func:`group_slices` contract)
-    so RNG consumption is deterministic.  Samples are clamped to
-    ``[0, cap]`` like the scalar ``_bounded``.
+    Uniforms are consumed group by group in ascending key order,
+    positions ascending within a group (the :func:`group_slices`
+    contract, and the order one ``sample_n`` call per group would
+    consume them in), then the whole table is evaluated in one
+    :meth:`DistributionStack.ppf` pass.
     """
-    out = np.empty(size, dtype=np.float64)
-    order, group_keys, bounds = group_slices(keys)
-    for g in range(group_keys.size):
-        key = int(group_keys[g])
-        idx = order[bounds[g]:bounds[g + 1]]
-        rc, rem = divmod(key, 6)
-        pk, ci = divmod(rem, 3)
-        draws = table[rc, bool(pk), ci].sample_n(rng, idx.size)
-        out[idx] = np.clip(draws, 0.0, cap)
+    order = group_slices(keys)[0]
+    out = np.empty(keys.size, dtype=np.float64)
+    out[order] = table.ppf(rng.random(keys.size), keys[order])
     return out
 
 
@@ -399,12 +400,10 @@ def _generate_shard(
         # Step 3: passive connected-session durations (Table A.1).
         pas = np.nonzero(passive)[0]
         if pas.size:
-            order, keys, bounds = group_slices(region[pas] * 2 + peak[pas])
-            for g in range(keys.size):
-                rc, pk = divmod(int(keys[g]), 2)
-                idx = pas[order[bounds[g]:bounds[g + 1]]]
-                draws = tables.passive_duration[rc, bool(pk)].sample_n(rng, idx.size)
-                durations[idx] = np.clip(draws, 0.0, cap)
+            draws = _draw_grouped(
+                rng, tables.passive_duration, region[pas].astype(np.int64) * 2 + peak[pas]
+            )
+            durations[pas] = np.clip(draws, 0.0, cap)
 
         # Step 4: active sessions -- counts, offsets, identities.
         act = np.nonzero(~passive)[0]
@@ -413,19 +412,14 @@ def _generate_shard(
             pk_act = peak[act].astype(np.int64)
 
             # 4a: number of queries (ceil of the continuous lognormal).
-            nq = np.empty(act.size, dtype=np.int64)
-            order, keys, bounds = group_slices(r_act)
-            for g in range(keys.size):
-                idx = order[bounds[g]:bounds[g + 1]]
-                draws = tables.queries_per_session[int(keys[g])].sample_n(rng, idx.size)
-                nq[idx] = np.maximum(1, np.ceil(draws)).astype(np.int64)
+            draws = _draw_grouped(rng, tables.queries_per_session, r_act)
+            nq = np.maximum(1, np.ceil(draws)).astype(np.int64)
 
             base_key = (r_act * 2 + pk_act) * 3
             # 4b: time until the first query.
-            t_first = _draw_grouped(
-                rng, tables.first_query, base_key + first_query_class_codes(nq),
-                act.size, cap,
-            )
+            t_first = np.clip(_draw_grouped(
+                rng, tables.first_query, base_key + first_query_class_codes(nq)
+            ), 0.0, cap)
             # 4c(i): interarrival gaps, flat over all sessions' queries.
             gap_counts = nq - 1
             total_gaps = int(gap_counts.sum())
@@ -433,16 +427,15 @@ def _generate_shard(
                 gap_keys = np.repeat(
                     base_key + interarrival_class_codes(nq), gap_counts
                 )
-                gaps = _draw_grouped(
-                    rng, tables.interarrival, gap_keys, total_gaps, cap
+                gaps = np.clip(
+                    _draw_grouped(rng, tables.interarrival, gap_keys), 0.0, cap
                 )
             else:
                 gaps = np.zeros(0, dtype=np.float64)
             # 4d: time after the last query.
-            t_after = _draw_grouped(
-                rng, tables.last_query, base_key + last_query_class_codes(nq),
-                act.size, cap,
-            )
+            t_after = np.clip(_draw_grouped(
+                rng, tables.last_query, base_key + last_query_class_codes(nq)
+            ), 0.0, cap)
 
             gap_cum = segmented_cumsum(gaps, gap_counts)
             last_off = t_first.copy()

@@ -196,6 +196,12 @@ class QueryUniverse:
     (rho) controls hot-set drift: the default reproduces the Figure 10
     observation that for ~80% of days at most 4 of the top 10 queries
     reappear in the next day's top 100.
+
+    Days are drawn lazily and memoized once, as ranking arrays.  The
+    score chain keeps only its head (the latest day drawn, which the
+    next day is drawn from) and the days drawn but not yet ranked;
+    :meth:`drop_days_before` forgets whole days, so a stream that only
+    moves forward holds the days its later queries can still reach.
     """
 
     def __init__(
@@ -217,17 +223,16 @@ class QueryUniverse:
         self._rng = np.random.default_rng(seed)
         self._sizes = QUERY_CLASS_SIZES[period_days]
         self._daily_size: Dict[QueryClassId, int] = {}
-        self._pool: Dict[QueryClassId, List[str]] = {}
         self._pool_arrays: Dict[QueryClassId, np.ndarray] = {}
         self._base_weight: Dict[QueryClassId, np.ndarray] = {}
         self._scores: Dict[QueryClassId, Dict[int, np.ndarray]] = {}
-        self._rankings: Dict[Tuple[QueryClassId, int], List[str]] = {}
         self._ranking_arrays: Dict[Tuple[QueryClassId, int], np.ndarray] = {}
         self._lookup_index: Dict[int, Dict[str, Tuple[QueryClassId, int]]] = {}
         self._popularity_cache: Dict[QueryClassId, object] = {}
         self._region_cum_cache: Dict[Region, tuple] = {}
         self._region_table_cache: Dict[Region, CategoricalTable] = {}
         self._noise_sigma = 2.0
+        self._first_day = 0  # days before it were dropped
         for cls in QueryClassId:
             size = max(1, int(round(_class_size(self._sizes, cls) * scale)))
             pool_size = max(size + 2, int(round(size * pool_factor)))
@@ -238,7 +243,6 @@ class QueryUniverse:
                 f"{cls.value}-q",
                 np.char.zfill(np.arange(pool_size, dtype=np.int64).astype("U11"), 5),
             )
-            self._pool[cls] = pool_arr.tolist()
             self._pool_arrays[cls] = pool_arr
             ranks = np.arange(1, pool_size + 1, dtype=float)
             # Mild long-term skew: persistent favourites exist, but the
@@ -269,14 +273,7 @@ class QueryUniverse:
 
     def daily_ranking(self, day: int, cls: QueryClassId) -> List[str]:
         """The day's query strings for ``cls``, most popular first."""
-        if day < 0:
-            raise ValueError(f"day must be >= 0, got {day}")
-        key = (cls, day)
-        if key not in self._rankings:
-            scores = self._scores_for(cls, day)
-            order = np.argsort(-scores)[: self._daily_size[cls]]
-            self._rankings[key] = self._pool_arrays[cls][order].tolist()
-        return self._rankings[key]
+        return self.ranking_array(day, cls).tolist()
 
     def popularity_distribution(self, cls: QueryClassId):
         """Figure 11 rank distribution for this class's daily set."""
@@ -298,7 +295,7 @@ class QueryUniverse:
         """
         for day in range(max_day + 1):
             for cls in QueryClassId:
-                self.daily_ranking(day, cls)
+                self.ranking_array(day, cls)
         return self
 
     def _region_class_cum(self, region: Region):
@@ -330,9 +327,9 @@ class QueryUniverse:
         cls = classes[int(self._region_class_table(region).lookup(rng.random()))]
         dist = self.popularity_distribution(cls)
         rank = int(dist.sample(rng))
-        ranking = self.daily_ranking(day, cls)
-        rank = min(rank, len(ranking))
-        return SampledQuery(keywords=ranking[rank - 1], rank=rank, query_class=cls)
+        ranking = self.ranking_array(day, cls)
+        rank = min(rank, ranking.size)
+        return SampledQuery(keywords=str(ranking[rank - 1]), rank=rank, query_class=cls)
 
     def sample_batch(
         self, rng: np.random.Generator, day: int, region: Region, count: int
@@ -355,28 +352,73 @@ class QueryUniverse:
             cls = classes[int(cls_index)]
             positions = np.nonzero(picks == cls_index)[0]
             ranks = self.popularity_distribution(cls).sample(rng, size=positions.size)
-            ranking = self.daily_ranking(day, cls)
+            ranking = self.ranking_array(day, cls)
             for pos, rank in zip(positions, np.asarray(ranks, dtype=int)):
-                rank = min(int(rank), len(ranking))
+                rank = min(int(rank), ranking.size)
                 out[pos] = SampledQuery(
-                    keywords=ranking[rank - 1], rank=rank, query_class=cls
+                    keywords=str(ranking[rank - 1]), rank=rank, query_class=cls
                 )
         return out
 
     def ranking_array(self, day: int, cls: QueryClassId) -> np.ndarray:
-        """:meth:`daily_ranking` as a cached NumPy unicode array.
+        """The day's query strings for ``cls`` as a NumPy unicode array.
 
-        The columnar fast path gathers query strings for whole
-        ``(day, class)`` groups with one fancy-indexing operation; the
-        array form is cached separately so the list form (and everything
-        keyed on it) is untouched.
+        The one memo of a (class, day) ranking: the columnar paths
+        gather whole groups of query strings from it with one
+        fancy-indexing operation, and :meth:`daily_ranking` lists it.
+        Its width is that of its longest string, the width
+        ``np.array(strings, dtype=np.str_)`` gives.  A dropped day
+        raises ``ValueError``: drawing it again would shift the shared
+        RNG under every later day.
         """
+        if day < 0:
+            raise ValueError(f"day must be >= 0, got {day}")
+        if day < self._first_day:
+            raise ValueError(f"day {day} was dropped (days before {self._first_day})")
         key = (cls, day)
         arr = self._ranking_arrays.get(key)
         if arr is None:
-            arr = np.array(self.daily_ranking(day, cls), dtype=np.str_)
+            chain = self._scores[cls]
+            scores = self._scores_for(cls, day)
+            order = np.argsort(-scores)[: self._daily_size[cls]]
+            arr = self._pool_arrays[cls][order]
+            arr = arr.astype(f"U{int(np.char.str_len(arr).max())}", copy=False)
             self._ranking_arrays[key] = arr
+            if day != max(chain):  # ranked and not the head: no longer needed
+                del chain[day]
         return arr
+
+    def drop_days_before(self, day: int) -> None:
+        """Forget every day before ``day``: rankings, lookup index, scores.
+
+        Each class keeps its score-chain head, the state later days are
+        drawn from.  Asking for a dropped day afterwards raises.
+        """
+        if day <= self._first_day:
+            return
+        self._first_day = day
+        for key in [k for k in self._ranking_arrays if k[1] < day]:
+            del self._ranking_arrays[key]
+        for d in [d for d in self._lookup_index if d < day]:
+            del self._lookup_index[d]
+        for chain in self._scores.values():
+            if chain:
+                head = max(chain)
+                for d in [d for d in chain if d < day and d != head]:
+                    del chain[d]
+
+    def held_days(self) -> List[int]:
+        """Days with a ranking, lookup index or score vector in memory.
+
+        Each class's score-chain head is not counted: it is the chain's
+        state, kept whatever day it belongs to.
+        """
+        days = {d for _, d in self._ranking_arrays} | set(self._lookup_index)
+        for chain in self._scores.values():
+            if chain:
+                head = max(chain)
+                days.update(d for d in chain if d != head)
+        return sorted(days)
 
     def sample_batch_codes(
         self, rng: np.random.Generator, region: Region, count: int
@@ -421,7 +463,8 @@ class QueryUniverse:
 
         Scores for day ``d`` are the log-popularity of every pool entry.
         The chain is built sequentially from day 0 so results are
-        deterministic for a given seed regardless of query order.
+        deterministic for a given seed regardless of query order.  Only
+        its head and unranked days are kept (see :meth:`ranking_array`).
         """
         cache = self._scores[cls]
         if day in cache:
@@ -431,13 +474,18 @@ class QueryUniverse:
             start -= 1
         rho = self.persistence
         innovation_scale = math.sqrt(1.0 - rho * rho)
-        n = len(self._pool[cls])
+        n = self._pool_arrays[cls].size
         for d in range(start, day + 1):
             fresh = self._rng.standard_normal(n)
             if d == 0 or (d - 1) not in cache:
                 cache[d] = fresh
             else:
                 cache[d] = rho * cache[d - 1] + innovation_scale * fresh
+        # The old head and the new days before ``day`` stay only while
+        # unranked and not dropped.
+        for d in range(start - 1, day):
+            if d in cache and (d < self._first_day or (cls, d) in self._ranking_arrays):
+                del cache[d]
         return self._base_weight[cls] + self._noise_sigma * cache[day]
 
 

@@ -6,7 +6,8 @@ iterator of pre-encoded frames whose byte sequence is a function of the
 workload are generated with the columnar engine -- window ``w`` covers
 ``[w * window_seconds, (w+1) * window_seconds)`` with its own derived
 seed -- so the stream is unbounded in time but bounded in memory (one
-window of sessions resident at a time).  Each window is sliced into
+window of sessions resident at a time, and a query universe that drops
+the days no later window can reach).  Each window is sliced into
 batches of ``batch_sessions`` sessions and every batch is serialized
 exactly once; the server fans the same immutable bytes out to every
 subscriber.
@@ -179,17 +180,19 @@ class WorkloadFrameSource:
         self.model = model or WorkloadModel.paper()
         self._universe = universe
 
-    def _fresh_universe(self) -> QueryUniverse:
+    def _batches(self) -> Iterator[ColumnarWorkload]:
+        config = self.config
         # The universe memoizes per-day rankings as they are drawn; a
         # fresh instance per replay keeps draw order (hence bytes)
         # independent of how often the source was iterated before.
-        return QueryUniverse() if self._universe is None else self._universe
-
-    def _batches(self) -> Iterator[ColumnarWorkload]:
-        config = self.config
-        universe = self._fresh_universe()
+        # Window w's queries land on days >= w * window_seconds / 86400,
+        # so an owned universe forgets the days before that as it goes.
+        owned = self._universe is None
+        universe = QueryUniverse() if owned else self._universe
         window = 0
         while True:
+            if owned:
+                universe.drop_days_before(int(window * config.window_seconds // 86400))
             workload = generate_columnar_workload(
                 self.model,
                 universe,

@@ -157,6 +157,51 @@ class TestQueryUniverse:
         with pytest.raises(ValueError):
             QueryUniverse().daily_ranking(-1, QueryClassId.NA_ONLY)
 
+    def test_ranking_array_is_the_listed_ranking(self):
+        u = QueryUniverse(seed=5)
+        for cls in QueryClassId:
+            arr = u.ranking_array(2, cls)
+            listed = u.daily_ranking(2, cls)
+            assert arr.tolist() == listed
+            # The width np.array(list) gives: part of the frame bytes.
+            assert arr.dtype == np.array(listed, dtype=np.str_).dtype
+
+    def test_score_chain_keeps_head_and_unranked_days(self):
+        u = QueryUniverse(seed=5)
+        cls = QueryClassId.NA_ONLY
+        u.ranking_array(5, cls)  # draws days 0-5, ranks day 5 (the head)
+        u.ranking_array(2, cls)
+        assert sorted(u._scores[cls]) == [0, 1, 3, 4, 5]
+        u.ranking_array(7, cls)  # day 5 is ranked and no longer the head
+        assert sorted(u._scores[cls]) == [0, 1, 3, 4, 6, 7]
+        fresh = QueryUniverse(seed=5)
+        for day in (5, 2, 7, 0, 6):
+            assert fresh.daily_ranking(day, cls) == u.daily_ranking(day, cls)
+
+    def test_dropped_days_raise_and_later_days_are_unchanged(self):
+        keep = QueryUniverse(seed=9).prebuild(1)
+        drop = QueryUniverse(seed=9).prebuild(1)
+        drop.drop_days_before(1)
+        assert drop.held_days() == [1]
+        with pytest.raises(ValueError, match="dropped"):
+            drop.daily_ranking(0, QueryClassId.EU_ONLY)
+        with pytest.raises(ValueError, match="dropped"):
+            drop.lookup(0, "eu_only-q00001")
+        for day in (1, 2, 4):
+            for cls in QueryClassId:
+                assert drop.daily_ranking(day, cls) == keep.daily_ranking(day, cls)
+
+    def test_a_chain_behind_the_dropped_days_keeps_none_of_them(self):
+        u = QueryUniverse(seed=9)
+        cls = QueryClassId.AS_ONLY
+        u.ranking_array(1, cls)
+        u.drop_days_before(4)
+        assert sorted(u._scores[cls]) == [1]  # the head, ranked and dropped
+        u.ranking_array(6, cls)  # draws days 2-6 from day 1
+        assert sorted(u._scores[cls]) == [4, 5, 6]
+        assert u.held_days() == [4, 5, 6]
+        assert u.daily_ranking(6, cls) == QueryUniverse(seed=9).daily_ranking(6, cls)
+
 
 class TestTopNOverlap:
     def test_full_overlap(self):

@@ -169,3 +169,47 @@ class TestJsonlCodec:
                 for line in dbg_frame[HEADER_SIZE:].decode().splitlines()
             ]
             assert records == [session_record(s) for s in batch.iter_sessions()]
+
+
+class TestBoundedUniverse:
+    """A long stream holds only the days its later windows can reach."""
+
+    #: 300 peers, 1-day windows, one frame per window: 20 days of stream.
+    LONG = StreamConfig(
+        n_peers=300, seed=404, window_seconds=86400.0, batch_sessions=1_000_000,
+        n_frames=20,
+    )
+    #: SHA-256 of LONG's frames, recorded while the universe kept every day.
+    LONG_DIGEST = "bd8eba0e84d46bc8c136b2854c226d80b2c3a85d26249d75d57bca0f94f8a9eb"
+
+    def test_long_stream_keeps_its_bytes_and_drops_past_days(self, monkeypatch):
+        import hashlib
+
+        import repro.service.stream as stream
+
+        generate = stream.generate_columnar_workload
+        held = []
+
+        def spy(model, universe, **kwargs):
+            held.append((int(kwargs["start_time"] // 86400), universe.held_days()))
+            return generate(model, universe, **kwargs)
+
+        monkeypatch.setattr(stream, "generate_columnar_workload", spy)
+        digest = hashlib.sha256()
+        for frame, _ in WorkloadFrameSource(self.LONG).frames():
+            digest.update(frame)
+        assert digest.hexdigest() == self.LONG_DIGEST
+        assert [day for day, _ in held] == list(range(20))
+        assert all(days for _, days in held[1:])
+        for start_day, days in held:
+            assert all(day >= start_day for day in days), (start_day, days)
+
+    def test_a_shared_universe_is_never_dropped(self):
+        universe = QueryUniverse()
+        config = StreamConfig(
+            n_peers=30, seed=5, window_seconds=86400.0, batch_sessions=10**6, n_frames=3
+        )
+        first = [f for f, _ in WorkloadFrameSource(config, universe=universe).frames()]
+        assert 0 in universe.held_days()
+        again = [f for f, _ in WorkloadFrameSource(config, universe=universe).frames()]
+        assert first == again
