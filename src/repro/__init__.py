@@ -18,6 +18,16 @@ The package is organized bottom-up:
 * :mod:`repro.filtering` -- Section 3.3 filter rules 1-5.
 * :mod:`repro.analysis` -- per-figure/table characterizations.
 * :mod:`repro.experiments` -- end-to-end experiment drivers.
+* :mod:`repro.viz` -- dependency-free SVG figures.
+* :mod:`repro.transfers` -- file-transfer extension (bandwidth classes,
+  downloads).
+* :mod:`repro.service` -- the Figure 12 workload streamed over TCP.
+* :mod:`repro.lint` -- the determinism / parallel-safety linter.
+
+Every package ``__init__`` but :mod:`repro.lint`'s resolves its public
+names on first use (:mod:`repro._lazy`): ``import repro`` loads no
+subpackage, and importing one module of a package does not execute its
+siblings.
 
 Quickstart::
 
@@ -28,6 +38,11 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from .core import Region, SyntheticWorkloadGenerator, WorkloadModel
+from ._lazy import lazy_exports
 
-__all__ = ["Region", "SyntheticWorkloadGenerator", "WorkloadModel", "__version__"]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "core.regions": ("Region",),
+    "core.generator": ("SyntheticWorkloadGenerator",),
+    "core.model": ("WorkloadModel",),
+})
+__all__ += ["__version__"]

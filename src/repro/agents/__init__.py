@@ -1,18 +1,12 @@
 """Ground-truth peer behaviour used to synthesize the measured trace."""
 
-from .diurnal import ArrivalProcess, intensity_table, relative_intensity
-from .population import (
-    ULTRAPEER_FRACTION,
-    PeerIdentity,
-    PeerPopulation,
-    sample_shared_files,
-    sample_shared_files_batch,
-)
-from .user_model import SessionPlan, UserBehavior
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalProcess", "intensity_table", "relative_intensity",
-    "ULTRAPEER_FRACTION", "PeerIdentity", "PeerPopulation",
-    "sample_shared_files", "sample_shared_files_batch",
-    "SessionPlan", "UserBehavior",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "diurnal": ("ArrivalProcess", "intensity_table", "relative_intensity"),
+    "population": (
+        "ULTRAPEER_FRACTION", "PeerIdentity", "PeerPopulation",
+        "sample_shared_files", "sample_shared_files_batch",
+    ),
+    "user_model": ("SessionPlan", "UserBehavior"),
+})

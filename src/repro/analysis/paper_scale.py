@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core import host_block, peak_rss_mb
+from repro.core.runtime import DEFAULT_RSS_BUDGET_MB, host_block, peak_rss_mb
 from repro.core.popularity import QueryClassId
 from repro.core.regions import Region
 from repro.filtering import apply_filters_columnar
@@ -50,10 +50,6 @@ from .shared_files import shared_files_distribution
 from .streaming import run_streaming
 
 __all__ = ["DEFAULT_RSS_BUDGET_MB", "measure_paper_scale", "streamed_equivalence_checks"]
-
-#: The acceptance budget: the full 40-day paper scenario must complete
-#: synthesis + filtering + Fig. 1-11 analyses under 2 GiB of peak RSS.
-DEFAULT_RSS_BUDGET_MB = 2048.0
 
 _MAJOR = (Region.NORTH_AMERICA, Region.EUROPE, Region.ASIA)
 

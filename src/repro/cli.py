@@ -275,10 +275,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    from repro.synthesis import TraceSynthesizer, load_or_synthesize
-
     if args.stream:
         return _cmd_synthesize_stream(args)
+    from repro.synthesis import TraceSynthesizer, load_or_synthesize
+
     config = _scale_config(args)
     cache = _trace_cache(args)
     if cache is None:
@@ -312,13 +312,18 @@ def _cmd_synthesize_stream(args) -> int:
 
     config = _scale_config(args)
     cache = _trace_cache(args)
+    hit = cache is not None and cache.load_sharded(config) is not None
+    if not hit:
+        # This run synthesizes, so the engine loads here with the
+        # command's other modules: the synthesis stage then times
+        # synthesis, not compiling the engine's imports.
+        import repro.synthesis.synthesizer  # noqa: F401
     workdir = None
     try:
         if cache is None:
             workdir = tempfile.mkdtemp(prefix="repro-p2p-stream-")
             sharded = load_or_synthesize_sharded(config, use_cache=False, workdir=workdir)
         else:
-            hit = cache.load_sharded(config) is not None
             print(f"trace cache {'hit' if hit else 'miss'}: "
                   f"{cache.shards_path_for(config)}")
             sharded = load_or_synthesize_sharded(config, cache=cache)

@@ -68,21 +68,6 @@ class Distribution(ABC):
         u = rng.random(size)
         return self.ppf(u)
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw exactly ``n`` samples as a flat float64 array.
-
-        The bulk-sampling entry point (the columnar generator draws a
-        whole conditional table the same way through
-        :class:`DistributionStack`), delegating to
-        :func:`repro.core.kernels.distribution_sample_n`: one uniform
-        batch, one vectorized ``ppf`` pass, always an array (``sample``
-        returns a scalar for ``size=None`` and whatever shape ``ppf``
-        preserves otherwise).
-        """
-        from .kernels import distribution_sample_n
-
-        return distribution_sample_n(self, rng, n)
-
     def mean(self) -> float:
         """Analytic mean; subclasses without a closed form raise."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form mean")

@@ -352,8 +352,8 @@ def _draw_grouped(rng, table: DistributionStack, keys: np.ndarray) -> np.ndarray
 
     Uniforms are consumed group by group in ascending key order,
     positions ascending within a group (the :func:`group_slices`
-    contract, and the order one ``sample_n`` call per group would
-    consume them in), then the whole table is evaluated in one
+    contract, and the order one uniform batch per group would consume
+    them in), then the whole table is evaluated in one
     :meth:`DistributionStack.ppf` pass.
     """
     order = group_slices(keys)[0]
@@ -539,18 +539,22 @@ def generate_columnar_workload(
     start_time: float = 0.0,
     max_session_seconds: float = 40 * _SECONDS_PER_DAY,
     jobs: int = 1,
+    tables: Optional[GeneratorTables] = None,
 ) -> ColumnarWorkload:
     """Generate a steady-state workload as a :class:`ColumnarWorkload`.
 
     Stateless: the same arguments always produce the same workload,
     byte for byte, independent of ``jobs`` (which only sizes the worker
-    pool over the fixed :data:`SLOTS_PER_SHARD` shard grid).
+    pool over the fixed :data:`SLOTS_PER_SHARD` shard grid).  ``tables``
+    is ``GeneratorTables.from_model(model, universe)``, built here unless
+    a caller generating many windows of one model passes it in.
     """
     if duration_seconds <= 0:
         raise ValueError("duration_seconds must be positive")
     if n_peers < 1:
         raise ValueError(f"n_peers must be >= 1, got {n_peers}")
-    tables = GeneratorTables.from_model(model, universe)
+    if tables is None:
+        tables = GeneratorTables.from_model(model, universe)
     n_shards = max(1, math.ceil(n_peers / SLOTS_PER_SHARD))
     slot_counts = shard_sizes(n_peers, n_shards)
     seeds = spawn_shard_streams(seed, n_shards)

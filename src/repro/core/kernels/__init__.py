@@ -22,63 +22,22 @@ enforces it.
 See ``docs/KERNELS.md`` for the kernel inventory and backend guide.
 """
 
-from __future__ import annotations
+from ..._lazy import lazy_exports
 
-from .backend import (
-    ArrayBackend,
-    NumpyBackend,
-    StubBackend,
-    active_backend,
-    available_backends,
-    get_backend,
-    register_backend,
-    use_backend,
-)
-from .npz import load_npz_members, save_npz_payload
-from .sampling import (
-    CategoricalTable,
-    CategoricalTableStack,
-    distribution_sample_n,
-    searchsorted_left,
-)
-from .segmented import (
-    group_slices,
-    segment_ids,
-    segmented_arange,
-    segmented_cumsum,
-    segmented_offsets_base,
-    segmented_offsets_scatter,
-)
-from .setops import (
-    isin_sorted,
-    merge_unique,
-    setdiff_sorted,
-    sorted_lookup,
-)
-from .sharding import (
-    pool_map,
-    pool_map_windowed,
-    resolve_workers,
-    shard_sizes,
-    spawn_shard_streams,
-    time_windows,
-)
-
-__all__ = [
-    # backend
-    "ArrayBackend", "NumpyBackend", "StubBackend", "active_backend",
-    "available_backends", "get_backend", "register_backend", "use_backend",
-    # segmented
-    "group_slices", "segment_ids", "segmented_arange", "segmented_cumsum",
-    "segmented_offsets_base", "segmented_offsets_scatter",
-    # sampling
-    "CategoricalTable", "CategoricalTableStack", "distribution_sample_n",
-    "searchsorted_left",
-    # setops
-    "isin_sorted", "merge_unique", "setdiff_sorted", "sorted_lookup",
-    # sharding
-    "pool_map", "pool_map_windowed", "resolve_workers", "shard_sizes",
-    "spawn_shard_streams", "time_windows",
-    # npz
-    "load_npz_members", "save_npz_payload",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "backend": (
+        "ArrayBackend", "NumpyBackend", "StubBackend", "active_backend",
+        "available_backends", "get_backend", "register_backend", "use_backend",
+    ),
+    "segmented": (
+        "group_slices", "segment_ids", "segmented_arange", "segmented_cumsum",
+        "segmented_offsets_base", "segmented_offsets_scatter",
+    ),
+    "sampling": ("CategoricalTable", "CategoricalTableStack", "searchsorted_left"),
+    "setops": ("isin_sorted", "merge_unique", "setdiff_sorted", "sorted_lookup"),
+    "sharding": (
+        "pool_map", "pool_map_windowed", "resolve_workers", "shard_sizes",
+        "spawn_shard_streams", "time_windows",
+    ),
+    "npz": ("load_npz_members", "save_npz_payload"),
+})

@@ -1,4 +1,4 @@
-"""Batched categorical draws and batch distribution sampling.
+"""Batched categorical draws over cumulative tables.
 
 The engines draw categories by inverting cumulative tables::
 
@@ -39,7 +39,6 @@ from .backend import active_backend
 __all__ = [
     "CategoricalTable",
     "CategoricalTableStack",
-    "distribution_sample_n",
     "searchsorted_left",
 ]
 
@@ -171,14 +170,3 @@ class CategoricalTableStack:
     ) -> np.ndarray:
         """One draw per row index, consuming ``rng.random(len(rows))``."""
         return self.lookup(rows, rng.random(len(rows)))
-
-
-def distribution_sample_n(dist, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Batch inverse-transform sampling for a model distribution.
-
-    The single RNG-consumption point for continuous model draws:
-    ``n`` uniforms through the distribution's ``ppf``, returned as a
-    flat float64 array.  :meth:`repro.core.distributions.Distribution.sample_n`
-    delegates here.
-    """
-    return np.asarray(dist.ppf(rng.random(int(n))), dtype=np.float64).reshape(-1)

@@ -17,10 +17,7 @@ needs to honor that contract:
 from __future__ import annotations
 
 import itertools
-import math
-import multiprocessing
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,11 +83,21 @@ def resolve_workers(jobs: int, n_tasks: int) -> int:
     return min(int(jobs), int(n_tasks), available_cpus())
 
 
-def _fork_context():
-    """Fork where available (spawn re-imports numpy/scipy per worker,
-    costing seconds); the platform default elsewhere."""
+def _process_pool(workers: int):
+    """A ``workers``-process pool, forking where available (spawn
+    re-imports numpy and every ``repro`` module the task needs in each
+    worker); the platform default elsewhere.
+
+    ``multiprocessing`` and ``concurrent.futures`` are imported here, so
+    the serial path (``workers <= 1``, every single-CPU run) never loads
+    them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def pool_map(fn: Callable, tasks: Sequence, workers: int) -> List:
@@ -101,7 +108,7 @@ def pool_map(fn: Callable, tasks: Sequence, workers: int) -> List:
     """
     if workers <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context()) as pool:
+    with _process_pool(workers) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -119,7 +126,7 @@ def pool_map_windowed(
         for task in tasks:
             consume(fn(task))
         return
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context()) as pool:
+    with _process_pool(workers) as pool:
         task_iter = iter(tasks)
         pending = deque(
             pool.submit(fn, task)

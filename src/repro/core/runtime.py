@@ -16,7 +16,12 @@ import platform
 import sys
 from typing import Any, Dict
 
-__all__ = ["available_cpus", "peak_rss_mb", "host_block"]
+__all__ = ["DEFAULT_RSS_BUDGET_MB", "available_cpus", "peak_rss_mb", "host_block"]
+
+#: The acceptance budget the benchmark gates hold ``peak_rss_mb`` to: the
+#: full 40-day paper scenario must complete synthesis + filtering +
+#: Fig. 1-11 analyses, and the overlay scale run, under 2 GiB.
+DEFAULT_RSS_BUDGET_MB = 2048.0
 
 
 def available_cpus() -> int:

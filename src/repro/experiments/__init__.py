@@ -1,9 +1,8 @@
 """End-to-end experiment drivers, one per paper table/figure."""
 
-from .base import ExperimentContext, ExperimentResult, format_rows
-from .registry import ALL_EXPERIMENTS, run_all, run_experiment, run_many
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentContext", "ExperimentResult", "format_rows",
-    "ALL_EXPERIMENTS", "run_all", "run_experiment", "run_many",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "base": ("ExperimentContext", "ExperimentResult", "format_rows"),
+    "registry": ("ALL_EXPERIMENTS", "run_all", "run_experiment", "run_many"),
+})

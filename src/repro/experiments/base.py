@@ -20,7 +20,6 @@ from repro.measurement import ColumnarTrace, ShardedTrace
 from repro.synthesis import (
     SynthesisConfig,
     TraceCache,
-    TraceSynthesizer,
     load_or_synthesize_columnar,
     load_or_synthesize_sharded,
 )
@@ -145,7 +144,7 @@ class ExperimentContext:
         array bundles.
         """
         if self.cache is None:
-            return TraceSynthesizer(self.config).run_columnar()
+            return load_or_synthesize_columnar(self.config, use_cache=False)
         return load_or_synthesize_columnar(self.config, cache=self.cache)
 
     @cached_property
@@ -159,8 +158,8 @@ class ExperimentContext:
         """
         if self.cache is None:
             self._shard_dir = tempfile.TemporaryDirectory(prefix="repro-p2p-shards-")
-            return TraceSynthesizer(self.config).run_sharded(
-                Path(self._shard_dir.name) / "trace"
+            return load_or_synthesize_sharded(
+                self.config, use_cache=False, workdir=Path(self._shard_dir.name) / "trace"
             )
         return load_or_synthesize_sharded(self.config, cache=self.cache)
 

@@ -21,6 +21,7 @@ from repro.core.fitting import fit_lognormal_discrete
 from repro.core.generator_columnar import WORKLOAD_REGION_CODE
 from repro.core.parameters import _PASSIVE_FRACTION  # noqa: F401  (band reference)
 from repro.core.popularity import CLASS_ORDER, QueryClassId
+from repro.core.validation import compare_models
 
 from .base import ExperimentContext, ExperimentResult
 
@@ -95,8 +96,6 @@ def run_generator_validation(ctx: ExperimentContext) -> ExperimentResult:
     )
     # Two independent seeds of the same generator must produce the same
     # distributions -- a max-CCDF-gap check on the core measures.
-    from repro.core.validation import compare_models
-
     other = SyntheticWorkloadGenerator(n_peers=300, seed=ctx.config.seed + 17)
     workload_b = other.generate_columnar(duration_seconds=86400.0)
     counts_b = workload_b.query_counts()

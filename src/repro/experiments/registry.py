@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import available_cpus
@@ -182,6 +181,8 @@ def _run_parallel(
         # One task per experiment (dynamic balancing: a heavy experiment
         # never gates a whole pre-assigned chunk); map() returns results
         # in submission order, so ordering is deterministic by design.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,

@@ -1,20 +1,13 @@
 """Section 3.3 filter rules: separating user behaviour from client software."""
 
-from .columnar import ColumnarFilterResult, apply_filters_columnar
-from .pipeline import FilterReport, FilterResult, apply_filters
-from .streaming import StreamingFilter, split_for_streaming
-from .rules import (
-    INTERARRIVAL_EPSILON,
-    rule1_sha1,
-    rule2_duplicates,
-    rule3_short_sessions,
-    rule45_interarrival_marks,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FilterReport", "FilterResult", "apply_filters",
-    "ColumnarFilterResult", "apply_filters_columnar",
-    "StreamingFilter", "split_for_streaming",
-    "INTERARRIVAL_EPSILON", "rule1_sha1", "rule2_duplicates",
-    "rule3_short_sessions", "rule45_interarrival_marks",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "pipeline": ("FilterReport", "FilterResult", "apply_filters"),
+    "columnar": ("ColumnarFilterResult", "apply_filters_columnar"),
+    "streaming": ("StreamingFilter", "split_for_streaming"),
+    "rules": (
+        "INTERARRIVAL_EPSILON", "rule1_sha1", "rule2_duplicates",
+        "rule3_short_sessions", "rule45_interarrival_marks",
+    ),
+})

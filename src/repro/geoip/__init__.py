@@ -1,5 +1,7 @@
 """Synthetic GeoIP database -- substitute for MaxMind GeoIP (paper ref [10])."""
 
-from .database import GeoIpDatabase, IpAllocator
+from .._lazy import lazy_exports
 
-__all__ = ["GeoIpDatabase", "IpAllocator"]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "database": ("GeoIpDatabase", "IpAllocator"),
+})

@@ -1,73 +1,34 @@
 """Gnutella protocol substrate: messages, routing, handshake, peers,
 client-implementation profiles, and the overlay simulator."""
 
-from .clients import (
-    CLIENT_PROFILES,
-    MEASUREMENT_USER_AGENT,
-    ClientProfile,
-    ExpandedQuery,
-    choose_profile,
-    expand_user_session,
-)
-from .handshake import HandshakeError, HandshakeOffer, HandshakeResponse, negotiate, parse_headers
-from .messages import (
-    DEFAULT_TTL,
-    Bye,
-    Message,
-    MessageError,
-    Ping,
-    Pong,
-    Query,
-    QueryHit,
-    decode,
-    new_guid,
-)
-from .overlay import OverlayNetwork, QueryOutcome
-from .peer import Action, PeerMode, PeerNode
-from .qrp import (
-    PackedQRPTables,
-    QueryRouteTable,
-    keyword_hash,
-    keyword_hashes,
-    text_hash_table,
-)
-from .routing import DEFAULT_GUID_TTL_SECONDS, RoutingTable
-from .simulator import EventScheduler
-from .topology import CSRTopology
-from .wire import MessageStream
+from .._lazy import lazy_exports
 
-#: Batched overlay-engine names resolved lazily (PEP 562): the engine
-#: imports ``repro.measurement``, whose monitor imports this package
-#: back, so an eager import here would close a cycle.
-_COLUMNAR_OVERLAY_EXPORTS = frozenset({
-    "ENGINE_BACKENDS", "FloodContext", "FloodResult", "OverlayConfig",
-    "OverlayRunResult", "compare_runs", "flood_context_from_overlay",
-    "flood_queries", "simulate_workload",
+__getattr__, __all__ = lazy_exports(__name__, {
+    "clients": (
+        "CLIENT_PROFILES", "MEASUREMENT_USER_AGENT", "ClientProfile",
+        "ExpandedQuery", "choose_profile", "expand_user_session",
+    ),
+    "handshake": (
+        "HandshakeError", "HandshakeOffer", "HandshakeResponse", "negotiate",
+        "parse_headers",
+    ),
+    "messages": (
+        "DEFAULT_TTL", "Bye", "Message", "MessageError", "Ping", "Pong", "Query",
+        "QueryHit", "decode", "new_guid",
+    ),
+    "columnar_overlay": (
+        "ENGINE_BACKENDS", "FloodContext", "FloodResult", "OverlayConfig",
+        "OverlayRunResult", "compare_runs", "flood_context_from_overlay",
+        "flood_queries", "simulate_workload",
+    ),
+    "overlay": ("OverlayNetwork", "QueryOutcome"),
+    "peer": ("Action", "PeerMode", "PeerNode"),
+    "qrp": (
+        "PackedQRPTables", "QueryRouteTable", "keyword_hash", "keyword_hashes",
+        "text_hash_table",
+    ),
+    "routing": ("DEFAULT_GUID_TTL_SECONDS", "RoutingTable"),
+    "simulator": ("EventScheduler",),
+    "topology": ("CSRTopology",),
+    "wire": ("MessageStream",),
 })
-
-
-def __getattr__(name):
-    if name in _COLUMNAR_OVERLAY_EXPORTS:
-        from . import columnar_overlay
-
-        return getattr(columnar_overlay, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "CLIENT_PROFILES", "MEASUREMENT_USER_AGENT", "ClientProfile",
-    "ExpandedQuery", "choose_profile", "expand_user_session",
-    "HandshakeError", "HandshakeOffer", "HandshakeResponse", "negotiate", "parse_headers",
-    "DEFAULT_TTL", "Bye", "Message", "MessageError", "Ping", "Pong", "Query",
-    "QueryHit", "decode", "new_guid",
-    "ENGINE_BACKENDS", "FloodContext", "FloodResult", "OverlayConfig",
-    "OverlayRunResult", "compare_runs", "flood_context_from_overlay",
-    "flood_queries", "simulate_workload",
-    "OverlayNetwork", "QueryOutcome",
-    "Action", "PeerMode", "PeerNode",
-    "PackedQRPTables", "QueryRouteTable", "keyword_hash", "keyword_hashes",
-    "text_hash_table",
-    "DEFAULT_GUID_TTL_SECONDS", "RoutingTable",
-    "EventScheduler",
-    "CSRTopology",
-    "MessageStream",
-]

@@ -25,10 +25,9 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional
 
-from repro.analysis.paper_scale import DEFAULT_RSS_BUDGET_MB
 from repro.core import SyntheticWorkloadGenerator
 from repro.core.generator_columnar import ColumnarWorkload
-from repro.core.runtime import host_block, peak_rss_mb
+from repro.core.runtime import DEFAULT_RSS_BUDGET_MB, host_block, peak_rss_mb
 
 from .columnar_overlay import (
     OverlayConfig,

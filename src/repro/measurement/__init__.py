@@ -1,15 +1,11 @@
 """Passive measurement node, trace schema, and session reconstruction."""
 
-from .columnar import COLUMNAR_SCHEMA_VERSION, ColumnarTrace, normalize_keywords
-from .monitor import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS, MeasurementNode, OpenConnection
-from .sessions import RawEvent, reconstruct_sessions
-from .shards import SHARD_MANIFEST_VERSION, ShardedTrace, ShardInfo, ShardWriter
-from .trace import PongObservation, QueryHitObservation, Trace, merge_traces
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IDLE_CLOSE_SECONDS", "IDLE_PROBE_SECONDS", "MeasurementNode", "OpenConnection",
-    "RawEvent", "reconstruct_sessions",
-    "PongObservation", "QueryHitObservation", "Trace", "merge_traces",
-    "COLUMNAR_SCHEMA_VERSION", "ColumnarTrace", "normalize_keywords",
-    "SHARD_MANIFEST_VERSION", "ShardInfo", "ShardWriter", "ShardedTrace",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "monitor": ("IDLE_CLOSE_SECONDS", "IDLE_PROBE_SECONDS", "MeasurementNode", "OpenConnection"),
+    "sessions": ("RawEvent", "reconstruct_sessions"),
+    "trace": ("PongObservation", "QueryHitObservation", "Trace", "merge_traces"),
+    "columnar": ("COLUMNAR_SCHEMA_VERSION", "ColumnarTrace", "normalize_keywords"),
+    "shards": ("SHARD_MANIFEST_VERSION", "ShardInfo", "ShardWriter", "ShardedTrace"),
+})

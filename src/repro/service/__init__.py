@@ -18,53 +18,21 @@ See ``docs/SERVICE.md`` for the protocol, the backpressure semantics,
 and the reproducibility contract.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .framing import (
-    FRAME_DATA,
-    FRAME_END,
-    FRAME_HELLO,
-    FRAME_JSONL,
-    FRAME_STAMP,
-    FrameDecoder,
-    decode_columns,
-    decode_json,
-    decode_stamp,
-    encode_columns,
-    encode_frame,
-    encode_json_frame,
-    encode_stamp_frame,
-    frame_header,
-    parse_header,
-)
-from .rate import TokenBucket
-from .stream import (
-    StreamConfig,
-    WorkloadFrameSource,
-    batch_events,
-    decode_batch,
-    encode_batch,
-    window_seed,
-)
-from .server import ServerConfig, ServerStats, WorkloadStreamServer
-from .client import StreamReceipt, collect_stream, read_frames
-from .loadtest import LoadtestConfig, run_loadtest, run_loadtest_sync
-
-__all__ = [
-    # framing
-    "FRAME_DATA", "FRAME_END", "FRAME_HELLO", "FRAME_JSONL", "FRAME_STAMP",
-    "FrameDecoder", "decode_columns", "decode_json", "decode_stamp",
-    "encode_columns", "encode_frame", "encode_json_frame",
-    "encode_stamp_frame", "frame_header", "parse_header",
-    # rate
-    "TokenBucket",
-    # stream
-    "StreamConfig", "WorkloadFrameSource", "batch_events", "decode_batch",
-    "encode_batch", "window_seed",
-    # server
-    "ServerConfig", "ServerStats", "WorkloadStreamServer",
-    # client
-    "StreamReceipt", "collect_stream", "read_frames",
-    # loadtest
-    "LoadtestConfig", "run_loadtest", "run_loadtest_sync",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "framing": (
+        "FRAME_DATA", "FRAME_END", "FRAME_HELLO", "FRAME_JSONL", "FRAME_STAMP",
+        "FrameDecoder", "decode_columns", "decode_json", "decode_stamp",
+        "encode_columns", "encode_frame", "encode_json_frame",
+        "encode_stamp_frame", "frame_header", "parse_header",
+    ),
+    "rate": ("TokenBucket",),
+    "stream": (
+        "StreamConfig", "WorkloadFrameSource", "batch_events", "decode_batch",
+        "encode_batch", "window_seed",
+    ),
+    "server": ("ServerConfig", "ServerStats", "WorkloadStreamServer"),
+    "client": ("StreamReceipt", "collect_stream", "read_frames"),
+    "loadtest": ("LoadtestConfig", "run_loadtest", "run_loadtest_sync"),
+})

@@ -30,7 +30,11 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.generator_columnar import ColumnarWorkload, generate_columnar_workload
+from repro.core.generator_columnar import (
+    ColumnarWorkload,
+    GeneratorTables,
+    generate_columnar_workload,
+)
 from repro.core.model import WorkloadModel
 from repro.core.popularity import QueryUniverse
 from repro.core.workload_io import session_record
@@ -179,6 +183,7 @@ class WorkloadFrameSource:
         self.config = config
         self.model = model or WorkloadModel.paper()
         self._universe = universe
+        self._tables: Optional[GeneratorTables] = None
 
     def _batches(self) -> Iterator[ColumnarWorkload]:
         config = self.config
@@ -189,6 +194,11 @@ class WorkloadFrameSource:
         # so an owned universe forgets the days before that as it goes.
         owned = self._universe is None
         universe = QueryUniverse() if owned else self._universe
+        # The sampling tables depend on the model and on the universe's
+        # fixed class tables only (not on its drawn days), so one build
+        # serves every window of every replay.
+        if self._tables is None:
+            self._tables = GeneratorTables.from_model(self.model, universe)
         window = 0
         while True:
             if owned:
@@ -201,6 +211,7 @@ class WorkloadFrameSource:
                 duration_seconds=config.window_seconds,
                 start_time=window * config.window_seconds,
                 jobs=config.jobs,
+                tables=self._tables,
             )
             query_index = workload.query_index()
             for lo in range(0, workload.n_sessions, config.batch_sessions):

@@ -1,36 +1,14 @@
 """Trace synthesis: substitute for the paper's 40-day live measurement."""
 
-from .cache import (
-    TraceCache,
-    default_cache_dir,
-    load_or_synthesize,
-    load_or_synthesize_columnar,
-    load_or_synthesize_sharded,
-    trace_cache_key,
-)
-from .hits import HitModel
-from .scenarios import SCENARIOS, scenario_config
-from .synthesizer import (
-    BACKGROUND_RATIOS,
-    SynthesisConfig,
-    TraceSynthesizer,
-    shard_windows,
-    synthesize_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKGROUND_RATIOS",
-    "HitModel",
-    "SCENARIOS",
-    "SynthesisConfig",
-    "TraceCache",
-    "TraceSynthesizer",
-    "default_cache_dir",
-    "load_or_synthesize",
-    "load_or_synthesize_columnar",
-    "load_or_synthesize_sharded",
-    "scenario_config",
-    "shard_windows",
-    "synthesize_trace",
-    "trace_cache_key",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "TraceCache", "default_cache_dir", "load_or_synthesize",
+        "load_or_synthesize_columnar", "load_or_synthesize_sharded", "trace_cache_key",
+    ),
+    "config": ("SynthesisConfig", "shard_windows"),
+    "hits": ("HitModel",),
+    "scenarios": ("SCENARIOS", "scenario_config"),
+    "synthesizer": ("BACKGROUND_RATIOS", "TraceSynthesizer", "synthesize_trace"),
+})

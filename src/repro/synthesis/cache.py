@@ -20,8 +20,12 @@ derived from
 The default cache root honours ``REPRO_P2P_CACHE`` and falls back to
 ``~/.cache/repro-p2p/traces`` (under ``XDG_CACHE_HOME`` when set).
 A warm hit replays a multi-minute synthesis in the time it takes to
-parse a JSONL file -- the experiment CLI and benchmarks lean on this to
-make "run everything again" cheap.
+load a few ``.npz`` arrays (or to open a sharded entry's manifest) -- the
+experiment CLI and benchmarks lean on this to make "run everything
+again" cheap.  The synthesizer is imported only on a miss, so a hit
+never loads it or the agent, client and monitor layers it drives; this
+module names the record :class:`~repro.measurement.trace.Trace` only on
+the JSONL paths.
 """
 
 from __future__ import annotations
@@ -34,12 +38,16 @@ import shutil
 import warnings
 import zipfile
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro import __version__
-from repro.measurement import ColumnarTrace, ShardedTrace, Trace
+from repro.measurement.columnar import ColumnarTrace
+from repro.measurement.shards import ShardedTrace
 
-from .synthesizer import SynthesisConfig, TraceSynthesizer, shard_windows
+from .config import SynthesisConfig, shard_windows
+
+if TYPE_CHECKING:
+    from repro.measurement.trace import Trace
 
 __all__ = [
     "TRACE_CACHE_VERSION",
@@ -174,6 +182,8 @@ class TraceCache:
             try:
                 if path.suffix == ".npz":
                     return ColumnarTrace.load_npz(path).to_trace()
+                from repro.measurement.trace import Trace
+
                 return Trace.from_jsonl(path)
             except _CORRUPT_ENTRY_ERRORS:
                 try:
@@ -195,6 +205,8 @@ class TraceCache:
             try:
                 if path.suffix == ".npz":
                     return ColumnarTrace.load_npz(path)
+                from repro.measurement.trace import Trace
+
                 return ColumnarTrace.from_trace(Trace.from_jsonl(path))
             except _CORRUPT_ENTRY_ERRORS:
                 try:
@@ -303,6 +315,13 @@ class TraceCache:
         return removed
 
 
+def _synthesizer(config: SynthesisConfig):
+    """The synthesizer for a miss, imported here so a hit never loads it."""
+    from .synthesizer import TraceSynthesizer
+
+    return TraceSynthesizer(config)
+
+
 def load_or_synthesize(
     config: SynthesisConfig,
     cache: Optional[TraceCache] = None,
@@ -316,7 +335,7 @@ def load_or_synthesize(
     directly.  ``use_cache=False`` degrades to plain synthesis.
     """
     if not use_cache:
-        return TraceSynthesizer(config).run()
+        return _synthesizer(config).run()
     cache = cache or TraceCache()
     trace = cache.load(config)
     if trace is None:
@@ -334,11 +353,11 @@ def load_or_synthesize_columnar(
     feeds the cache without ever materializing per-record objects.
     """
     if not use_cache:
-        return TraceSynthesizer(config).run_columnar()
+        return _synthesizer(config).run_columnar()
     cache = cache or TraceCache()
     trace = cache.load_columnar(config)
     if trace is None:
-        trace = TraceSynthesizer(config).run_columnar()
+        trace = _synthesizer(config).run_columnar()
         try:
             cache.store_columnar(config, trace)
         except OSError as exc:
@@ -369,7 +388,7 @@ def load_or_synthesize_sharded(
     if not use_cache:
         if workdir is None:
             raise ValueError("workdir is required when use_cache=False")
-        return TraceSynthesizer(config).run_sharded(Path(workdir))
+        return _synthesizer(config).run_sharded(Path(workdir))
     cache = cache or TraceCache()
     sharded = cache.load_sharded(config)
     if sharded is not None:
@@ -378,7 +397,7 @@ def load_or_synthesize_sharded(
     tmp = Path(f"{path}.tmp.{os.getpid()}")
     try:
         cache.root.mkdir(parents=True, exist_ok=True)
-        TraceSynthesizer(config).run_sharded(tmp)
+        _synthesizer(config).run_sharded(tmp)
         os.replace(tmp, path)
     except OSError as exc:
         if workdir is not None:
@@ -388,7 +407,7 @@ def load_or_synthesize_sharded(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return TraceSynthesizer(config).run_sharded(Path(workdir))
+            return _synthesizer(config).run_sharded(Path(workdir))
         raise
     finally:
         if tmp.exists():

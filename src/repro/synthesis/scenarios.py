@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from .synthesizer import SynthesisConfig
+from .config import SynthesisConfig
 
 __all__ = ["SCENARIOS", "scenario_config"]
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -71,7 +70,6 @@ from repro.core.kernels import (
     pool_map_windowed,
     resolve_workers,
     spawn_shard_streams,
-    time_windows,
 )
 from repro.core.model import WorkloadModel
 from repro.core.parameters import MIN_SESSION_SECONDS, geographic_mix_arrays
@@ -81,6 +79,7 @@ from repro.core.runtime import available_cpus
 from repro.agents.population import sample_shared_files_batch
 from repro.gnutella.clients import expand_user_session
 
+from .config import SynthesisConfig, shard_windows
 from .hits import HitModel
 from repro.measurement import (
     IDLE_CLOSE_SECONDS,
@@ -125,83 +124,6 @@ _QUERYHIT_SAMPLE_PROB = 0.35
 #: the merge step; replaced by the Table 1 counters at finalization.
 _RAW_PINGS = "_raw_keepalive_pings"
 _RAW_PONGS = "_raw_keepalive_pongs"
-
-
-@dataclass
-class SynthesisConfig:
-    """Knobs of a synthesis run.
-
-    ``days`` and ``mean_arrival_rate`` set the scale: the paper saw
-    ~4.36M connections over 40 days (~1.26/s); the defaults produce a
-    laptop-sized trace with the same distributions.  ``max_slots=None``
-    removes the 200-slot cap so scaled-down runs don't reject arrivals.
-
-    ``jobs`` is the number of synthesis worker processes; ``shard_days``
-    optionally pins the shard width (in days) instead of the default
-    ``days / jobs`` split.  Both only shape *how* the trace is computed;
-    the trace content depends on the resulting shard count, not on the
-    worker count (``jobs=2`` and ``jobs=8`` over the same shards give
-    byte-identical traces).
-    """
-
-    days: float = 2.0
-    mean_arrival_rate: float = 0.35  # connections per second
-    seed: int = 20040315
-    max_slots: Optional[int] = None
-    #: Synthesis engine: "columnar" (vectorized fast path, the default)
-    #: or "event" (the per-event reference loop).  Both realize the same
-    #: generative model; their RNG consumption orders differ, so fixed
-    #: seeds give different (equally distributed) traces.  Configurations
-    #: the fast path cannot vectorize (slot caps, custom populations/
-    #: models, subclassed universes) silently use the event engine.
-    backend: str = "columnar"
-    #: Probability a departing client sends a proper BYE ("many Gnutella
-    #: clients do not terminate ... by sending a BYE message").
-    bye_prob: float = 0.05
-    #: Probability a quick-disconnect session still emits a stray query.
-    quick_query_prob: float = 0.08
-    #: All-peers PONG/QUERYHIT samples recorded per hour (Figures 1-2).
-    background_samples_per_hour: int = 240
-    #: Worker processes for sharded synthesis (1 = sequential).
-    jobs: int = 1
-    #: Optional shard width in days; None derives it from ``jobs``.
-    shard_days: Optional[float] = None
-
-    def __post_init__(self):
-        if self.days <= 0:
-            raise ValueError("days must be positive")
-        if self.mean_arrival_rate <= 0:
-            raise ValueError("mean_arrival_rate must be positive")
-        if not 0.0 <= self.bye_prob <= 1.0:
-            raise ValueError("bye_prob must be a probability")
-        if int(self.jobs) != self.jobs or self.jobs < 1:
-            raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
-        if self.shard_days is not None and self.shard_days <= 0:
-            raise ValueError("shard_days must be positive")
-        if self.backend not in ("columnar", "event"):
-            raise ValueError(
-                f"backend must be 'columnar' or 'event', got {self.backend!r}"
-            )
-
-    @property
-    def end_time(self) -> float:
-        return self.days * 86400.0
-
-
-def shard_windows(config: SynthesisConfig) -> List[Tuple[float, float]]:
-    """Equal-width ``[start, end)`` time shards covering the window.
-
-    One shard unless the config asks for parallel synthesis; the count
-    is ``ceil(days / shard_days)``, or ``jobs`` when no width is given.
-    """
-    end = config.end_time
-    if config.shard_days is not None:
-        n = max(1, int(math.ceil(config.days / config.shard_days - 1e-9)))
-    elif config.jobs > 1:
-        n = int(config.jobs)
-    else:
-        n = 1
-    return time_windows(end, n)
 
 
 def _shard_streams(seed: int, n_shards: int, index: int):

@@ -1,22 +1,12 @@
 """File transfer layer: bandwidth classes, download generation, analysis."""
 
-from .analysis import (
-    completion_rate_by_class,
-    download_size_ccdf,
-    throughput_by_class,
-    time_between_downloads,
-)
-from .bandwidth import (
-    BANDWIDTH_PROFILES,
-    BandwidthClass,
-    link_kbps,
-    sample_bandwidth_class,
-)
-from .downloads import DownloadModel, DownloadRecord
+from .._lazy import lazy_exports
 
-__all__ = [
-    "completion_rate_by_class", "download_size_ccdf", "throughput_by_class",
-    "time_between_downloads",
-    "BANDWIDTH_PROFILES", "BandwidthClass", "link_kbps", "sample_bandwidth_class",
-    "DownloadModel", "DownloadRecord",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "analysis": (
+        "completion_rate_by_class", "download_size_ccdf", "throughput_by_class",
+        "time_between_downloads",
+    ),
+    "bandwidth": ("BANDWIDTH_PROFILES", "BandwidthClass", "link_kbps", "sample_bandwidth_class"),
+    "downloads": ("DownloadModel", "DownloadRecord"),
+})

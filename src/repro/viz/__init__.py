@@ -1,13 +1,10 @@
 """Dependency-free SVG rendering of the paper's figures."""
 
-from .axes import LinearScale, LogScale, decade_ticks, format_tick, nice_linear_ticks
-from .figures import build_figures, render_all
-from .plot import LinePlot, Series
-from .svg import SvgCanvas
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LinearScale", "LogScale", "decade_ticks", "format_tick", "nice_linear_ticks",
-    "build_figures", "render_all",
-    "LinePlot", "Series",
-    "SvgCanvas",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "axes": ("LinearScale", "LogScale", "decade_ticks", "format_tick", "nice_linear_ticks"),
+    "figures": ("build_figures", "render_all"),
+    "plot": ("LinePlot", "Series"),
+    "svg": ("SvgCanvas",),
+})

