@@ -2,7 +2,7 @@
 
 These time the steps downstream of synthesis (not a paper artifact):
 
-* warm trace loads -- archival JSONL parse vs. columnar ``.npz`` read,
+* the warm columnar ``.npz`` trace load,
 * the rules 1-5 filter plus the analysis measures on its output --
   record loop vs. the streaming pass over the columnar trace as one
   chunk (which must reproduce the Table 2 accounting exactly to count
@@ -39,22 +39,14 @@ def _config():
     return SynthesisConfig(days=ANALYSIS_DAYS, mean_arrival_rate=0.35, seed=20040315)
 
 
-def _warm_cache(tmp_path, format):
-    cache = TraceCache(tmp_path / format, format=format)
+def _warm_cache(tmp_path):
+    cache = TraceCache(tmp_path / "npz")
     trace = load_or_synthesize(_config(), cache=cache)
     return cache, trace
 
 
-def test_trace_load_jsonl(benchmark, tmp_path):
-    cache, _ = _warm_cache(tmp_path, "jsonl")
-
-    trace = benchmark.pedantic(lambda: cache.load(_config()), rounds=3, iterations=1)
-    print(f"\n  parsed {trace.n_connections} connections from warm JSONL per round")
-    assert trace.n_connections > 100
-
-
 def test_trace_load_npz_columnar(benchmark, tmp_path):
-    cache, _ = _warm_cache(tmp_path, "npz")
+    cache, _ = _warm_cache(tmp_path)
 
     columnar = benchmark.pedantic(
         lambda: cache.load_columnar(_config()), rounds=3, iterations=1
@@ -65,7 +57,7 @@ def test_trace_load_npz_columnar(benchmark, tmp_path):
 
 
 def test_filter_analysis_loop(benchmark, tmp_path):
-    _, trace = _warm_cache(tmp_path, "npz")
+    _, trace = _warm_cache(tmp_path)
 
     def run():
         filtered = apply_filters(trace.sessions)
@@ -81,7 +73,7 @@ def test_filter_analysis_loop(benchmark, tmp_path):
 
 
 def test_filter_analysis_columnar(benchmark, tmp_path):
-    _, trace = _warm_cache(tmp_path, "npz")
+    _, trace = _warm_cache(tmp_path)
     columnar = ColumnarTrace.from_trace(trace)
     baseline = apply_filters(trace.sessions).report.as_dict()
 

@@ -1,11 +1,11 @@
 """Analysis-path throughput measurement, shared by benchmarks and smoke tests.
 
 :func:`measure_analysis` times the performance-critical paths downstream
-of synthesis -- warm trace loads (archival JSONL vs. columnar ``.npz``),
-the rules 1-5 filter plus the analysis measures that sit on its output
-(record loop vs. the streaming pass over the columnar trace as one
-chunk), and the ``run_all`` experiment fan-out at different worker
-counts -- and returns a plain dict of timing figures.  It also asserts
+of synthesis -- the warm columnar ``.npz`` trace load, the rules 1-5
+filter plus the analysis measures that sit on its output (record loop
+vs. the streaming pass over the columnar trace as one chunk), and the
+``run_all`` experiment fan-out at different worker counts -- and
+returns a plain dict of timing figures.  It also asserts
 that the streaming pass reproduces the record-loop Table 2 accounting
 *exactly*; a benchmark that got a different answer faster would be
 worthless.
@@ -44,15 +44,15 @@ def measure_analysis(
 
     Returns a report dict shaped like the substrate one: per-run entries
     under ``"runs"`` with seconds and derived speedups.  ``cache_dir``
-    holds the two cache trees (JSONL and ``.npz``) used for the load
-    comparison; a temporary directory is required, so ``None`` raises.
+    holds the trace cache the warm load reads; a temporary directory is
+    required, so ``None`` raises.
     ``run_all_jobs`` lists the worker counts to fan the experiment
     registry out over (empty to skip that — it runs all 26 experiments
     per entry); the host core count is recorded so scaling numbers on
     small machines are interpretable.
     """
     if cache_dir is None:
-        raise ValueError("measure_analysis needs a cache_dir for the load comparison")
+        raise ValueError("measure_analysis needs a cache_dir for the warm load")
     cache_dir = Path(cache_dir)
     config = SynthesisConfig(days=days, mean_arrival_rate=mean_arrival_rate, seed=seed)
     report = {
@@ -71,15 +71,10 @@ def measure_analysis(
         report["runs"][label] = {"seconds": round(best, 4), **extra}
         return value
 
-    # -- warm trace loads: archival JSONL vs. columnar .npz ---------------
-    cache_jsonl = TraceCache(cache_dir / "jsonl", format="jsonl")
-    cache_npz = TraceCache(cache_dir / "npz", format="npz")
+    # -- warm columnar .npz trace load ------------------------------------
+    cache_npz = TraceCache(cache_dir / "npz")
     trace = load_or_synthesize(config, cache=cache_npz)
-    cache_jsonl.store(config, trace)
-
-    timed("trace_load_jsonl", lambda: cache_jsonl.load(config))
     columnar = timed("trace_load_npz", lambda: cache_npz.load_columnar(config))
-    _speedup(report, "trace_load_npz", "trace_load_jsonl")
 
     # -- filter + analysis stage: record loop vs. the streaming pass ------
     def loop_stage():

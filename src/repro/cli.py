@@ -16,15 +16,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-__all__ = ["main", "build_parser", "ENGINE_BACKENDS"]
-
-#: The two engine implementations every pipeline command exposes; the
-#: single source of truth for ``--backend`` choices and help text.
-ENGINE_BACKENDS = ("columnar", "event")
-_BACKEND_HELP = (
-    "engine: vectorized columnar fast path over repro.core.kernels "
-    "(default) or the per-%s reference loop (identical output)"
-)
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,15 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--peers", type=int, default=200, help="steady-state peer count")
     ov.add_argument("--hours", type=float, default=0.5, help="simulated hours of churn")
     ov.add_argument("--seed", type=int, default=11)
-    ov.add_argument("--backend", choices=ENGINE_BACKENDS, default="columnar",
-                    help="overlay " + _BACKEND_HELP % "message")
     ov.add_argument("--jobs", type=_positive_int, default=1,
                     help="worker processes for the columnar flood fan-out "
                          "(output is identical for any value)")
     ov.add_argument("--ttl", type=int, default=4, help="query flood TTL")
     ov.add_argument("--delta", type=float, default=30.0, metavar="SECONDS",
                     help="churn round width in simulated seconds (part of the "
-                         "simulation identity; both backends honour it)")
+                         "simulation identity)")
 
     serve = sub.add_parser(
         "serve",
@@ -117,10 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sessions per data frame")
     serve.add_argument("--frames", type=_positive_int, default=64,
                        help="data frames in the broadcast")
-    serve.add_argument("--codec", choices=("columnar", "jsonl"),
-                       default="columnar",
-                       help="data frame payload: binary columnar (fast path) "
-                            "or JSON lines (debug/compat)")
     serve.add_argument("--jobs", type=_positive_int, default=1,
                        help="generator worker processes (stream bytes are "
                             "identical for any value)")
@@ -154,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--peers", type=int, default=200, help="steady-state peer count")
     gen.add_argument("--hours", type=float, default=1.0, help="workload length in hours")
     gen.add_argument("--seed", type=int, default=42)
-    gen.add_argument("--backend", choices=ENGINE_BACKENDS, default="columnar",
-                     help="generation " + _BACKEND_HELP % "session")
     gen.add_argument("--jobs", type=_positive_int, default=1,
                      help="worker processes for the columnar shard fan-out "
                           "(output is identical for any value)")
@@ -181,14 +165,9 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
                         help="named preset overriding --days/--rate")
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="synthesis worker processes (shards the trace window)")
-    parser.add_argument("--backend", choices=ENGINE_BACKENDS, default=None,
-                        help="synthesis " + _BACKEND_HELP % "event")
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="trace cache directory (default: $REPRO_P2P_CACHE or "
                              "~/.cache/repro-p2p/traces)")
-    parser.add_argument("--cache-format", choices=("npz", "jsonl"), default="npz",
-                        help="on-disk format for new cache entries: columnar .npz "
-                             "(fast warm loads, the default) or archival JSONL")
     parser.add_argument("--no-cache", action="store_true",
                         help="always synthesize fresh; do not read or write the cache")
     parser.add_argument("--stream", action="store_true",
@@ -215,9 +194,6 @@ def _scale_config(args):
         config = SynthesisConfig(
             days=args.days, mean_arrival_rate=args.rate, seed=args.seed, jobs=jobs
         )
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        config = replace(config, backend=backend)
     if getattr(args, "stream", False):
         config = replace(config, shard_days=args.shard_hours / 24.0)
     return config
@@ -245,10 +221,7 @@ def _trace_cache(args):
 
     if getattr(args, "no_cache", False):
         return None
-    return TraceCache(
-        getattr(args, "cache_dir", None),
-        format=getattr(args, "cache_format", "npz"),
-    )
+    return TraceCache(getattr(args, "cache_dir", None))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -457,41 +430,23 @@ def _codes_arg(text: Optional[str]) -> Optional[List[str]]:
 def _cmd_generate(args) -> int:
     from repro.core import SyntheticWorkloadGenerator, to_npz
 
-    generator = SyntheticWorkloadGenerator(
-        n_peers=args.peers, seed=args.seed, backend=args.backend, jobs=args.jobs
-    )
-    duration = args.hours * 3600.0
-    if args.backend == "columnar":
-        workload = generator.generate_columnar(duration)
-        n_sessions = workload.n_sessions
-        n_active = int((~workload.session_passive).sum())
-        n_queries = workload.n_queries
-        sessions = None
-    else:
-        sessions = generator.generate(duration)
-        n_sessions = len(sessions)
-        n_active = sum(1 for s in sessions if not s.passive)
-        n_queries = sum(s.query_count for s in sessions)
+    generator = SyntheticWorkloadGenerator(n_peers=args.peers, seed=args.seed, jobs=args.jobs)
+    workload = generator.generate_columnar(args.hours * 3600.0)
+    n_active = int((~workload.session_passive).sum())
     print(
-        f"generated {n_sessions} sessions ({n_active} active, "
-        f"{n_queries} queries) from {args.peers} steady-state peers"
+        f"generated {workload.n_sessions} sessions ({n_active} active, "
+        f"{workload.n_queries} queries) from {args.peers} steady-state peers"
     )
     if args.out:
         if args.out.endswith(".npz"):
-            if sessions is not None:
-                from repro.core import ColumnarWorkload
-
-                workload = ColumnarWorkload.from_sessions(sessions)
             to_npz(workload, args.out)
         else:
             # Stream one session at a time through the canonical JSONL
             # schema (workload_io.session_record), so from_jsonl reads
-            # the file back; the columnar path never materializes the
-            # full session list.
+            # the file back without the full session list in memory.
             from repro.core import to_jsonl
 
-            stream = workload.iter_sessions() if sessions is None else iter(sessions)
-            to_jsonl(stream, args.out)
+            to_jsonl(workload.iter_sessions(), args.out)
         print(f"workload written to {args.out}")
     return 0
 
@@ -507,7 +462,6 @@ def _cmd_serve(args) -> int:
         window_seconds=args.window_seconds,
         batch_sessions=args.batch_sessions,
         n_frames=args.frames,
-        codec=args.codec,
         jobs=args.jobs,
     )
     config = ServerConfig(
@@ -579,10 +533,7 @@ def _cmd_overlay(args) -> int:
     run_seconds = args.hours * 3600.0
     workload = overlay_workload(args.peers, run_seconds, seed=args.seed)
     config = replace(OverlayConfig(), ttl=args.ttl, delta_seconds=args.delta)
-    result = simulate_workload(
-        workload, run_seconds, config=config,
-        backend=args.backend, jobs=args.jobs,
-    )
+    result = simulate_workload(workload, run_seconds, config=config, jobs=args.jobs)
     print(
         f"simulated {result.peers_simulated} peers over {run_seconds:g} s "
         f"in {result.n_rounds} rounds (backend={result.backend})"

@@ -12,23 +12,16 @@ is the single home for those kernels; the engines import from here and
 the KER601 lint rule forbids re-implementing the raw idioms in engine
 modules.
 
-The kernels dispatch through a pluggable :class:`~.backend.ArrayBackend`
-(NumPy reference implementation by default; see :mod:`.backend` for the
-contract an accelerated backend must satisfy).  Byte-identical output
-across backends, shard counts, and worker counts is part of the
-contract -- the equivalence battery in ``tests/test_kernels.py``
-enforces it.
+The kernels are plain NumPy functions.  Byte-identical output across
+shard counts and worker counts is part of the contract -- the property
+tests and goldens in ``tests/test_kernels.py`` enforce it.
 
-See ``docs/KERNELS.md`` for the kernel inventory and backend guide.
+See ``docs/KERNELS.md`` for the kernel inventory.
 """
 
 from ..._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    "backend": (
-        "ArrayBackend", "NumpyBackend", "StubBackend", "active_backend",
-        "available_backends", "get_backend", "register_backend", "use_backend",
-    ),
     "segmented": (
         "group_slices", "segment_ids", "segmented_arange", "segmented_cumsum",
         "segmented_offsets_base", "segmented_offsets_scatter",

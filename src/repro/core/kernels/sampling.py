@@ -34,8 +34,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .backend import active_backend
-
 __all__ = [
     "CategoricalTable",
     "CategoricalTableStack",
@@ -110,9 +108,8 @@ class CategoricalTable:
         u = np.asarray(u, dtype=np.float64)
         if self._m is None:
             return np.searchsorted(self.cdf, u, side="left")
-        return active_backend().categorical_lookup(
-            u, self._m, self._low, self._high, self._cut
-        )
+        b = (u * self._m).astype(np.intp)
+        return np.where(u <= self._cut[b], self._low[b], self._high[b])
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` categories, consuming exactly ``rng.random(n)``."""
@@ -161,9 +158,8 @@ class CategoricalTableStack:
         rows = np.asarray(rows)
         if self._m is None:
             return (u[:, None] > self.cum[rows]).sum(axis=1)
-        return active_backend().categorical_lookup_rows(
-            rows, u, self._m, self._low, self._high, self._cut
-        )
+        b = (u * self._m).astype(np.intp)
+        return np.where(u <= self._cut[rows, b], self._low[rows, b], self._high[rows, b])
 
     def sample(
         self, rng: np.random.Generator, rows: np.ndarray

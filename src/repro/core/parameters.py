@@ -26,6 +26,8 @@ from .regions import Region
 
 __all__ = [
     "MIN_SESSION_SECONDS",
+    "IDLE_PROBE_SECONDS",
+    "IDLE_CLOSE_SECONDS",
     "passive_duration_model",
     "queries_per_session_model",
     "first_query_model",
@@ -47,6 +49,13 @@ __all__ = [
 
 #: Filter rule 3 cutoff: sessions shorter than this are system artifacts.
 MIN_SESSION_SECONDS = 64.0
+
+#: Seconds of idleness before the measurement node sends its probe PING
+#: (Section 3.1: "idle for 15 seconds").
+IDLE_PROBE_SECONDS = 15.0
+#: Seconds after the probe before an unresponsive connection is closed;
+#: with the probe, a silent departure is recorded ~30 s late.
+IDLE_CLOSE_SECONDS = 15.0
 
 #: Body/tail boundary for passive session duration (Table A.1: "1-2 minutes").
 PASSIVE_BODY_BOUNDARY = 120.0

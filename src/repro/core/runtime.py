@@ -54,13 +54,12 @@ def host_block() -> Dict[str, Any]:
     """The ``"host"`` block every benchmark report starts from.
 
     One emitter instead of a copy per benchmark module, so the fields a
-    report archives -- and the invariants readers rely on (the kernels
-    backend a run executed under, the lint ruleset it was checked
-    against) -- cannot drift between reports.  ``peak_rss_mb`` is
+    report archives -- and the invariant readers rely on (the lint
+    ruleset the run was checked against) -- cannot drift between
+    reports.  ``peak_rss_mb`` is
     deliberately absent: it is only meaningful after the measured work
     ran, so emitters stamp it at the end of the run.
     """
-    from repro.core.kernels import active_backend
     from repro.lint import RULESET_VERSION
 
     return {
@@ -68,6 +67,5 @@ def host_block() -> Dict[str, Any]:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "available_cpus": available_cpus(),
-        "kernels_backend": active_backend().name,
         "lint_ruleset": RULESET_VERSION,
     }

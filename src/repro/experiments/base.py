@@ -139,7 +139,7 @@ class ExperimentContext:
     def columnar(self) -> ColumnarTrace:
         """The whole trace as columns, the in-memory source.
 
-        The columnar synthesis backend emits this directly (no per-event
+        The columnar synthesis engine emits this directly (no per-event
         Python loop) and a warm ``.npz`` cache entry loads it as plain
         array bundles.
         """

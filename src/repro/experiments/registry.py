@@ -143,13 +143,9 @@ def run_all(
 _WORKER_CTX: Optional[ExperimentContext] = None
 
 
-def _init_worker(
-    config: SynthesisConfig, cache_root: str, cache_format: str, stream: bool = False
-) -> None:
+def _init_worker(config: SynthesisConfig, cache_root: str, stream: bool = False) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = ExperimentContext(
-        config, cache=TraceCache(cache_root, format=cache_format), stream=stream
-    )
+    _WORKER_CTX = ExperimentContext(config, cache=TraceCache(cache_root), stream=stream)
 
 
 def _run_one(experiment_id: str) -> ExperimentResult:
@@ -186,7 +182,7 @@ def _run_parallel(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(ctx.config, str(cache.root), cache.format, ctx.stream),
+            initargs=(ctx.config, str(cache.root), ctx.stream),
         ) as pool:
             return list(pool.map(_run_one, ids))
     finally:

@@ -52,9 +52,9 @@ from repro.core.kernels import (
     segmented_arange,
     sorted_lookup,
 )
+from repro.core.parameters import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS
 from repro.core.regions import Region
 from repro.measurement import MeasurementNode
-from repro.measurement.monitor import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS
 
 from .messages import Query, QueryHit
 from .overlay import OverlayNetwork

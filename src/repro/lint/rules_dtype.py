@@ -1,6 +1,6 @@
 """Dtype/reduction-order contract rules (DTY8xx).
 
-The equivalence batteries prove backends byte-identical *given* that
+The equivalence batteries prove engines byte-identical *given* that
 every reduction runs at a pinned dtype and every ordering step is
 stable.  These rules make the two preconditions machine-checked, using
 the :mod:`.dtypes` inference over def-use chains:

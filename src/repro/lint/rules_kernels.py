@@ -4,8 +4,8 @@ The columnar engines (synthesis shard engine, generator wave engine,
 filtering/measurement column path, batched overlay engine) draw
 categorical samples, plan shards, and fan work out to process pools
 exclusively through ``repro.core.kernels``.  That single-funnel discipline is what makes
-the kernel layer's guarantees portable: one equivalence battery proves
-every backend byte-identical, one optimization pass (categorical
+the kernel layer's guarantees hold: one property battery pins every
+kernel to its reference semantics, one optimization pass (categorical
 cutpoint tables, fused offset assembly) speeds up all three engines,
 and one module owns the shard-stream spawning that defines trace
 identity.  A raw ``np.searchsorted`` draw or ad-hoc
@@ -43,6 +43,7 @@ __all__ = ["RawKernelIdiom", "DeprecatedShimImport"]
 ENGINE_PATHS = (
     "repro/synthesis/columnar_engine",
     "repro/synthesis/synthesizer",
+    "repro/synthesis/event_engine",
     "repro/core/generator_columnar",
     "repro/measurement/columnar",
     "repro/measurement/shards",
@@ -59,7 +60,7 @@ _FUNNELED_CALLS = {
     "numpy.searchsorted": (
         "raw searchsorted draw in a kernel-backed engine; use "
         "repro.core.kernels.CategoricalTable/searchsorted_left so every "
-        "backend sees one sampling idiom"
+        "engine shares one sampling idiom"
     ),
     "numpy.random.SeedSequence": (
         "ad-hoc SeedSequence in a kernel-backed engine; shard streams "
@@ -81,7 +82,7 @@ class RawKernelIdiom(LintRule):
     code = "KER601"
     name = "raw-kernel-idiom"
     rationale = (
-        "the engines' backend-portability and one-pass-optimizes-all "
+        "the engines' one-battery-checks-all and one-pass-optimizes-all "
         "claims hold only while categorical draws, shard-stream "
         "spawning, and pool fan-out go through repro.core.kernels; a "
         "raw idiom inside an engine forks the hot path back out of the "

@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.events import QueryRecord, SessionRecord
+from repro.core.parameters import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS
 from repro.core.regions import Region
 from repro.gnutella.clients import MEASUREMENT_USER_AGENT
 from repro.gnutella.handshake import HandshakeOffer, negotiate
 
 __all__ = ["MeasurementNode", "OpenConnection"]
-
-#: Seconds of idleness before the monitor sends its probe PING.
-IDLE_PROBE_SECONDS = 15.0
-#: Seconds after the probe before an unresponsive connection is closed.
-IDLE_CLOSE_SECONDS = 15.0
 
 
 @dataclass

@@ -22,8 +22,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
     "framing": (
-        "FRAME_DATA", "FRAME_END", "FRAME_HELLO", "FRAME_JSONL", "FRAME_STAMP",
-        "FrameDecoder", "decode_columns", "decode_json", "decode_stamp",
+        "FRAME_DATA", "FRAME_END", "FRAME_HELLO", "FRAME_STAMP", "MANIFEST_FORMAT",
+        "FrameDecoder", "decode_columns", "decode_json", "decode_manifest", "decode_stamp",
         "encode_columns", "encode_frame", "encode_json_frame",
         "encode_stamp_frame", "frame_header", "parse_header",
     ),

@@ -111,7 +111,7 @@ def measure_service(
     """The full service measurement: scaling curves + contracts.
 
     Returns a report dict in the shared BENCH schema: a ``host`` block
-    (kernels backend + lint ruleset stamped by
+    (host and lint ruleset stamped by
     :func:`~repro.core.runtime.host_block`), ``strong_scaling`` /
     ``weak_scaling`` curves, the reproducibility flags, and the
     headline ``sustained`` entry (the best aggregate throughput at the

@@ -12,7 +12,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import AsyncIterator, List, Optional, Tuple
 
-from .framing import FRAME_END, HEADER_SIZE, parse_header
+from .framing import FRAME_END, FRAME_HELLO, HEADER_SIZE, decode_manifest, parse_header
 
 __all__ = ["StreamReceipt", "read_frames", "collect_stream"]
 
@@ -23,7 +23,9 @@ async def read_frames(
     """Yield ``(kind, payload)`` until the END frame or EOF.
 
     Reads exact header/payload spans (no copy-and-rescan buffering);
-    the END frame is yielded and then iteration stops.
+    the END frame is yielded and then iteration stops.  A stream that
+    ends inside a frame, a foreign header or a foreign HELLO raises
+    ValueError.
     """
     while True:
         try:
@@ -35,7 +37,14 @@ async def read_frames(
                 f"stream ended mid-header ({len(exc.partial)} bytes)"
             ) from exc
         kind, length = parse_header(header)
-        payload = await reader.readexactly(length)
+        try:
+            payload = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise ValueError(
+                f"stream ended mid-payload ({len(exc.partial)} of {length} bytes)"
+            ) from exc
+        if kind == FRAME_HELLO:
+            decode_manifest(payload)
         yield kind, payload
         if kind == FRAME_END:
             return

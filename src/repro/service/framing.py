@@ -19,24 +19,25 @@ buffer, so a subscriber pays no per-event cost either.  Control frames
 and are the only nondeterministic frame kind -- they are opt-in and
 excluded from the reproducibility contract (docs/SERVICE.md).
 
-A JSON-lines data codec (``FRAME_JSONL``) is kept as a debug/compat
-option; the fast path never builds per-event Python objects.
+Malformed input -- a foreign header, a truncated or inconsistent
+payload, a foreign HELLO -- raises :class:`ValueError` and nothing else.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "MAGIC", "VERSION", "HEADER_SIZE",
-    "FRAME_HELLO", "FRAME_DATA", "FRAME_JSONL", "FRAME_STAMP", "FRAME_END",
+    "MAGIC", "VERSION", "HEADER_SIZE", "MANIFEST_FORMAT",
+    "FRAME_HELLO", "FRAME_DATA", "FRAME_STAMP", "FRAME_END",
     "frame_header", "parse_header", "encode_frame",
     "encode_columns", "decode_columns",
-    "encode_json_frame", "decode_json",
+    "encode_json_frame", "decode_json", "decode_manifest",
     "encode_stamp_frame", "decode_stamp",
     "FrameDecoder",
 ]
@@ -49,11 +50,16 @@ HEADER_SIZE = _HEADER.size  # 16
 
 FRAME_HELLO = 1  #: stream manifest (canonical JSON)
 FRAME_DATA = 2   #: columnar wave batch (binary columns)
-FRAME_JSONL = 3  #: debug/compat wave batch (JSON lines)
 FRAME_STAMP = 4  #: (seq, monotonic ns) latency probe -- nondeterministic
 FRAME_END = 5    #: stream summary (canonical JSON), closes the stream
 
-_KINDS = (FRAME_HELLO, FRAME_DATA, FRAME_JSONL, FRAME_STAMP, FRAME_END)
+#: Kind 3 is unassigned: it carried a retired JSON-lines data codec, and
+#: the remaining kinds keep their numbers so the stream bytes do not move.
+_KINDS = (FRAME_HELLO, FRAME_DATA, FRAME_STAMP, FRAME_END)
+
+#: The HELLO manifest's ``format`` tag: a subscriber refuses any other,
+#: so a foreign stream fails loudly instead of decoding into nonsense.
+MANIFEST_FORMAT = "repro-service-stream-v1"
 
 _STAMP = struct.Struct("<QQ")
 _COLUMN_COUNT = struct.Struct("<I")
@@ -125,46 +131,65 @@ def decode_columns(payload: bytes) -> Dict[str, np.ndarray]:
     """Decode :func:`encode_columns` output into read-only array views.
 
     Arrays are ``np.frombuffer`` views over ``payload`` -- zero copies,
-    valid as long as the payload buffer is alive.
+    valid as long as the payload buffer is alive.  A payload that is
+    short, inconsistent or names a foreign dtype raises ValueError.
     """
     view = memoryview(payload)
-    (count,) = _COLUMN_COUNT.unpack_from(view, 0)
-    offset = _COLUMN_COUNT.size
-    columns: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = _U16.unpack_from(view, offset)
-        offset += _U16.size
-        name = bytes(view[offset:offset + name_len]).decode("ascii")
-        offset += name_len
-        (descr_len,) = _U16.unpack_from(view, offset)
-        offset += _U16.size
-        descr = bytes(view[offset:offset + descr_len]).decode("ascii")
-        offset += descr_len
-        (ndim,) = _U16.unpack_from(view, offset)
-        offset += _U16.size
-        shape = []
-        for _ in range(ndim):
-            (dim,) = _U64.unpack_from(view, offset)
-            shape.append(dim)
+    try:
+        (count,) = _COLUMN_COUNT.unpack_from(view, 0)
+        offset = _COLUMN_COUNT.size
+        columns: Dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name, offset = _read_ascii(view, offset, "column name")
+            descr, offset = _read_ascii(view, offset, f"column {name!r} dtype")
+            (ndim,) = _U16.unpack_from(view, offset)
+            offset += _U16.size
+            shape = list(struct.unpack_from(f"<{ndim}Q", view, offset))
+            offset += ndim * _U64.size
+            (nbytes,) = _U64.unpack_from(view, offset)
             offset += _U64.size
-        (nbytes,) = _U64.unpack_from(view, offset)
-        offset += _U64.size
-        dtype = np.dtype(descr)
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes != expected:
-            raise ValueError(
-                f"column {name!r}: {nbytes} payload bytes for shape "
-                f"{tuple(shape)} of {descr} (expected {expected})"
-            )
-        if offset + nbytes > len(view):
-            raise ValueError(f"column {name!r}: truncated payload")
-        columns[name] = np.frombuffer(
-            view[offset:offset + nbytes], dtype=dtype
-        ).reshape(shape)
-        offset += nbytes
+            dtype = _column_dtype(name, descr)
+            expected = math.prod(shape) * dtype.itemsize
+            if nbytes != expected:
+                raise ValueError(
+                    f"column {name!r}: {nbytes} payload bytes for shape "
+                    f"{tuple(shape)} of {descr} (expected {expected})"
+                )
+            if offset + nbytes > len(view):
+                raise ValueError(f"column {name!r}: truncated payload")
+            columns[name] = np.frombuffer(
+                view[offset:offset + nbytes], dtype=dtype
+            ).reshape(shape)
+            offset += nbytes
+    except struct.error as exc:
+        raise ValueError(f"truncated column payload ({exc})") from exc
     if offset != len(view):
         raise ValueError(f"{len(view) - offset} trailing bytes after last column")
     return columns
+
+
+def _read_ascii(view: memoryview, offset: int, what: str) -> Tuple[str, int]:
+    """A u16-length-prefixed ASCII string at ``offset``, and the offset after it."""
+    (length,) = _U16.unpack_from(view, offset)
+    offset += _U16.size
+    raw = bytes(view[offset:offset + length])
+    try:
+        return raw.decode("ascii"), offset + length
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} is not ASCII: {raw!r}") from exc
+
+
+def _column_dtype(name: str, descr: str) -> np.dtype:
+    """The dtype ``descr`` names.
+
+    NumPy refuses a malformed string with TypeError or, from its
+    comma-string parser, SyntaxError (``"09"``).  Object and zero-size
+    dtypes pass here; ``np.frombuffer`` refuses them with ValueError.
+    """
+    try:
+        return np.dtype(descr)
+    except (TypeError, SyntaxError) as exc:
+        raise ValueError(f"column {name!r}: unknown dtype {descr!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +206,14 @@ def encode_json_frame(kind: int, obj: dict) -> bytes:
 def decode_json(payload: bytes) -> dict:
     """The JSON object of a HELLO/END payload."""
     return json.loads(payload.decode())
+
+
+def decode_manifest(payload: bytes) -> dict:
+    """A HELLO payload's manifest; raises ValueError on a foreign stream."""
+    manifest = decode_json(payload)
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+        raise ValueError(f"not a {MANIFEST_FORMAT} stream: HELLO {payload[:80]!r}")
+    return manifest
 
 
 def encode_stamp_frame(sequence: int, send_ns: int) -> bytes:

@@ -16,7 +16,6 @@ per-path-allow in pyproject.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -28,7 +27,6 @@ from .framing import (
     FRAME_DATA,
     FRAME_END,
     FRAME_HELLO,
-    FRAME_JSONL,
     FRAME_STAMP,
     HEADER_SIZE,
     decode_json,
@@ -51,15 +49,6 @@ class LoadtestConfig:
             raise ValueError("clients must be >= 1")
 
 
-def _count_jsonl_events(payload: bytes) -> Dict[str, int]:
-    sessions = queries = 0
-    for line in payload.decode().splitlines():
-        record = json.loads(line)
-        sessions += 1
-        queries += len(record["queries"])
-    return {"sessions": sessions, "queries": queries}
-
-
 async def _subscriber(config: LoadtestConfig, index: int) -> dict:
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(config.host, config.port),
@@ -80,14 +69,6 @@ async def _subscriber(config: LoadtestConfig, index: int) -> dict:
                 batch = decode_batch(payload)
                 sessions += batch.n_sessions
                 queries += batch.n_queries
-                frames += 1
-                if pending_stamp is not None:
-                    latencies_ns.append(time.monotonic_ns() - pending_stamp)
-                    pending_stamp = None
-            elif kind == FRAME_JSONL:
-                counts = _count_jsonl_events(payload)
-                sessions += counts["sessions"]
-                queries += counts["queries"]
                 frames += 1
                 if pending_stamp is not None:
                     latencies_ns.append(time.monotonic_ns() - pending_stamp)

@@ -37,9 +37,16 @@ from repro.core.generator_columnar import (
 )
 from repro.core.model import WorkloadModel
 from repro.core.popularity import QueryUniverse
-from repro.core.workload_io import session_record
 
-from .framing import FRAME_DATA, FRAME_END, FRAME_HELLO, FRAME_JSONL, encode_columns, encode_frame, encode_json_frame
+from .framing import (
+    FRAME_DATA,
+    FRAME_END,
+    FRAME_HELLO,
+    MANIFEST_FORMAT,
+    encode_columns,
+    encode_frame,
+    encode_json_frame,
+)
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -50,9 +57,6 @@ __all__ = [
     "encode_batch",
     "window_seed",
 ]
-
-#: Manifest tag so clients fail loudly on foreign streams.
-MANIFEST_FORMAT = "repro-service-stream-v1"
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,6 @@ class StreamConfig:
     window_seconds: float = 3600.0
     batch_sessions: int = 1024
     n_frames: int = 64
-    codec: str = "columnar"  # "columnar" (binary) or "jsonl" (debug/compat)
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -80,16 +83,19 @@ class StreamConfig:
             raise ValueError("batch_sessions must be >= 1")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if self.codec not in ("columnar", "jsonl"):
-            raise ValueError(f"codec must be 'columnar' or 'jsonl', got {self.codec!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def manifest(self) -> dict:
-        """The HELLO payload: the stream identity, canonically ordered."""
+        """The HELLO payload: the stream identity, canonically ordered.
+
+        ``codec`` is always ``"columnar"``, the only data-frame payload;
+        the field stays so the HELLO bytes, and with them the stream's
+        bytes, do not change.
+        """
         return {
             "format": MANIFEST_FORMAT,
-            "codec": self.codec,
+            "codec": "columnar",
             "n_peers": self.n_peers,
             "seed": self.seed,
             "window_seconds": self.window_seconds,
@@ -135,17 +141,6 @@ def decode_batch(payload: bytes) -> ColumnarWorkload:
     return ColumnarWorkload(
         **{name: columns[name] for name in ColumnarWorkload.ARRAY_FIELDS}
     ).validate()
-
-
-def _encode_jsonl_batch(batch: ColumnarWorkload) -> bytes:
-    """The debug/compat codec: one JSON session record per line."""
-    import json
-
-    lines = [
-        json.dumps(session_record(session), sort_keys=True)
-        for session in batch.iter_sessions()
-    ]
-    return encode_frame(FRAME_JSONL, ("\n".join(lines) + "\n").encode() if lines else b"")
 
 
 def _slice_batch(
@@ -223,14 +218,13 @@ class WorkloadFrameSource:
         """The full frame sequence, each frame encoded exactly once."""
         config = self.config
         yield encode_json_frame(FRAME_HELLO, config.manifest()), 0
-        encode = encode_batch if config.codec == "columnar" else _encode_jsonl_batch
         sessions = queries = 0
         batches = self._batches()
         for _ in range(config.n_frames):
             batch = next(batches)
             sessions += batch.n_sessions
             queries += batch.n_queries
-            yield encode(batch), batch_events(batch)
+            yield encode_batch(batch), batch_events(batch)
         summary = {
             "frames": config.n_frames,
             "sessions": sessions,

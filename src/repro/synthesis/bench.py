@@ -45,7 +45,7 @@ def columnar_ks_checks(
 ) -> dict:
     """Distributional-equivalence report between two trace realizations.
 
-    The columnar synthesis backend consumes random draws in a different
+    The columnar synthesis engine consumes random draws in a different
     (batched) order than the event engine, so traces for a fixed seed
     are different *realizations* of the same process.  This compares the
     distributions the paper's tables depend on: session durations and
@@ -134,9 +134,10 @@ def measure_substrate(
     per second for the cache entries, connections per second otherwise).
     ``cache_dir=None`` skips the cache measurements.
 
-    The ``jobs`` entries run the reference **event** backend (the
-    sequential entry is the speedup baseline); ``synth_columnar`` runs
-    the vectorized columnar backend at the same scale and records its
+    The ``jobs`` entries run the reference **event** engine
+    (:meth:`~.synthesizer.TraceSynthesizer.run_event`; the sequential
+    entry is the speedup baseline); ``synth_columnar`` runs the
+    vectorized columnar engine at the same scale and records its
     speedup plus a :func:`columnar_ks_checks` equivalence report under
     ``"ks_checks"``.
     """
@@ -167,10 +168,9 @@ def measure_substrate(
             mean_arrival_rate=mean_arrival_rate,
             seed=seed,
             jobs=int(n),
-            backend="event",
         )
         label = "sequential" if n == 1 else f"sharded_jobs{n}"
-        trace = timed(label, TraceSynthesizer(config).run)
+        trace = timed(label, TraceSynthesizer(config).run_event)
         if n == 1:
             event_trace = trace
 

@@ -4,9 +4,8 @@ Synthesizing a trace is by far the most expensive step of every
 experiment run, yet its output is a pure function of the
 :class:`~repro.synthesis.synthesizer.SynthesisConfig` (and of the
 synthesis code itself).  This module memoizes that function on disk:
-traces are serialized — as columnar ``.npz`` archives by default, with
-the JSON-lines schema kept for archival interchange — under a key
-derived from
+traces are stored as columnar ``.npz`` archives, or as ``.shards``
+directories for out-of-core runs, under a key derived from
 
 * every content-affecting config field (``jobs`` is deliberately
   *excluded* -- the worker count never changes the trace, only the shard
@@ -23,9 +22,9 @@ A warm hit replays a multi-minute synthesis in the time it takes to
 load a few ``.npz`` arrays (or to open a sharded entry's manifest) -- the
 experiment CLI and benchmarks lean on this to make "run everything
 again" cheap.  The synthesizer is imported only on a miss, so a hit
-never loads it or the agent, client and monitor layers it drives; this
-module names the record :class:`~repro.measurement.trace.Trace` only on
-the JSONL paths.
+never loads it or the agent, client and monitor layers it drives.
+JSON lines remain the interchange format (``synthesize --out``,
+``compare``), not a cache format.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import shutil
 import warnings
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro import __version__
 from repro.measurement.columnar import ColumnarTrace
@@ -134,119 +133,67 @@ class TraceCache:
     """Directory of content-addressed serialized traces.
 
     Entries are columnar ``<key>.npz`` archives
-    (:meth:`~repro.measurement.columnar.ColumnarTrace.save_npz`) by
-    default — a warm read is a handful of array loads instead of a
-    per-record JSON parse — or plain ``<key>.jsonl`` files in the trace
-    schema of :meth:`~repro.measurement.trace.Trace.to_jsonl` when
-    ``format="jsonl"`` is selected (archival interchange; entries double
-    as archived traces).  Reads accept either format regardless of the
-    configured write format, so switching formats never invalidates a
-    warm cache.  Writes go through a temporary file + rename, so readers
-    never see partial entries.
+    (:meth:`~repro.measurement.columnar.ColumnarTrace.save_npz`) -- a
+    warm read is a handful of array loads -- and ``<key>.shards``
+    directories for sharded runs.  Writes go through a temporary file +
+    rename, so readers never see partial entries.
     """
 
-    FORMATS = ("npz", "jsonl")
-
-    def __init__(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        format: str = "npz",
-    ):
-        if format not in self.FORMATS:
-            raise ValueError(f"format must be one of {self.FORMATS}, got {format!r}")
+    def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.format = format
 
     def path_for(self, config: SynthesisConfig) -> Path:
-        """Where a new entry for ``config`` would be written."""
-        return self.root / f"{trace_cache_key(config)}.{self.format}"
-
-    def _candidate_paths(self, config: SynthesisConfig) -> Tuple[Path, ...]:
-        """Readable entry paths, preferred format first."""
-        key = trace_cache_key(config)
-        ordered = (self.format,) + tuple(f for f in self.FORMATS if f != self.format)
-        return tuple(self.root / f"{key}.{fmt}" for fmt in ordered)
+        """Where the entry for ``config`` lives."""
+        return self.root / f"{trace_cache_key(config)}.npz"
 
     def contains(self, config: SynthesisConfig) -> bool:
-        return any(path.exists() for path in self._candidate_paths(config))
+        return self.path_for(config).exists()
 
     def load(self, config: SynthesisConfig) -> Optional[Trace]:
-        """The cached trace for ``config``, or None on a miss.
-
-        A corrupt entry (interrupted write from an older, non-atomic
-        writer; disk trouble) is treated as a miss and removed.
-        """
-        for path in self._candidate_paths(config):
-            if not path.exists():
-                continue
-            try:
-                if path.suffix == ".npz":
-                    return ColumnarTrace.load_npz(path).to_trace()
-                from repro.measurement.trace import Trace
-
-                return Trace.from_jsonl(path)
-            except _CORRUPT_ENTRY_ERRORS:
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - race/permissions
-                    pass
-        return None
+        """The cached trace for ``config`` as records, or None on a miss."""
+        return self._read(config, lambda path: ColumnarTrace.load_npz(path).to_trace())
 
     def load_columnar(self, config: SynthesisConfig) -> Optional[ColumnarTrace]:
         """The cached trace as columns, or None on a miss.
 
-        The fast path for array-based analysis: a warm ``.npz`` entry is
-        returned without materializing any dataclass records.  A
-        JSONL-only entry is parsed and columnarized.
+        The fast path for array-based analysis: no dataclass records are
+        materialized.
         """
-        for path in self._candidate_paths(config):
-            if not path.exists():
-                continue
-            try:
-                if path.suffix == ".npz":
-                    return ColumnarTrace.load_npz(path)
-                from repro.measurement.trace import Trace
+        return self._read(config, ColumnarTrace.load_npz)
 
-                return ColumnarTrace.from_trace(Trace.from_jsonl(path))
-            except _CORRUPT_ENTRY_ERRORS:
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - race/permissions
-                    pass
+    def _read(self, config: SynthesisConfig, reader):
+        """``reader(path)`` of the entry, or None on a miss.
+
+        A corrupt entry (interrupted write from an older, non-atomic
+        writer; disk trouble) is treated as a miss and removed.
+        """
+        path = self.path_for(config)
+        if not path.exists():
+            return None
+        try:
+            return reader(path)
+        except _CORRUPT_ENTRY_ERRORS:
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - race/permissions
+                pass
         return None
 
     def store(self, config: SynthesisConfig, trace: Trace) -> Path:
-        """Serialize ``trace`` under ``config``'s key; returns the path."""
-        path = self.path_for(config)
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            if self.format == "npz":
-                ColumnarTrace.from_trace(trace).save_npz(tmp)
-            else:
-                trace.to_jsonl(tmp)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # pragma: no cover - only on failed replace
-                tmp.unlink()
-        return path
+        """Serialize a record ``trace`` under ``config``'s key; returns the path."""
+        return self.store_columnar(config, ColumnarTrace.from_trace(trace))
 
     def store_columnar(self, config: SynthesisConfig, trace: ColumnarTrace) -> Path:
         """Serialize an already-columnar ``trace`` under ``config``'s key.
 
-        The zero-copy sibling of :meth:`store`: the columnar synthesis
-        backend hands its arrays straight to ``save_npz`` with no
-        per-record objects in between.  When the cache is configured for
-        JSONL the trace is materialized once for interchange.
+        The columnar synthesis engine hands its arrays straight to
+        ``save_npz`` with no per-record objects in between.
         """
         path = self.path_for(config)
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            if self.format == "npz":
-                trace.save_npz(tmp)
-            else:
-                trace.to_trace().to_jsonl(tmp)
+            trace.save_npz(tmp)
             os.replace(tmp, path)
         finally:
             if tmp.exists():  # pragma: no cover - only on failed replace
@@ -300,14 +247,13 @@ class TraceCache:
         return ShardedTrace.open(path)
 
     def clear(self) -> int:
-        """Delete every cache entry (all formats); returns the number removed."""
+        """Delete every cache entry; returns the number removed."""
         if not self.root.exists():
             return 0
         removed = 0
-        for fmt in self.FORMATS:
-            for entry in sorted(self.root.glob(f"*.{fmt}")):
-                entry.unlink()
-                removed += 1
+        for entry in sorted(self.root.glob("*.npz")):
+            entry.unlink()
+            removed += 1
         for entry in sorted(self.root.glob("*.shards")):
             if entry.is_dir():
                 shutil.rmtree(entry)
@@ -349,7 +295,7 @@ def load_or_synthesize_columnar(
     use_cache: bool = True,
 ) -> ColumnarTrace:
     """The columnar trace for ``config``: warm ``.npz`` entries load as
-    plain array bundles, and a cold synthesis on the columnar backend
+    plain array bundles, and a cold synthesis on the columnar engine
     feeds the cache without ever materializing per-record objects.
     """
     if not use_cache:

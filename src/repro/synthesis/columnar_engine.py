@@ -1,6 +1,6 @@
 """Vectorized columnar synthesis: the whole trace as NumPy batches.
 
-The event-loop engine (:class:`~repro.synthesis.synthesizer._ShardEngine`)
+The event-loop engine (:class:`~repro.synthesis.event_engine.EventShardEngine`)
 walks a heap of per-event Python tuples through the measurement monitor.
 This module synthesizes the *same generative model* -- arrivals,
 identities, quick disconnects, session plans, the four client-automation
@@ -50,7 +50,12 @@ from repro.core.kernels import (
     segmented_offsets_scatter,
 )
 from repro.core.model import WorkloadModel
-from repro.core.parameters import MIN_SESSION_SECONDS, geographic_mix_arrays
+from repro.core.parameters import (
+    IDLE_CLOSE_SECONDS,
+    IDLE_PROBE_SECONDS,
+    MIN_SESSION_SECONDS,
+    geographic_mix_arrays,
+)
 from repro.core.popularity import CLASS_ORDER, QueryUniverse
 from repro.gnutella.clients import (
     _MAX_REQUERY_REPEATS,
@@ -58,7 +63,6 @@ from repro.gnutella.clients import (
     profile_attribute_arrays,
     sha1_urns_for,
 )
-from repro.measurement import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS
 from repro.measurement.columnar import (
     REGION_CODE,
     REGION_ORDER,
@@ -95,7 +99,8 @@ def synthesize_shard_columnar(
     model: Optional[WorkloadModel] = None,
     universe: Optional[QueryUniverse] = None,
 ) -> ColumnarTrace:
-    """Columnar counterpart of ``_synthesize_shard`` (worker entry point)."""
+    """Columnar counterpart of :func:`~.event_engine.synthesize_shard_event`
+    (worker entry point)."""
     from .synthesizer import _prebuild_day, _shard_ip_range, _shard_streams
 
     streams = _shard_streams(config.seed, n_shards, index)

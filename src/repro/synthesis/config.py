@@ -38,13 +38,6 @@ class SynthesisConfig:
     mean_arrival_rate: float = 0.35  # connections per second
     seed: int = 20040315
     max_slots: Optional[int] = None
-    #: Synthesis engine: "columnar" (vectorized fast path, the default)
-    #: or "event" (the per-event reference loop).  Both realize the same
-    #: generative model; their RNG consumption orders differ, so fixed
-    #: seeds give different (equally distributed) traces.  Configurations
-    #: the fast path cannot vectorize (slot caps, custom populations/
-    #: models, subclassed universes) silently use the event engine.
-    backend: str = "columnar"
     #: Probability a departing client sends a proper BYE ("many Gnutella
     #: clients do not terminate ... by sending a BYE message").
     bye_prob: float = 0.05
@@ -68,10 +61,6 @@ class SynthesisConfig:
             raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
         if self.shard_days is not None and self.shard_days <= 0:
             raise ValueError("shard_days must be positive")
-        if self.backend not in ("columnar", "event"):
-            raise ValueError(
-                f"backend must be 'columnar' or 'event', got {self.backend!r}"
-            )
 
     @property
     def end_time(self) -> float:

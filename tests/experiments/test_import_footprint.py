@@ -91,14 +91,29 @@ report(rc, out)
 #: ``filtering.pipeline``, ``analysis.active`` -- is the record model,
 #: reached through the result types the pass shares with it.
 ALLOWED = {
+    "synthesize": """
+        _lazy agents agents.diurnal agents.population agents.user_model cli core
+        core.distributions core.events core.kernels core.kernels.npz
+        core.kernels.sampling core.kernels.segmented core.kernels.sharding
+        core.model core.parameters core.popularity core.regions core.runtime
+        core.special geoip geoip.database gnutella gnutella.clients measurement
+        measurement.columnar measurement.shards measurement.trace synthesis
+        synthesis.cache synthesis.columnar_engine synthesis.config synthesis.hits
+        synthesis.scenarios synthesis.synthesizer
+    """,
+    "compare": """
+        _lazy cli core core.distributions core.events core.parameters core.regions
+        core.special core.validation filtering filtering.pipeline filtering.rules
+        measurement measurement.trace
+    """,
     "synthesize --stream": """
         _lazy agents agents.diurnal agents.population agents.user_model cli core
-        core.distributions core.events core.kernels core.kernels.backend
+        core.distributions core.events core.kernels
         core.kernels.npz core.kernels.sampling core.kernels.segmented
         core.kernels.sharding core.model core.parameters core.popularity
         core.regions core.runtime core.special geoip geoip.database gnutella
-        gnutella.clients gnutella.handshake measurement measurement.columnar
-        measurement.monitor measurement.shards measurement.trace synthesis
+        gnutella.clients measurement measurement.columnar
+        measurement.shards measurement.trace synthesis
         synthesis.cache synthesis.columnar_engine synthesis.config synthesis.hits
         synthesis.scenarios synthesis.synthesizer
     """,
@@ -108,7 +123,7 @@ ALLOWED = {
         analysis.load analysis.passive analysis.popularity analysis.shared_files
         analysis.streaming analysis.summary cli core core.distributions core.events
         core.fitting core.generator core.generator_columnar core.kernels
-        core.kernels.backend core.kernels.npz core.kernels.sampling
+        core.kernels.npz core.kernels.sampling
         core.kernels.segmented core.kernels.sharding core.model core.parameters
         core.popularity core.regions core.runtime core.special core.stats
         core.validation experiments experiments.base experiments.exp_active
@@ -125,7 +140,7 @@ ALLOWED = {
         _lazy analysis analysis.active analysis.availability analysis.common
         analysis.correlations analysis.geographic analysis.load analysis.passive
         analysis.popularity analysis.shared_files analysis.streaming cli core
-        core.distributions core.events core.fitting core.kernels core.kernels.backend
+        core.distributions core.events core.fitting core.kernels
         core.kernels.npz core.kernels.sampling core.kernels.segmented
         core.kernels.sharding core.parameters core.popularity core.regions
         core.runtime core.special core.stats experiments experiments.base filtering
@@ -136,14 +151,14 @@ ALLOWED = {
     """,
     "generate": """
         _lazy cli core core.distributions core.events core.generator
-        core.generator_columnar core.kernels core.kernels.backend
+        core.generator_columnar core.kernels
         core.kernels.sampling core.kernels.segmented core.kernels.sharding
         core.model core.parameters core.popularity core.regions core.runtime
         core.special core.workload_io
     """,
     "overlay": """
         _lazy cli core core.distributions core.events core.generator
-        core.generator_columnar core.kernels core.kernels.backend
+        core.generator_columnar core.kernels
         core.kernels.sampling core.kernels.segmented core.kernels.setops
         core.kernels.sharding core.model core.parameters core.popularity
         core.regions core.runtime core.special geoip geoip.database gnutella
@@ -154,9 +169,9 @@ ALLOWED = {
     """,
     "serve + loadtest": """
         _lazy cli core core.distributions core.events core.generator_columnar
-        core.kernels core.kernels.backend core.kernels.sampling
+        core.kernels core.kernels.sampling
         core.kernels.segmented core.kernels.sharding core.model core.parameters
-        core.popularity core.regions core.runtime core.special core.workload_io
+        core.popularity core.regions core.runtime core.special
         service service.client service.framing service.loadtest service.rate
         service.server service.stream
     """,
@@ -187,13 +202,13 @@ def run_refusing_scipy(script, *argv):
     return result
 
 
-def run_cli(*args):
+def run_cli(*args, allowlist=None):
     """One command in a fresh refusing interpreter, checked against its
     allowlist; a serial command never loads a process pool either."""
     result = run_refusing_scipy(CLI_RUN, json.dumps(list(args)))
-    # The command words and --stream name the allowlist.
+    # By default the command words and --stream name the allowlist.
     command = takewhile(lambda a: a == "--stream" or not a.startswith("--"), args)
-    check_footprint(" ".join(command), result)
+    check_footprint(allowlist or " ".join(command), result)
     assert result["pools"] == []
     return result["stdout"]
 
@@ -225,6 +240,17 @@ def test_streamed_synthesis_experiments_and_figures_run_without_scipy(tmp_path):
     assert "TA1" in out and "FA1" in out
     run_cli("figures", "--stream", *TINY, *cache, "--outdir", str(tmp_path / "figs"))
     assert sorted((tmp_path / "figs").glob("*.svg"))
+
+
+def test_archived_trace_compare_runs_without_scipy(tmp_path):
+    # JSON lines stay the interchange format: synthesize --out writes
+    # one, and compare (its one reader) runs on it without SciPy.
+    archive = str(tmp_path / "a.jsonl")
+    out = run_cli("synthesize", "--days", "0.05", "--rate", "1.26", "--no-cache",
+                  "--out", archive)
+    assert "trace written" in out
+    out = run_cli("compare", archive, archive, allowlist="compare")
+    assert "3/3 measures within tolerance" in out
 
 
 @pytest.mark.parametrize("args", [

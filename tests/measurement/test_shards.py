@@ -108,6 +108,9 @@ class TestShardedSynthesis:
         assert_columnar_identical(sharded.concat(), in_memory)
 
     def test_event_backend_cannot_shard(self, tmp_path):
-        config = SynthesisConfig(days=0.1, seed=1, backend="event")
-        with pytest.raises(ValueError, match="columnar backend"):
+        # A slot cap falls back to the event engine, which has no
+        # on-disk sharded path.
+        config = SynthesisConfig(days=0.1, seed=1, max_slots=50)
+        assert TraceSynthesizer(config).effective_backend == "event"
+        with pytest.raises(ValueError, match="columnar engine"):
             TraceSynthesizer(config).run_sharded(tmp_path / "t")

@@ -13,15 +13,7 @@ STREAM = StreamConfig(
 )
 
 
-def run_cohort(stream, clients, *, stamps=False, codec=None):
-    if codec is not None:
-        stream = StreamConfig(
-            n_peers=stream.n_peers, seed=stream.seed,
-            window_seconds=stream.window_seconds,
-            batch_sessions=stream.batch_sessions, n_frames=stream.n_frames,
-            codec=codec,
-        )
-
+def run_cohort(stream, clients, *, stamps=False):
     async def scenario():
         server = WorkloadStreamServer(
             stream, ServerConfig(start_clients=clients, stamps=stamps)
@@ -68,14 +60,6 @@ class TestLoadtest:
     def test_no_stamps_no_latency_block(self):
         report, _ = run_cohort(STREAM, clients=1)
         assert report["latency"] == {}
-
-    def test_jsonl_codec_counts_the_same_events(self):
-        binary, _ = run_cohort(STREAM, clients=1)
-        debug, _ = run_cohort(STREAM, clients=1, codec="jsonl")
-        assert debug["events_total"] == binary["events_total"]
-        assert debug["frames_total"] == binary["frames_total"]
-        # The debug codec is strictly bulkier than the columnar one.
-        assert debug["bytes_total"] > binary["bytes_total"]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

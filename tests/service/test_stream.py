@@ -10,8 +10,8 @@ from repro.service.framing import (
     FRAME_DATA,
     FRAME_END,
     FRAME_HELLO,
-    FRAME_JSONL,
     HEADER_SIZE,
+    MANIFEST_FORMAT,
     decode_json,
     parse_header,
 )
@@ -43,15 +43,25 @@ class TestStreamConfig:
         with pytest.raises(ValueError):
             StreamConfig(n_frames=0)
         with pytest.raises(ValueError):
-            StreamConfig(codec="xml")
-        with pytest.raises(ValueError):
             StreamConfig(jobs=0)
+        # Data frames have one payload codec, so it is not configurable.
+        with pytest.raises(TypeError):
+            StreamConfig(codec="columnar")
 
     def test_manifest_excludes_jobs(self):
         # jobs must never change the bytes, so it cannot be in the HELLO.
         manifest = StreamConfig(jobs=4).manifest()
         assert "jobs" not in manifest
         assert manifest == StreamConfig(jobs=1).manifest()
+
+    def test_hello_keeps_the_columnar_codec_tag(self):
+        # The HELLO still names the (only) codec, so its bytes -- and the
+        # stream digests recorded against them -- stay as they were.
+        manifest = CFG.manifest()
+        assert manifest["format"] == MANIFEST_FORMAT
+        assert manifest["codec"] == "columnar"
+        hello = frames_of(CFG)[0][0]
+        assert b'"codec":"columnar"' in hello[HEADER_SIZE:]
 
 
 class TestWindowSeed:
@@ -164,34 +174,6 @@ class TestFrameSequence:
             batch = decode_batch(frame[HEADER_SIZE:])
             batch.validate()
             assert batch.n_sessions <= CFG.batch_sessions
-
-
-class TestJsonlCodec:
-    def test_jsonl_frames_parse_to_the_same_sessions(self):
-        import json
-
-        from repro.core.workload_io import session_record
-
-        binary = StreamConfig(
-            n_peers=30, seed=5, window_seconds=600.0, batch_sessions=32, n_frames=3
-        )
-        debug = StreamConfig(
-            n_peers=30, seed=5, window_seconds=600.0, batch_sessions=32, n_frames=3,
-            codec="jsonl",
-        )
-        binary_frames = frames_of(binary)
-        debug_frames = frames_of(debug)
-        assert [e for _, e in binary_frames] == [e for _, e in debug_frames]
-        for (bin_frame, _), (dbg_frame, _) in zip(
-            binary_frames[1:-1], debug_frames[1:-1]
-        ):
-            assert parse_header(dbg_frame[:HEADER_SIZE])[0] == FRAME_JSONL
-            batch = decode_batch(bin_frame[HEADER_SIZE:])
-            records = [
-                json.loads(line)
-                for line in dbg_frame[HEADER_SIZE:].decode().splitlines()
-            ]
-            assert records == [session_record(s) for s in batch.iter_sessions()]
 
 
 class TestBoundedUniverse:

@@ -1,7 +1,5 @@
 """Content-addressed trace cache: keying, round-trips, and hygiene."""
 
-import json
-
 import pytest
 
 from repro.synthesis import (
@@ -103,13 +101,21 @@ class TestCacheRoundTrip:
         assert not path.exists()
 
     def test_truncated_jsonl_entry_is_a_miss(self, tmp_path):
-        cache = TraceCache(tmp_path, format="jsonl")
-        load_or_synthesize(self.CFG, cache=cache)
-        path = cache.path_for(self.CFG)
-        # drop the header line: structurally valid JSON, wrong shape
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[1:]) + "\n")
+        # JSON lines are an interchange format, not a cache format: a
+        # JSONL file under the entry's key, whole or truncated, is never
+        # read, and the cache synthesizes a fresh .npz entry instead.
+        cache = TraceCache(tmp_path)
+        trace = TraceSynthesizer(self.CFG).run()
+        jsonl = cache.path_for(self.CFG).with_suffix(".jsonl")
+        trace.to_jsonl(jsonl)
+        assert not cache.contains(self.CFG)
         assert cache.load(self.CFG) is None
+        lines = jsonl.read_text().splitlines()
+        jsonl.write_text("\n".join(lines[1:]) + "\n")
+        assert cache.load(self.CFG) is None
+        assert load_or_synthesize(self.CFG, cache=cache).counters == trace.counters
+        assert cache.path_for(self.CFG).suffix == ".npz"
+        assert cache.contains(self.CFG)
 
     def test_truncated_npz_entry_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -137,50 +143,32 @@ class TestCacheRoundTrip:
         assert loaded.counters == trace.counters
         assert loaded.n_sessions == len(trace.sessions)
 
-    def test_store_jsonl_format_writes_archival_schema(self, tmp_path):
-        from repro.measurement import Trace
-
-        cache = TraceCache(tmp_path, format="jsonl")
-        trace = TraceSynthesizer(self.CFG).run()
-        path = cache.store(self.CFG, trace)
-        assert path.suffix == ".jsonl"
-        assert json.loads(path.read_text().splitlines()[0])["kind"] == "header"
-        assert Trace.from_jsonl(path).counters == trace.counters
-
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            TraceCache(tmp_path, format="parquet")
+        # The cache has one entry format, so it takes no format at all.
+        for fmt in ("npz", "jsonl", "parquet"):
+            with pytest.raises(TypeError):
+                TraceCache(tmp_path, format=fmt)
+        assert not hasattr(TraceCache(tmp_path), "format")
 
 
 class TestCacheCrossFormat:
-    """Entries written in one format stay warm for caches using the other."""
+    """An entry is a ``.npz`` archive; record and columnar reads of it
+    agree, and a JSON-lines file under the same key is never read."""
 
     CFG = SynthesisConfig(days=0.02, seed=31337)
 
-    def test_jsonl_entry_readable_by_npz_cache(self, tmp_path):
-        writer = TraceCache(tmp_path, format="jsonl")
-        trace = load_or_synthesize(self.CFG, cache=writer)
-        reader = TraceCache(tmp_path, format="npz")
-        assert reader.contains(self.CFG)
-        assert reader.load(self.CFG).counters == trace.counters
-
-    def test_npz_entry_readable_by_jsonl_cache(self, tmp_path):
-        writer = TraceCache(tmp_path, format="npz")
-        trace = load_or_synthesize(self.CFG, cache=writer)
-        reader = TraceCache(tmp_path, format="jsonl")
-        assert reader.contains(self.CFG)
-        assert reader.load(self.CFG).counters == trace.counters
-
     def test_load_columnar_from_npz_and_jsonl(self, tmp_path):
-        npz = TraceCache(tmp_path / "npz", format="npz")
-        jsonl = TraceCache(tmp_path / "jsonl", format="jsonl")
+        npz = TraceCache(tmp_path / "npz")
         trace = load_or_synthesize(self.CFG, cache=npz)
-        jsonl.store(self.CFG, trace)
         from_npz = npz.load_columnar(self.CFG)
-        from_jsonl = jsonl.load_columnar(self.CFG)
-        assert from_npz.n_sessions == from_jsonl.n_sessions == len(trace.sessions)
-        assert from_npz.counters == from_jsonl.counters == trace.counters
+        assert from_npz.n_sessions == len(trace.sessions)
+        assert from_npz.counters == trace.counters
         assert from_npz.to_trace().sessions == trace.sessions
+        jsonl = TraceCache(tmp_path / "jsonl")
+        path = jsonl.path_for(self.CFG).with_suffix(".jsonl")
+        path.parent.mkdir(parents=True)
+        trace.to_jsonl(path)
+        assert jsonl.load_columnar(self.CFG) is None
 
     def test_load_columnar_misses_cold_cache(self, tmp_path):
         assert TraceCache(tmp_path).load_columnar(self.CFG) is None

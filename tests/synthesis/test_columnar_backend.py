@@ -101,8 +101,7 @@ class TestEquivalence:
 
     @pytest.fixture(scope="class")
     def event(self):
-        cfg = replace(self.SCALE, backend="event")
-        return ColumnarTrace.from_trace(TraceSynthesizer(cfg).run())
+        return ColumnarTrace.from_trace(TraceSynthesizer(self.SCALE).run_event())
 
     def test_sequential_ks_equivalence(self, event):
         columnar = TraceSynthesizer(self.SCALE).run_columnar()
@@ -121,16 +120,24 @@ class TestEquivalence:
 
 class TestBackendDispatch:
     def test_columnar_is_default(self):
-        assert CFG.backend == "columnar"
         assert TraceSynthesizer(CFG).effective_backend == "columnar"
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            SynthesisConfig(days=0.05, backend="gpu")
+        # The engine is not part of the config: default wiring always
+        # runs the columnar engine, so no backend value is accepted.
+        for backend in ("columnar", "event", "gpu"):
+            with pytest.raises(TypeError):
+                SynthesisConfig(days=0.05, backend=backend)
 
     def test_event_backend_selected_explicitly(self):
-        cfg = replace(CFG, backend="event")
-        assert TraceSynthesizer(cfg).effective_backend == "event"
+        # run_event() reaches the event engine on a default-wiring
+        # config, which run() would synthesize with the columnar engine.
+        synth = TraceSynthesizer(CFG)
+        assert synth.effective_backend == "columnar"
+        trace = synth.run_event()
+        assert isinstance(trace, Trace)
+        assert trace.n_connections > 50
+        assert "_raw_keepalive_pings" not in trace.counters
 
     def test_max_slots_falls_back_to_event(self):
         cfg = replace(CFG, max_slots=50)

@@ -9,7 +9,8 @@ import pytest
 from repro.core.validation import ccdf_max_gap
 from repro.filtering import apply_filters
 from repro.synthesis import SynthesisConfig, TraceSynthesizer, shard_windows, synthesize_trace
-from repro.synthesis.synthesizer import SHARD_IP_STRIDE, _ShardEngine
+from repro.synthesis.event_engine import EventShardEngine
+from repro.synthesis.synthesizer import SHARD_IP_STRIDE
 
 
 def _jsonl_bytes(trace, tmp_path, name):
@@ -173,7 +174,7 @@ class TestEventDrain:
 
     @staticmethod
     def _drain(events, end_time):
-        return list(_ShardEngine._drain_events(events, end_time))
+        return list(EventShardEngine._drain_events(events, end_time))
 
     def test_out_of_window_head_does_not_drop_later_events(self):
         end = 100.0

@@ -57,8 +57,7 @@ def test_analysis_smoke_benchmark(tmp_path):
     runs = report["runs"]
 
     assert set(runs) == {
-        "trace_load_jsonl", "trace_load_npz",
-        "filter_analysis_loop", "filter_analysis_columnar",
+        "trace_load_npz", "filter_analysis_loop", "filter_analysis_columnar",
     }
     for label, run in runs.items():
         assert run["seconds"] > 0, label
@@ -70,8 +69,10 @@ def test_analysis_smoke_benchmark(tmp_path):
     assert report["table2"]["final_sessions"] > 0
     assert report["host"]["cpu_count"] >= 1
 
-    assert "speedup_vs_trace_load_jsonl" in runs["trace_load_npz"]
+    # The cache has one entry format, so the load has no speedup partner.
+    assert not any(k.startswith("speedup") for k in runs["trace_load_npz"])
     assert "speedup_vs_filter_analysis_loop" in runs["filter_analysis_columnar"]
+    assert "kernels_backend" not in report["host"]
 
     path = write_bench_report(report, tmp_path / "BENCH_analysis.json")
     parsed = json.loads(path.read_text())

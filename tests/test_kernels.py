@@ -1,18 +1,20 @@
-"""Kernel-layer battery: reference semantics, backend equivalence, goldens.
+"""Kernel-layer battery: reference semantics and goldens.
 
 Three layers of defense for the ``repro.core.kernels`` contract:
 
 * hypothesis property tests pin each kernel to its naive per-segment
   reference (including 0-row and single-row segments);
-* the backend equivalence battery proves every registered backend
-  byte-identical to the NumPy reference on the same inputs -- the
-  invariant a numba/GPU drop-in must keep;
+* a digest pins every kernel's output bytes and dtypes on one fixed
+  payload, so a rewrite that changes a summation order or an index
+  dtype fails here before it shifts an engine's output;
 * a golden test pins the categorical cutpoint table to the exact
   ``searchsorted(cdf, u, side='left')`` draws it replaces, so a table
   rebuild can never silently shift a sampled index.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,8 +26,6 @@ from sampling_reference import sample_n
 from repro.core.kernels import (
     CategoricalTable,
     CategoricalTableStack,
-    available_backends,
-    get_backend,
     group_slices,
     isin_sorted,
     load_npz_members,
@@ -37,11 +37,12 @@ from repro.core.kernels import (
     segment_ids,
     segmented_arange,
     segmented_cumsum,
+    segmented_offsets_base,
+    segmented_offsets_scatter,
     setdiff_sorted,
     shard_sizes,
     sorted_lookup,
     spawn_shard_streams,
-    use_backend,
 )
 
 counts_arrays = st.lists(st.integers(min_value=0, max_value=7), min_size=0, max_size=12).map(
@@ -132,9 +133,8 @@ def test_segmented_offsets_forms_match_their_loops(counts, data):
         data.draw(st.lists(st.integers(0, 10), min_size=n_gaps, max_size=n_gaps)),
         dtype=np.float64,
     )
-    backend = get_backend("numpy")
-    scatter = backend.segmented_offsets_scatter(first, gaps, counts)
-    base = backend.segmented_offsets_base(first, gaps, counts)
+    scatter = segmented_offsets_scatter(first, gaps, counts)
+    base = segmented_offsets_base(first, gaps, counts)
     pos = 0
     gpos = 0
     exp_scatter, exp_base = np.empty(total), np.empty(total)
@@ -242,7 +242,7 @@ def test_categorical_table_dense_cdf_falls_back():
     assert np.array_equal(table.lookup(u), np.searchsorted(cdf, u, side="left"))
 
 
-# -- backend equivalence battery -----------------------------------------
+# -- pinned output bytes ---------------------------------------------------
 
 
 def _kernel_payload():
@@ -262,51 +262,28 @@ def _kernel_payload():
     return counts, values, first, gaps, codes, cdf, u, haystack, probes
 
 
-def test_every_backend_is_byte_identical_to_numpy():
+#: SHA-256 over (dtype, bytes) of every kernel output below.
+KERNEL_DIGEST = "0b07b563b20981ea70af0e096ee671bfa75d5b4199c5d8605f378a6da7bb63c7"
+
+
+def test_kernel_outputs_match_pinned_digest():
     counts, values, first, gaps, codes, cdf, u, haystack, probes = _kernel_payload()
-    reference = get_backend("numpy")
-    table = CategoricalTable(cdf)
-    expected = {
-        "arange": reference.segmented_arange(counts),
-        "cumsum": reference.segmented_cumsum(values, counts),
-        "ids": reference.segment_ids(counts),
-        "scatter": reference.segmented_offsets_scatter(first, gaps, counts),
-        "base": reference.segmented_offsets_base(first, gaps, counts),
-        "lookup": table.lookup(u),
-        "member": reference.sorted_lookup(haystack, probes)[0],
-        "member_idx": reference.sorted_lookup(haystack, probes)[1],
-        "union": reference.merge_unique(haystack, np.unique(probes)),
-        "diff": reference.setdiff_sorted(haystack, np.unique(probes)),
-    }
-    assert "stub" in available_backends()
-    for name in available_backends():
-        backend = get_backend(name)
-        with use_backend(name):
-            got = {
-                "arange": backend.segmented_arange(counts),
-                "cumsum": backend.segmented_cumsum(values, counts),
-                "ids": backend.segment_ids(counts),
-                "scatter": backend.segmented_offsets_scatter(first, gaps, counts),
-                "base": backend.segmented_offsets_base(first, gaps, counts),
-                "lookup": table.lookup(u),
-                "member": backend.sorted_lookup(haystack, probes)[0],
-                "member_idx": backend.sorted_lookup(haystack, probes)[1],
-                "union": backend.merge_unique(haystack, np.unique(probes)),
-                "diff": backend.setdiff_sorted(haystack, np.unique(probes)),
-            }
-        for key, arr in expected.items():
-            assert got[key].dtype == arr.dtype, (name, key)
-            assert got[key].tobytes() == arr.tobytes(), (name, key)
-
-
-def test_use_backend_scopes_and_keeps_results_identical():
-    counts = np.array([0, 1, 3, 0, 2], dtype=np.int64)
-    reference = segmented_arange(counts)
-    with use_backend("stub") as active:
-        assert active.name == "stub"
-        assert np.array_equal(segmented_arange(counts), reference)
-    # The context restored whatever was active before.
-    assert np.array_equal(segmented_arange(counts), reference)
+    stack = CategoricalTableStack(np.stack([cdf, np.sqrt(cdf)]))
+    rows = (np.arange(u.size) % 2).astype(np.intp)
+    outputs = [
+        segmented_arange(counts), segmented_cumsum(values, counts), segment_ids(counts),
+        segmented_offsets_scatter(first, gaps, counts),
+        segmented_offsets_base(first, gaps, counts),
+        *group_slices(codes), CategoricalTable(cdf).lookup(u), stack.lookup(rows, u),
+        *sorted_lookup(haystack, probes), isin_sorted(haystack, probes),
+        merge_unique(haystack, np.unique(probes)),
+        setdiff_sorted(haystack, np.unique(probes)),
+    ]
+    digest = hashlib.sha256()
+    for arr in outputs:
+        digest.update(arr.dtype.str.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == KERNEL_DIGEST
 
 
 def test_distribution_sample_n_matches_scalar_loop():
