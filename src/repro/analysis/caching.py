@@ -75,15 +75,18 @@ def query_stream(sessions: Iterable[SessionRecord]) -> List[Tuple[float, str]]:
     return stream
 
 
-def coded_query_stream(timestamp: np.ndarray, key: np.ndarray) -> List[Tuple[float, int]]:
-    """:func:`query_stream` over flat columns, with integer cache keys.
+def coded_query_stream(
+    timestamp: np.ndarray, key: np.ndarray
+) -> Tuple[List[float], List[int]]:
+    """:func:`query_stream` over flat columns, as two flat lists
+    ``(times, keys)`` with integer cache keys.
 
     ``key`` codes must sort like the normalized strings they stand for
     (codes into a sorted vocabulary); the cache itself only compares
     keys for equality, so the hit rates equal the string stream's.
     """
     order = np.lexsort((key, timestamp))
-    return list(zip(timestamp[order].tolist(), key[order].tolist()))
+    return timestamp[order].tolist(), key[order].tolist()
 
 
 def cache_hit_rates(
@@ -93,27 +96,32 @@ def cache_hit_rates(
     ttl: float = DEFAULT_TTL_SECONDS,
 ) -> List[Dict[str, float]]:
     """Cache hit rate rows for raw vs. filtered-user query streams."""
+    raw, user = query_stream(raw_sessions), query_stream(user_sessions)
     return stream_hit_rates(
-        query_stream(raw_sessions), query_stream(user_sessions), capacities, ttl
+        ([t for t, _ in raw], [k for _, k in raw]),
+        ([t for t, _ in user], [k for _, k in user]),
+        capacities,
+        ttl,
     )
 
 
 def stream_hit_rates(
-    raw: Sequence[Tuple[float, Hashable]],
-    user: Sequence[Tuple[float, Hashable]],
+    raw: Tuple[Sequence[float], Sequence[Hashable]],
+    user: Tuple[Sequence[float], Sequence[Hashable]],
     capacities: Sequence[int] = (8, 64, 512),
     ttl: float = DEFAULT_TTL_SECONDS,
 ) -> List[Dict[str, float]]:
-    """Cache hit rate rows for two time-ordered ``(timestamp, key)`` streams."""
-    if not raw or not user:
+    """Cache hit rate rows for two time-ordered streams, each given as
+    parallel ``(times, keys)`` sequences."""
+    if not len(raw[0]) or not len(user[0]):
         raise ValueError("both streams must contain queries")
     rows = []
     for capacity in capacities:
         raw_cache = LruResultCache(capacity, ttl)
-        for now, key in raw:
+        for now, key in zip(*raw):
             raw_cache.lookup(key, now)
         user_cache = LruResultCache(capacity, ttl)
-        for now, key in user:
+        for now, key in zip(*user):
             user_cache.lookup(key, now)
         rows.append({
             "capacity": capacity,

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.kernels import merge_vocabularies
 from repro.core.regions import PEAK_HOURS, KeyPeriod, Region
 from repro.core.stats import (
     Ccdf,
@@ -624,8 +625,10 @@ class StreamingPopularity:
     """Streaming :func:`~repro.analysis.popularity.daily_region_counts`.
 
     Each chunk's rules 1-3 kept queries of the major regions reduce to
-    (day, region, query) counts in one ``np.unique`` over a combined key;
-    the counts merge across chunks by summation.
+    (day, region, query) counts in one ``np.unique`` over a combined key
+    of integer codes; codes sort like the strings of the chunk's sorted
+    vocabulary, so the counters fill in (day, region, string) order.
+    The counts merge across chunks by summation.
     """
 
     def __init__(self) -> None:
@@ -641,7 +644,8 @@ class StreamingPopularity:
             return
         region_code = region_code[major].astype(np.int64)
         day = (trace.query_timestamp[rows] // 86400.0).astype(np.int64)
-        keywords, kw_code = np.unique(trace.query_keywords[rows], return_inverse=True)
+        keywords = trace.keyword_vocab
+        kw_code = trace.query_keyword[rows].astype(np.int64)
         n_regions = np.int64(_N_REGIONS)
         n_keywords = np.int64(keywords.size)
         combined = (day * n_regions + region_code) * n_keywords + kw_code
@@ -725,8 +729,8 @@ def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
 class StreamingQueryColumns:
     """Accumulates :class:`QueryColumns` one filtered chunk at a time.
 
-    Each chunk contributes compact copies, its query strings factorized
-    against its own vocabulary; finalize merges the vocabularies and
+    Each chunk contributes compact copies: its keyword codes and its own
+    vocabulary; finalize re-codes them onto one merged vocabulary and
     concatenates in chunk order.  For whole-session shards that is the
     concatenated trace's order, which the order-sensitive consumers --
     X2's per-query RNG draws, X4's mean duration -- depend on.
@@ -740,16 +744,15 @@ class StreamingQueryColumns:
         trace = block.trace
         start, end = self._window or (trace.start_time, trace.end_time)
         self._window = (float(start), max(float(end), float(trace.end_time)))
-        vocabulary, keyword = np.unique(trace.query_keywords, return_inverse=True)
         kept = np.flatnonzero(block.query_mask)
         owners, owned = np.unique(block.session_index[kept], return_counts=True)
         self._chunks.append(
             {
                 "session_start": np.array(trace.session_start),
                 "session_end": np.array(trace.session_end),
-                "vocabulary": vocabulary,
+                "vocabulary": np.array(trace.keyword_vocab),
                 "timestamp": np.array(trace.query_timestamp),
-                "keyword": keyword,
+                "keyword": np.array(trace.query_keyword),
                 "hits": np.array(trace.query_hits),
                 "sha1": np.array(trace.query_sha1),
                 "kept": kept,
@@ -767,16 +770,12 @@ class StreamingQueryColumns:
         def cat(name: str, dtype) -> np.ndarray:
             return _concat([chunk[name] for chunk in chunks], dtype)
 
-        keywords, merged = np.unique(cat("vocabulary", np.str_), return_inverse=True)
-        vocab_edges = np.cumsum([0] + [chunk["vocabulary"].size for chunk in chunks])
-        query_base = np.cumsum([0] + [chunk["timestamp"].size for chunk in chunks])
-        keyword = _concat(
-            [
-                merged[vocab_edges[i]:vocab_edges[i + 1]][chunk["keyword"]]
-                for i, chunk in enumerate(chunks)
-            ],
-            np.int64,
+        keywords, recoded = merge_vocabularies(
+            [chunk["vocabulary"] for chunk in chunks],
+            [chunk["keyword"] for chunk in chunks],
         )
+        query_base = np.cumsum([0] + [chunk["timestamp"].size for chunk in chunks])
+        keyword = _concat(recoded, np.int32)
         kept = _concat(
             [chunk["kept"] + query_base[i] for i, chunk in enumerate(chunks)], np.int64
         )
@@ -832,6 +831,12 @@ class StreamingAnalysis:
     queries: Optional[QueryColumns] = None
 
 
+def _fold(block: Optional[ColumnarFilterResult], reducers) -> None:
+    if block is not None:
+        for reducer in reducers:
+            reducer.update(block)
+
+
 def run_streaming(
     shards: Union[Iterable[ColumnarTrace], "object"],
     split_sessions: bool = False,
@@ -859,14 +864,11 @@ def run_streaming(
         geographic, shared_files, load, passive_fraction, passive, active, popularity,
     ) + ((columns,) if columns else ())
     for chunk in chunks:
-        block = filt.push(chunk)
-        if block is not None:
-            for reducer in reducers:
-                reducer.update(block)
-    tail = filt.finish()
-    if tail is not None:
-        for reducer in reducers:
-            reducer.update(tail)
+        _fold(filt.push(chunk), reducers)
+        # Unbind the shard (and, with _fold returned, its filtered block)
+        # before the next one is mapped, so one shard is resident at a time.
+        del chunk
+    _fold(filt.finish(), reducers)
     return StreamingAnalysis(
         report=filt.report,
         geographic=geographic.finalize(),

@@ -27,7 +27,10 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "segmented_offsets_base", "segmented_offsets_scatter",
     ),
     "sampling": ("CategoricalTable", "CategoricalTableStack", "searchsorted_left"),
-    "setops": ("isin_sorted", "merge_unique", "setdiff_sorted", "sorted_lookup"),
+    "setops": (
+        "isin_sorted", "merge_unique", "merge_vocabularies", "setdiff_sorted",
+        "sorted_lookup",
+    ),
     "sharding": (
         "pool_map", "pool_map_windowed", "resolve_workers", "shard_sizes",
         "spawn_shard_streams", "time_windows",

@@ -8,6 +8,11 @@ sorted unique int64 keys.
 
 Contract: *haystack* inputs (and both operands of the merge/diff forms)
 must be sorted and duplicate-free; outputs preserve that invariant.
+
+:func:`merge_vocabularies` is the string-column form of the same idea:
+trace columns hold integer codes into a sorted vocabulary, and every
+path that joins or subsets coded columns (trace builds, split-session
+reassembly) re-codes them through it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ __all__ = [
     "isin_sorted",
     "merge_unique",
     "setdiff_sorted",
+    "merge_vocabularies",
 ]
 
 
@@ -68,3 +74,32 @@ def setdiff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elements of sorted unique ``a`` that are absent from sorted ``b``."""
     mask, _ = sorted_lookup(b, a)
     return np.asarray(a)[~mask]
+
+
+def merge_vocabularies(vocabs, codes):
+    """Re-code columns coded against several vocabularies onto one.
+
+    ``codes[i]`` indexes ``vocabs[i]``.  Returns ``(vocab, recoded)``:
+    the sorted unique vocabulary of exactly the entries some code uses,
+    as wide as its longest string, and each code column re-coded into
+    it as ``int32``.  Input vocabularies may be unsorted, overlap,
+    repeat entries, or be one array shared by many code columns: only
+    the entries in use are gathered and sorted, so the result depends
+    on the strings the codes name, not on how they were split.
+    """
+    if not vocabs:
+        return np.empty(0, dtype="U1"), []
+    factored = [np.unique(np.asarray(c, dtype=np.int64), return_inverse=True) for c in codes]
+    vocab, inverse = np.unique(
+        np.concatenate([np.asarray(v)[used] for v, (used, _) in zip(vocabs, factored)]),
+        return_inverse=True,
+    )
+    if vocab.dtype.kind == "U":
+        width = int(np.char.str_len(vocab).max()) if vocab.size else 0
+        vocab = vocab.astype(f"U{max(width, 1)}")
+    inverse = inverse.astype(np.int32)
+    bounds = np.cumsum([0] + [used.size for used, _ in factored])
+    return vocab, [
+        inverse[lo:hi][position]
+        for (_, position), lo, hi in zip(factored, bounds[:-1], bounds[1:])
+    ]

@@ -12,10 +12,9 @@ Rule mapping onto arrays (queries are session-major, so "within a
 session" is "adjacent rows with equal session index"):
 
 * **Rule 1** — boolean mask: not SHA1 and non-empty normalized keywords
-  (the precomputed ``norm_key`` column is empty exactly when
-  ``keywords.strip()`` is).
-* **Rule 2** — first occurrence of each ``(session, norm_key)`` pair,
-  via factorized keys and ``np.unique(..., return_index=True)``.
+  (a normalized key is empty exactly when ``keywords.strip()`` is).
+* **Rule 2** — first occurrence of each ``(session, keyword set)`` pair,
+  via ``np.unique(..., return_index=True)`` over combined integer keys.
 * **Rule 3** — session-duration mask; per-session surviving-query
   counts come from ``np.bincount`` over the owning-session index.
 * **Rule 4** — both members of every sub-second adjacent pair are
@@ -24,6 +23,10 @@ session" is "adjacent rows with equal session index"):
   *raw* survivor gaps repeat within epsilon; with survivors kept in
   flat order this is a pure stencil over ``t[2:], t[1:-1], t[:-2]``
   guarded by segment equality.
+
+Rules 1-2 read the query string only through its code: the normalized
+identity (:func:`~repro.measurement.columnar.norm_keys_array`) is taken
+once per ``keyword_vocab`` entry and gathered per row as an integer.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from repro.core.events import QueryRecord, SessionRecord
 from repro.core.kernels import segment_ids
-from repro.measurement.columnar import REGION_ORDER, ColumnarTrace
+from repro.measurement.columnar import REGION_ORDER, ColumnarTrace, norm_keys_array
 
 from .pipeline import FilterReport, FilterResult
 from .rules import INTERARRIVAL_EPSILON, MIN_INTERARRIVAL_SECONDS
@@ -108,7 +111,7 @@ class ColumnarFilterResult:
                     trace.session_region[surviving_rows].tolist(),
                     trace.session_start[surviving_rows].tolist(),
                     trace.session_end[surviving_rows].tolist(),
-                    trace.session_user_agent[surviving_rows].tolist(),
+                    trace.session_user_agents(surviving_rows).tolist(),
                     trace.session_ultrapeer[surviving_rows].tolist(),
                     trace.session_shared_files[surviving_rows].tolist(),
                 )
@@ -130,7 +133,7 @@ def _materialize_queries(trace: ColumnarTrace, rows: np.ndarray) -> List[QueryRe
         QueryRecord(*row)
         for row in zip(
             trace.query_timestamp[rows].tolist(),
-            trace.query_keywords[rows].tolist(),
+            trace.query_keywords(rows).tolist(),
             trace.query_sha1[rows].tolist(),
             trace.query_hops[rows].tolist(),
             trace.query_ttl[rows].tolist(),
@@ -140,23 +143,33 @@ def _materialize_queries(trace: ColumnarTrace, rows: np.ndarray) -> List[QueryRe
     ]
 
 
+def _keyword_sets(vocab: np.ndarray):
+    """Per vocabulary entry: is its normalized key non-empty, and the
+    code of that key (equal codes exactly for equal keyword sets)."""
+    norm = norm_keys_array(vocab)
+    identity = np.unique(norm, return_inverse=True)[1]
+    return norm != "", identity.astype(np.int64)
+
+
 def apply_filters_columnar(trace: ColumnarTrace) -> ColumnarFilterResult:
     """Run rules 1-5 over a columnar trace, in the paper's order."""
     n_queries = trace.n_queries
     n_sessions = trace.n_sessions
     sess_idx = segment_ids(np.diff(trace.query_offsets))
     report = FilterReport(initial_queries=n_queries, initial_sessions=n_sessions)
+    nonempty, identity = _keyword_sets(trace.keyword_vocab)
+    keyword = np.asarray(trace.query_keyword)
 
     # Rule 1: SHA1 extension or empty keywords.
-    kept1 = ~trace.query_sha1 & (trace.query_norm_key != "")
+    kept1 = ~trace.query_sha1 & nonempty[keyword]
     report.rule1_removed_queries = int(n_queries - np.count_nonzero(kept1))
 
     # Rule 2: keep the first occurrence of each (session, keyword set).
     idx1 = np.flatnonzero(kept1)
     kept2 = np.zeros(n_queries, dtype=bool)
     if idx1.size:
-        key_codes = np.unique(trace.query_norm_key[idx1], return_inverse=True)[1]
-        combined = sess_idx[idx1] * np.int64(key_codes.max() + 1) + key_codes
+        key_codes = identity[keyword[idx1]]
+        combined = sess_idx[idx1] * np.int64(identity.size) + key_codes
         # return_index points at the first occurrence; idx1 is ascending,
         # so "first in combined" is "first in query order".
         first_rows = np.unique(combined, return_index=True)[1]

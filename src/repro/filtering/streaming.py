@@ -28,6 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.kernels import merge_vocabularies
 from repro.measurement.columnar import ColumnarTrace
 
 from .columnar import ColumnarFilterResult, apply_filters_columnar
@@ -37,8 +38,9 @@ __all__ = ["StreamingFilter", "split_for_streaming"]
 
 #: Flat query-table column suffixes, in ColumnarTrace field order.
 _QUERY_COLS = (
-    "timestamp", "keywords", "norm_key", "sha1", "hops", "ttl", "automated", "hits",
+    "timestamp", "keyword", "sha1", "hops", "ttl", "automated", "hits",
 )
+_KEYWORD = _QUERY_COLS.index("keyword")
 _PONG_COLS = ("timestamp", "ip", "region", "shared_files", "one_hop")
 _HIT_COLS = ("timestamp", "ip", "region", "one_hop")
 
@@ -56,7 +58,8 @@ class StreamingFilter:
     split across consecutive chunks (same ip/start/end metadata in each
     piece) is stitched back together before the rules run, so rule 2's
     duplicate detection and the rule 4/5 interarrival stencils see the
-    complete stream even across a chunk edge.
+    complete stream even across a chunk edge.  Each held piece keeps its
+    chunk's keyword vocabulary; a block re-codes its pieces onto one.
     """
 
     def __init__(self, split_sessions: bool = False):
@@ -98,14 +101,14 @@ class StreamingFilter:
             lo, hi = int(offsets[i]), int(offsets[i + 1])
             piece = tuple(
                 np.asarray(getattr(chunk, "query_" + col)[lo:hi]) for col in _QUERY_COLS
-            )
+            ) + (chunk.keyword_vocab,)
             held = self._held.get(key)
             if held is not None:
                 held[1].append(piece)
                 continue
             meta: _Meta = (
                 key[0], int(chunk.session_region[i]), start, end,
-                str(chunk.session_user_agent[i]),
+                str(chunk.agent_vocab[chunk.session_agent[i]]),
                 bool(chunk.session_ultrapeer[i]),
                 int(chunk.session_shared_files[i]),
             )
@@ -151,17 +154,24 @@ class StreamingFilter:
             fields["session_region"] = np.array([m[1] for m in metas], dtype=np.int8)
             fields["session_start"] = np.array([m[2] for m in metas], dtype=np.float64)
             fields["session_end"] = np.array([m[3] for m in metas], dtype=np.float64)
-            fields["session_user_agent"] = np.array([m[4] for m in metas], dtype=np.str_)
+            fields["agent_vocab"], (fields["session_agent"],) = merge_vocabularies(
+                [np.array([m[4] for m in metas], dtype=np.str_)],
+                [np.arange(len(metas))],
+            )
             fields["session_ultrapeer"] = np.array([m[5] for m in metas], dtype=np.bool_)
             fields["session_shared_files"] = np.array([m[6] for m in metas], dtype=np.int64)
             counts = [sum(p[0].size for p in e[1]) for e in entries]
             offsets = np.zeros(len(entries) + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
             fields["query_offsets"] = offsets
+            pieces = [p for e in entries for p in e[1]]
             for j, col in enumerate(_QUERY_COLS):
-                fields["query_" + col] = np.concatenate(
-                    [p[j] for e in entries for p in e[1]]
-                )
+                if j != _KEYWORD:
+                    fields["query_" + col] = np.concatenate([p[j] for p in pieces])
+            fields["keyword_vocab"], keywords = merge_vocabularies(
+                [p[-1] for p in pieces], [p[_KEYWORD] for p in pieces]
+            )
+            fields["query_keyword"] = np.concatenate(keywords)
         for bufname, prefix, cols in (
             ("_pong_buf", "pong_", _PONG_COLS),
             ("_hit_buf", "hit_", _HIT_COLS),
@@ -210,6 +220,13 @@ def split_for_streaming(
         np.cumsum(counts, out=offsets[1:])
         pmask = (trace.pong_timestamp >= lo_q) & (trace.pong_timestamp < hi_q)
         hmask = (trace.hit_timestamp >= lo_q) & (trace.hit_timestamp < hi_q)
+        # Each chunk carries only the strings its own rows use.
+        keyword_vocab, (keyword,) = merge_vocabularies(
+            [trace.keyword_vocab], [trace.query_keyword[qmask]]
+        )
+        agent_vocab, (agent,) = merge_vocabularies(
+            [trace.agent_vocab], [trace.session_agent[rows]]
+        )
         yield ColumnarTrace(
             start_time=lo,
             end_time=hi,
@@ -217,18 +234,19 @@ def split_for_streaming(
             session_region=trace.session_region[rows],
             session_start=trace.session_start[rows],
             session_end=trace.session_end[rows],
-            session_user_agent=trace.session_user_agent[rows],
+            session_agent=agent,
             session_ultrapeer=trace.session_ultrapeer[rows],
             session_shared_files=trace.session_shared_files[rows],
             query_offsets=offsets,
             query_timestamp=qts[qmask],
-            query_keywords=trace.query_keywords[qmask],
-            query_norm_key=trace.query_norm_key[qmask],
+            query_keyword=keyword,
             query_sha1=trace.query_sha1[qmask],
             query_hops=trace.query_hops[qmask],
             query_ttl=trace.query_ttl[qmask],
             query_automated=trace.query_automated[qmask],
             query_hits=trace.query_hits[qmask],
+            keyword_vocab=keyword_vocab,
+            agent_vocab=agent_vocab,
             pong_timestamp=trace.pong_timestamp[pmask],
             pong_ip=trace.pong_ip[pmask],
             pong_region=trace.pong_region[pmask],

@@ -1,4 +1,4 @@
-"""Columnar trace backend: NumPy structured arrays + ``.npz`` persistence.
+"""Columnar trace backend: NumPy columns + ``.npz`` persistence.
 
 A :class:`ColumnarTrace` holds the same information as a
 :class:`~repro.measurement.trace.Trace`, laid out for array reductions
@@ -11,19 +11,26 @@ instead of object traversal:
 * **pong** and **queryhit** observation tables,
 * the aggregate message ``counters`` and the trace window.
 
-The conversion ``Trace ↔ ColumnarTrace`` is lossless: regions round-trip
-through a stable code table, strings through NumPy unicode columns, and
-floats bit-exactly through float64.  The query table also carries a
-derived ``norm_key`` column — the session-duplicate identity of Section
-3.2 (``" ".join(sorted(set(keywords.lower().split())))``, equal exactly
-when the keyword *sets* are equal) — precomputed once here so the
-vectorized rule-2 filter never touches Python string methods on the hot
-path.
+Repeated strings are stored once.  A query's keywords are an ``int32``
+code into ``keyword_vocab`` and a session's user agent an ``int32``
+code into ``agent_vocab``; each vocabulary is sorted, unique, holds
+exactly the strings its rows use and is as wide as its longest string,
+so code order is string order and two traces with the same rows have
+the same vocabularies however they were built
+(:func:`repro.core.kernels.merge_vocabularies` re-codes every join).
+Only peer and observation addresses stay per-row unicode columns: a
+session's address is unique to it, and the builder breaks sort ties
+on it as a string.  Rule 2's query identity (Section 3.2) is taken
+once per vocabulary entry by :func:`norm_keys_array`, never per row.
+
+The conversion ``Trace <-> ColumnarTrace`` is lossless: regions
+round-trip through a stable code table, strings through the
+vocabularies, and floats bit-exactly through float64.
 
 ``save_npz``/``load_npz`` persist every column with :func:`numpy.savez`
-(uncompressed, ``allow_pickle=False``): a warm load is a handful of
-``mmap``-friendly array reads instead of a per-record JSON parse, which
-is what makes the ``.npz`` trace cache entries fast.
+(uncompressed, ``allow_pickle=False``, columnar schema v2): a warm load
+is a handful of ``mmap``-friendly array reads instead of a per-record
+JSON parse, which is what makes the ``.npz`` trace cache entries fast.
 """
 
 from __future__ import annotations
@@ -35,7 +42,12 @@ from typing import Dict, List, Union
 import numpy as np
 
 from repro.core.events import QueryRecord, SessionRecord
-from repro.core.kernels import load_npz_members, save_npz_payload, segment_ids
+from repro.core.kernels import (
+    load_npz_members,
+    merge_vocabularies,
+    save_npz_payload,
+    segment_ids,
+)
 from repro.core.regions import Region
 
 from .trace import PongObservation, QueryHitObservation, Trace
@@ -49,7 +61,9 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk ``.npz`` column layout changes.
-COLUMNAR_SCHEMA_VERSION = 1
+#: v2: keywords and user agents became codes into sorted vocabularies,
+#: and the per-row rule-2 ``query_norm_key`` column was dropped.
+COLUMNAR_SCHEMA_VERSION = 2
 
 #: Stable region code table: the wire format stores ``int8`` codes, not
 #: enum values, so reordering the enum cannot silently corrupt archives.
@@ -69,7 +83,8 @@ def normalize_keywords(keywords: str) -> str:
 
 
 def norm_keys_array(keywords: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`normalize_keywords` over a unicode column.
+    """Vectorized :func:`normalize_keywords` over a unicode column
+    (in practice a trace's ``keyword_vocab``).
 
     Single-token strings (the synthesized catalog) normalize to their
     lowercase form, handled with one ``np.char.lower`` pass; multi-token
@@ -97,8 +112,12 @@ def _str_array(values: List[str]) -> np.ndarray:
     return np.array(values, dtype=np.str_)
 
 
-def _empty_str(n: int) -> np.ndarray:
-    return np.full(n, "", dtype="U1") if n else np.empty(0, dtype="U1")
+def _encode(values: List[str]):
+    """``(vocab, codes)`` of a string list, in the trace's vocabulary form."""
+    vocab, (codes,) = merge_vocabularies(
+        [_str_array(values)], [np.arange(len(values), dtype=np.int64)]
+    )
+    return vocab, codes
 
 
 @dataclass
@@ -113,7 +132,8 @@ class ColumnarTrace:
     session_region: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
     session_start: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
     session_end: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
-    session_user_agent: np.ndarray = field(default_factory=lambda: _str_array([]))
+    #: code into ``agent_vocab``
+    session_agent: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
     session_ultrapeer: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
     session_shared_files: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
@@ -121,13 +141,17 @@ class ColumnarTrace:
     #: session ``i`` owns ``query_*[query_offsets[i]:query_offsets[i+1]]``.
     query_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
     query_timestamp: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
-    query_keywords: np.ndarray = field(default_factory=lambda: _str_array([]))
-    query_norm_key: np.ndarray = field(default_factory=lambda: _str_array([]))
+    #: code into ``keyword_vocab``
+    query_keyword: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
     query_sha1: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
     query_hops: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     query_ttl: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     query_automated: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
     query_hits: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+
+    # -- vocabularies (sorted, unique, exactly the strings in use) ----------
+    keyword_vocab: np.ndarray = field(default_factory=lambda: _str_array([]))
+    agent_vocab: np.ndarray = field(default_factory=lambda: _str_array([]))
 
     # -- observation tables ------------------------------------------------
     pong_timestamp: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
@@ -170,6 +194,14 @@ class ColumnarTrace:
         """Owning session row for each flat query row."""
         return segment_ids(np.diff(self.query_offsets))
 
+    def query_keywords(self, rows=slice(None)) -> np.ndarray:
+        """Decoded keyword strings of the query ``rows`` (default: all)."""
+        return self.keyword_vocab[self.query_keyword[rows]]
+
+    def session_user_agents(self, rows=slice(None)) -> np.ndarray:
+        """Decoded user agents of the session ``rows`` (default: all)."""
+        return self.agent_vocab[self.session_agent[rows]]
+
     # -- conversion --------------------------------------------------------
 
     @classmethod
@@ -186,7 +218,6 @@ class ColumnarTrace:
 
         q_ts: List[float] = []
         q_kw: List[str] = []
-        q_norm: List[str] = []
         q_sha1: List[bool] = []
         q_hops: List[int] = []
         q_ttl: List[int] = []
@@ -205,13 +236,14 @@ class ColumnarTrace:
             for q in s.queries:
                 q_ts.append(q.timestamp)
                 q_kw.append(q.keywords)
-                q_norm.append(normalize_keywords(q.keywords))
                 q_sha1.append(q.sha1)
                 q_hops.append(q.hops)
                 q_ttl.append(q.ttl)
                 q_auto.append(q.automated)
                 q_hits.append(q.hits)
 
+        agent_vocab, agent = _encode(user_agent)
+        keyword_vocab, keyword = _encode(q_kw)
         return cls(
             start_time=trace.start_time,
             end_time=trace.end_time,
@@ -219,18 +251,19 @@ class ColumnarTrace:
             session_region=np.array(region, dtype=np.int8),
             session_start=np.array(start, dtype=np.float64),
             session_end=np.array(end, dtype=np.float64),
-            session_user_agent=_str_array(user_agent),
+            session_agent=agent,
             session_ultrapeer=np.array(ultrapeer, dtype=np.bool_),
             session_shared_files=np.array(shared, dtype=np.int64),
             query_offsets=offsets,
             query_timestamp=np.array(q_ts, dtype=np.float64),
-            query_keywords=_str_array(q_kw),
-            query_norm_key=_str_array(q_norm),
+            query_keyword=keyword,
             query_sha1=np.array(q_sha1, dtype=np.bool_),
             query_hops=np.array(q_hops, dtype=np.int64),
             query_ttl=np.array(q_ttl, dtype=np.int64),
             query_automated=np.array(q_auto, dtype=np.bool_),
             query_hits=np.array(q_hits, dtype=np.int64),
+            keyword_vocab=keyword_vocab,
+            agent_vocab=agent_vocab,
             pong_timestamp=np.array([p.timestamp for p in trace.pongs], dtype=np.float64),
             pong_ip=_str_array([p.ip for p in trace.pongs]),
             pong_region=np.array([REGION_CODE[p.region] for p in trace.pongs], dtype=np.int8),
@@ -254,7 +287,7 @@ class ColumnarTrace:
         q_cols = list(
             zip(
                 self.query_timestamp.tolist(),
-                self.query_keywords.tolist(),
+                self.query_keywords().tolist(),
                 self.query_sha1.tolist(),
                 self.query_hops.tolist(),
                 self.query_ttl.tolist(),
@@ -275,7 +308,7 @@ class ColumnarTrace:
                     self.session_region.tolist(),
                     self.session_start.tolist(),
                     self.session_end.tolist(),
-                    self.session_user_agent.tolist(),
+                    self.session_user_agents().tolist(),
                     self.session_ultrapeer.tolist(),
                     self.session_shared_files.tolist(),
                 )
@@ -313,9 +346,10 @@ class ColumnarTrace:
 
     _ARRAY_FIELDS = (
         "session_peer_ip", "session_region", "session_start", "session_end",
-        "session_user_agent", "session_ultrapeer", "session_shared_files",
-        "query_offsets", "query_timestamp", "query_keywords", "query_norm_key",
+        "session_agent", "session_ultrapeer", "session_shared_files",
+        "query_offsets", "query_timestamp", "query_keyword",
         "query_sha1", "query_hops", "query_ttl", "query_automated", "query_hits",
+        "keyword_vocab", "agent_vocab",
         "pong_timestamp", "pong_ip", "pong_region", "pong_shared_files",
         "pong_one_hop",
         "hit_timestamp", "hit_ip", "hit_region", "hit_one_hop",
@@ -377,7 +411,9 @@ class ColumnarTraceBuilder:
     ``(timestamp, ip)``, counters summed -- so a merged columnar trace
     and a merge of the equivalent record traces agree row for row.  The
     flat query table is permuted in whole session blocks to follow the
-    session sort.
+    session sort, and the parts' vocabularies merge into the canonical
+    ones (sorted, exactly the strings in use), so a build does not
+    depend on how its rows were split into parts.
     """
 
     def __init__(self) -> None:
@@ -409,6 +445,13 @@ class ColumnarTraceBuilder:
         for p in parts:
             for name, value in p.counters.items():
                 counters[name] = counters.get(name, 0) + int(value)
+
+        keyword_vocab, keywords = merge_vocabularies(
+            [p.keyword_vocab for p in parts], [p.query_keyword for p in parts]
+        )
+        agent_vocab, agents = merge_vocabularies(
+            [p.agent_vocab for p in parts], [p.session_agent for p in parts]
+        )
 
         s_ip = cat("session_peer_ip")
         s_start = cat("session_start")
@@ -442,18 +485,19 @@ class ColumnarTraceBuilder:
             session_region=cat("session_region")[order],
             session_start=s_start[order],
             session_end=s_end[order],
-            session_user_agent=cat("session_user_agent")[order],
+            session_agent=np.concatenate(agents)[order],
             session_ultrapeer=cat("session_ultrapeer")[order],
             session_shared_files=cat("session_shared_files")[order],
             query_offsets=offsets,
             query_timestamp=cat("query_timestamp")[gather],
-            query_keywords=cat("query_keywords")[gather],
-            query_norm_key=cat("query_norm_key")[gather],
+            query_keyword=np.concatenate(keywords)[gather],
             query_sha1=cat("query_sha1")[gather],
             query_hops=cat("query_hops")[gather],
             query_ttl=cat("query_ttl")[gather],
             query_automated=cat("query_automated")[gather],
             query_hits=cat("query_hits")[gather],
+            keyword_vocab=keyword_vocab,
+            agent_vocab=agent_vocab,
             pong_timestamp=pong_ts[pong_order],
             pong_ip=pong_ip[pong_order],
             pong_region=cat("pong_region")[pong_order],

@@ -6,7 +6,8 @@ Every frame is a fixed 16-byte header followed by a payload::
     version  u8   1
     kind     u8   frame kind (FRAME_* below)
     reserved u16  0
-    length   u64  payload byte count (little-endian, like the rest)
+    length   u64  payload byte count (little-endian, like the rest),
+                  at most MAX_PAYLOAD_BYTES
 
 Data frames carry a *columnar* payload: named NumPy arrays serialized
 as ``(name, dtype descr, shape, raw C-order bytes)`` records -- no
@@ -20,7 +21,9 @@ and are the only nondeterministic frame kind -- they are opt-in and
 excluded from the reproducibility contract (docs/SERVICE.md).
 
 Malformed input -- a foreign header, a truncated or inconsistent
-payload, a foreign HELLO -- raises :class:`ValueError` and nothing else.
+payload, a foreign HELLO, a declared length above the payload cap --
+raises :class:`ValueError` and nothing else.  The cap bounds what a
+subscriber buffers for one frame, whatever a header claims.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "MAGIC", "VERSION", "HEADER_SIZE", "MANIFEST_FORMAT",
+    "MAGIC", "VERSION", "HEADER_SIZE", "MAX_PAYLOAD_BYTES", "MANIFEST_FORMAT",
     "FRAME_HELLO", "FRAME_DATA", "FRAME_STAMP", "FRAME_END",
     "frame_header", "parse_header", "encode_frame",
     "encode_columns", "decode_columns",
@@ -47,6 +50,11 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sBBHQ")
 HEADER_SIZE = _HEADER.size  # 16
+
+#: Largest payload a frame may declare (1 GiB).  Part of the protocol:
+#: an encoder refuses a larger frame, and a decoder refuses a header
+#: that declares one instead of waiting for its payload.
+MAX_PAYLOAD_BYTES = 1 << 30
 
 FRAME_HELLO = 1  #: stream manifest (canonical JSON)
 FRAME_DATA = 2   #: columnar wave batch (binary columns)
@@ -71,7 +79,16 @@ def frame_header(kind: int, payload_length: int) -> bytes:
     """The 16-byte header for a ``kind`` frame of ``payload_length`` bytes."""
     if kind not in _KINDS:
         raise ValueError(f"unknown frame kind {kind}")
+    _check_length(payload_length)
     return _HEADER.pack(MAGIC, VERSION, kind, 0, payload_length)
+
+
+def _check_length(payload_length: int) -> None:
+    if payload_length > MAX_PAYLOAD_BYTES:
+        raise ValueError(
+            f"frame payload of {payload_length} bytes exceeds the "
+            f"{MAX_PAYLOAD_BYTES}-byte cap"
+        )
 
 
 def parse_header(header: bytes) -> Tuple[int, int]:
@@ -87,6 +104,7 @@ def parse_header(header: bytes) -> Tuple[int, int]:
         raise ValueError(f"unknown frame kind {kind}")
     if reserved != 0:
         raise ValueError(f"reserved header bits set ({reserved})")
+    _check_length(length)
     return kind, length
 
 

@@ -65,7 +65,9 @@ __all__ = [
 #: v3: the columnar synthesis backend became the default; it consumes
 #: random draws in a different (batched) order than the event engine, so
 #: traces for a fixed config changed realization.
-TRACE_CACHE_VERSION = 3
+#: v4: columnar schema v2 (keyword and user-agent codes into sorted
+#: vocabularies); entries of earlier versions are never read.
+TRACE_CACHE_VERSION = 4
 
 #: Fingerprint of the default component wiring (paper WorkloadModel +
 #: seed-derived QueryUniverse/PeerPopulation/UserBehavior).  Runs with

@@ -46,6 +46,7 @@ from repro.agents.population import sample_shared_files_batch
 from repro.core.kernels import (
     CategoricalTableStack,
     group_slices,
+    merge_vocabularies,
     segmented_arange,
     segmented_offsets_scatter,
 )
@@ -63,12 +64,7 @@ from repro.gnutella.clients import (
     profile_attribute_arrays,
     sha1_urns_for,
 )
-from repro.measurement.columnar import (
-    REGION_CODE,
-    REGION_ORDER,
-    ColumnarTrace,
-    norm_keys_array,
-)
+from repro.measurement.columnar import REGION_CODE, REGION_ORDER, ColumnarTrace
 
 from .hits import HitModel
 
@@ -211,8 +207,13 @@ class ColumnarShardEngine:
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
 
-        keywords, norm_keys = self._gather_strings(q_cls, q_rank, q_day, q_sha1)
-        hits = self._sample_hits(q_time, q_cls, q_rank, q_day, q_sha1, keywords)
+        keyword_vocab, keyword = self._keyword_codes(q_cls, q_rank, q_day, q_sha1)
+        hits = self._sample_hits(
+            q_time, q_cls, q_rank, q_day, q_sha1, keyword_vocab, keyword
+        )
+        agent_vocab, (agent,) = merge_vocabularies(
+            [attrs["user_agent"]], [ident.profile_index]
+        )
 
         # -- session end times ---------------------------------------------
         session_end = np.empty(n, dtype=np.float64)
@@ -248,18 +249,19 @@ class ColumnarShardEngine:
             session_region=ident.region_code,
             session_start=t_arr,
             session_end=session_end,
-            session_user_agent=attrs["user_agent"][ident.profile_index],
+            session_agent=agent,
             session_ultrapeer=ident.ultrapeer,
             session_shared_files=ident.shared_files,
             query_offsets=offsets,
             query_timestamp=q_time,
-            query_keywords=keywords,
-            query_norm_key=norm_keys,
+            query_keyword=keyword,
             query_sha1=q_sha1,
             query_hops=np.full(q_time.size, 1, dtype=np.int64),
             query_ttl=np.full(q_time.size, 6, dtype=np.int64),
             query_automated=q_auto,
             query_hits=hits,
+            keyword_vocab=keyword_vocab,
+            agent_vocab=agent_vocab,
             counters={
                 "_raw_keepalive_pings": exchanges + extra_pings,
                 "_raw_keepalive_pongs": exchanges,
@@ -460,43 +462,46 @@ class ColumnarShardEngine:
 
     # -- strings and hits ----------------------------------------------------
 
-    def _gather_strings(self, q_cls, q_rank, q_day, q_sha1):
-        """Resolve (class, rank, day) codes to query strings per group.
+    def _keyword_codes(self, q_cls, q_rank, q_day, q_sha1):
+        """Code each query row into the sorted vocabulary of its strings.
 
-        Returns ``(keywords, norm_keys)``: SHA1 rows first resolve their
-        *parent* string, then hash it into the source-search urn,
-        matching the event path's derivation.  The rule-2 norm key is
-        normalized once per *distinct* catalog string (ranking arrays
-        hold each string once) and gathered alongside -- elementwise
-        identical to normalizing the full keyword column.
+        Returns ``(vocab, codes)``.  Rows are keyed by integers -- (day,
+        class, rank, SHA1 flag) -- and only the distinct keys resolve to
+        strings: a plain key to its ranking entry, a SHA1 key to the
+        source-search urn hashed from that *parent* string, matching the
+        event path's derivation.  Distinct keys may name one string (a
+        query keeps its text across days), which the vocabulary merge
+        folds into one code.
         """
         if q_cls.size == 0:
-            return np.empty(0, dtype="U1"), np.empty(0, dtype="U1")
-        # One stable argsort replaces a full-size boolean mask per
-        # (day, class) group -- the groups partition the rows exactly.
-        order, keys, bounds = group_slices(q_day * len(CLASS_ORDER) + q_cls)
-        rankings = [
-            self.universe.ranking_array(
-                int(key) // len(CLASS_ORDER), CLASS_ORDER[int(key) % len(CLASS_ORDER)]
-            )
-            for key in keys
-        ]
-        # Width covers every source ranking plus the 40-hex SHA1 urns.
-        width = max([40] + [a.dtype.itemsize // 4 for a in rankings])
-        raw = np.empty(q_cls.size, dtype=f"U{width}")
-        norm = np.empty(q_cls.size, dtype=f"U{width}")
-        for g, ranking in enumerate(rankings):
-            idx = order[bounds[g]:bounds[g + 1]]
-            ranks = q_rank[idx] - 1
-            raw[idx] = ranking[ranks]
-            norm[idx] = norm_keys_array(ranking)[ranks]
-        if q_sha1.any():
-            urns = sha1_urns_for(raw[q_sha1])
-            raw[q_sha1] = urns
-            norm[q_sha1] = norm_keys_array(urns)
-        return raw, norm
+            return np.empty(0, dtype="U1"), np.empty(0, dtype=np.int32)
+        n_classes = len(CLASS_ORDER)
+        group = q_day * n_classes + q_cls
+        rank_span = np.int64(q_rank.max())
+        keys, inverse = np.unique(
+            (group * rank_span + (q_rank - 1)) * 2 + q_sha1, return_inverse=True
+        )
+        sha1 = (keys & 1).astype(bool)
+        entry_rank = (keys >> 1) % rank_span
+        # Rankings are fetched once per (day, class) group, in ascending
+        # group order: building a ranking the universe does not hold yet
+        # draws from its shared RNG, so the order is part of the trace.
+        order, groups, bounds = group_slices((keys >> 1) // rank_span)
+        strings = np.concatenate([
+            self.universe.ranking_array(key // n_classes, CLASS_ORDER[key % n_classes])[
+                entry_rank[order[bounds[g]:bounds[g + 1]]]
+            ]
+            for g, key in enumerate(groups.tolist())
+        ])
+        # Wide enough for the 40-hex SHA1 urns too.
+        entries = np.empty(keys.size, dtype=f"U{max(strings.dtype.itemsize // 4, 40)}")
+        entries[order] = strings
+        if sha1.any():
+            entries[sha1] = sha1_urns_for(entries[sha1])
+        vocab, (codes,) = merge_vocabularies([entries], [inverse])
+        return vocab, codes
 
-    def _sample_hits(self, q_time, q_cls, q_rank, q_day, q_sha1, keywords):
+    def _sample_hits(self, q_time, q_cls, q_rank, q_day, q_sha1, vocab, keyword):
         """Poisson responder counts with vectorized same-day means.
 
         The event path resolves each query string on its *event* day;
@@ -516,7 +521,10 @@ class ColumnarShardEngine:
         if cross.size:
             # expected_hits is deterministic in (day, string), so one
             # scalar lookup per *unique* pair covers every cross row.
-            strings, inverse = np.unique(keywords[cross], return_inverse=True)
+            # Codes sort like their strings, so pairs come in the same
+            # (day, string) order as a unique over the strings.
+            codes, inverse = np.unique(keyword[cross], return_inverse=True)
+            strings = vocab[codes]
             pair = event_day[cross] * np.int64(strings.size) + inverse
             pairs, pair_inv = np.unique(pair, return_inverse=True)
             lookups = np.array([

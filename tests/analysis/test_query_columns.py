@@ -237,8 +237,8 @@ class TestCaching:
             lowered.setdefault(code, key.lower())
             assert lowered[code] == key.lower()
         for table, sessions in ((columns.raw, trace.sessions), (columns.user, user_sessions)):
-            coded = coded_query_stream(table.timestamp, columns.cache_key[table.keyword])
-            assert [(t, lowered[code]) for t, code in coded] == query_stream(sessions)
+            times, codes = coded_query_stream(table.timestamp, columns.cache_key[table.keyword])
+            assert list(zip(times, (lowered[code] for code in codes))) == query_stream(sessions)
 
     def test_cache_key_order_is_lowered_string_order(self, columns):
         lowered = [k.lower() for k in columns.keywords.tolist()]

@@ -8,6 +8,9 @@ the identical sharded synthesis (same config, same ``shard_days``), so
 every Figure 1-11 product must match bit for bit.
 """
 
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.analysis import run_streaming
@@ -65,3 +68,30 @@ class TestActiveViews:
             apply_filters_columnar(sharded.concat()).to_filter_result()
         )
         assert streamed.active.views() == reference
+
+
+class TestOneShardAtATime:
+    @pytest.mark.parametrize("query_columns", [False, True])
+    def test_previous_chunk_is_released_before_the_next(self, sharded, query_columns):
+        # run_streaming and its reducers must hold no reference to shard
+        # i, its filtered block, or any view into its memory-mapped
+        # columns once shard i + 1 is requested, or both shards' mapped
+        # pages stay resident together.
+        seen = []
+
+        def chunks():
+            for shard in sharded.iter_shards():
+                if seen:
+                    alive = [name for name, ref in seen[-1].items() if ref() is not None]
+                    assert not alive, f"chunk {len(seen) - 1} still referenced: {alive}"
+                refs = {"trace": weakref.ref(shard)}
+                for name, value in vars(shard).items():
+                    if isinstance(value, np.ndarray):
+                        refs[name] = weakref.ref(value)
+                seen.append(refs)
+                yield shard
+                del shard
+
+        streamed = run_streaming(chunks(), query_columns=query_columns)
+        assert len(seen) == sharded.n_shards >= 2
+        assert streamed.report.as_dict() == run_streaming(sharded).report.as_dict()

@@ -95,6 +95,7 @@ ALLOWED = {
         _lazy agents agents.diurnal agents.population agents.user_model cli core
         core.distributions core.events core.kernels core.kernels.npz
         core.kernels.sampling core.kernels.segmented core.kernels.sharding
+        core.kernels.setops
         core.model core.parameters core.popularity core.regions core.runtime
         core.special geoip geoip.database gnutella gnutella.clients measurement
         measurement.columnar measurement.shards measurement.trace synthesis
@@ -110,6 +111,7 @@ ALLOWED = {
         _lazy agents agents.diurnal agents.population agents.user_model cli core
         core.distributions core.events core.kernels
         core.kernels.npz core.kernels.sampling core.kernels.segmented
+        core.kernels.setops
         core.kernels.sharding core.model core.parameters core.popularity
         core.regions core.runtime core.special geoip geoip.database gnutella
         gnutella.clients measurement measurement.columnar
@@ -125,6 +127,7 @@ ALLOWED = {
         core.fitting core.generator core.generator_columnar core.kernels
         core.kernels.npz core.kernels.sampling
         core.kernels.segmented core.kernels.sharding core.model core.parameters
+        core.kernels.setops
         core.popularity core.regions core.runtime core.special core.stats
         core.validation experiments experiments.base experiments.exp_active
         experiments.exp_correlations experiments.exp_fits experiments.exp_generator
@@ -142,6 +145,7 @@ ALLOWED = {
         analysis.popularity analysis.shared_files analysis.streaming cli core
         core.distributions core.events core.fitting core.kernels
         core.kernels.npz core.kernels.sampling core.kernels.segmented
+        core.kernels.setops
         core.kernels.sharding core.parameters core.popularity core.regions
         core.runtime core.special core.stats experiments experiments.base filtering
         filtering.columnar filtering.pipeline filtering.rules filtering.streaming

@@ -7,11 +7,15 @@ the per-shard RNG streams, so "same config" includes ``shard_days``).
 """
 
 import dataclasses
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.measurement import ColumnarTrace
+from repro.measurement.columnar import ColumnarTraceBuilder
 from repro.measurement.shards import ShardWriter, ShardedTrace
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
@@ -63,7 +67,8 @@ class TestShardWriter:
             # Shard windows differ from the parts' own bounds; the
             # payload columns must survive the spill bit-for-bit.
             assert np.array_equal(loaded.session_start, part.session_start)
-            assert np.array_equal(loaded.query_keywords, part.query_keywords)
+            assert np.array_equal(loaded.query_keywords(), part.query_keywords())
+            assert np.array_equal(loaded.session_user_agents(), part.session_user_agents())
             assert loaded.counters == part.counters
         assert_columnar_identical(written.concat(), reopened.concat())
 
@@ -114,3 +119,111 @@ class TestShardedSynthesis:
         assert TraceSynthesizer(config).effective_backend == "event"
         with pytest.raises(ValueError, match="columnar engine"):
             TraceSynthesizer(config).run_sharded(tmp_path / "t")
+
+
+class TestShardSchema:
+    def test_only_peer_addresses_are_per_row_strings(self, sharded):
+        # Schema v2: keywords and user agents are integer codes into
+        # vocabularies; a per-row unicode column would bring the padding
+        # back.  Observation addresses (pong_ip, hit_ip) are not pinned.
+        for info in sharded.shards:
+            with zipfile.ZipFile(sharded.root / info.file) as archive:
+                names = [n[:-4] for n in archive.namelist()]
+            shard = ColumnarTrace.load_npz(sharded.root / info.file)
+            unicode = {
+                name for name in names
+                if name.startswith(("session_", "query_"))
+                and getattr(shard, name).dtype.kind == "U"
+            }
+            assert unicode == {"session_peer_ip"}, info.file
+            assert shard.query_keyword.dtype == np.int32
+            assert shard.session_agent.dtype == np.int32
+            _assert_canonical(shard)
+
+
+def _assert_canonical(trace: ColumnarTrace):
+    """Each vocabulary is sorted, unique and exactly the strings in use."""
+    for vocab, strings in (
+        (trace.keyword_vocab, trace.query_keywords()),
+        (trace.agent_vocab, trace.session_user_agents()),
+    ):
+        assert vocab.dtype.kind == "U"
+        assert vocab.tolist() == sorted(set(strings.tolist()))
+
+
+def _part(trace: ColumnarTrace, rows: np.ndarray, rng, observations: bool) -> ColumnarTrace:
+    """The sessions ``rows`` (ascending) of ``trace`` with their queries,
+    as a part whose vocabularies are *not* canonical: every entry of the
+    whole trace's vocabulary, shuffled, with the first entry repeated."""
+    q_rows = np.flatnonzero(np.isin(trace.query_session_index(), rows))
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(trace.query_offsets)[rows], out=offsets[1:])
+
+    def scramble(vocab, codes):
+        perm = rng.permutation(vocab.size)
+        position = np.empty(vocab.size, dtype=np.int32)
+        position[perm] = np.arange(vocab.size)
+        return np.concatenate([vocab[perm], vocab[:1]]), position[codes]
+
+    part = {"query_offsets": offsets}
+    for f in dataclasses.fields(ColumnarTrace):
+        column = getattr(trace, f.name)
+        if f.name.startswith("session_"):
+            part[f.name] = column[rows]
+        elif f.name.startswith("query_") and f.name != "query_offsets":
+            part[f.name] = column[q_rows]
+        elif f.name.startswith(("pong_", "hit_")):
+            part[f.name] = column if observations else column[:0]
+    part["keyword_vocab"], part["query_keyword"] = scramble(
+        trace.keyword_vocab, part["query_keyword"]
+    )
+    part["agent_vocab"], part["session_agent"] = scramble(
+        trace.agent_vocab, part["session_agent"]
+    )
+    return ColumnarTrace(
+        start_time=trace.start_time, end_time=trace.end_time,
+        counters=dict(trace.counters), **part,
+    )
+
+
+class TestVocabularyMerge:
+    @pytest.fixture(scope="class")
+    def whole(self, sharded):
+        return sharded.concat(mmap_mode=None)
+
+    @given(labels=st.lists(st.integers(0, 3), min_size=8, max_size=8), seed=st.integers(0, 99))
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_multi_part_builds_equal_a_single_build(self, whole, tmp_path, labels, seed):
+        # Session i goes to part labels[i % 8] (up to four parts); the
+        # first part also carries every observation.
+        rng = np.random.default_rng(seed)
+        label = np.resize(np.asarray(labels), whole.n_sessions)
+        parts = [
+            _part(whole, np.flatnonzero(label == k), rng, observations=(j == 0))
+            for j, k in enumerate(np.unique(label))
+        ]
+        single = ColumnarTraceBuilder()
+        single.append(whole)
+        expected = single.build()
+        builder = ColumnarTraceBuilder()
+        for part in parts:
+            builder.append(part)
+        merged = builder.build()
+        merged.counters = expected.counters
+        assert_columnar_identical(merged, expected)
+
+        writer = ShardWriter(tmp_path / f"t{seed}-{len(parts)}", whole.start_time, whole.end_time)
+        for part in parts:
+            writer.append(part)
+        written = writer.close(dict(expected.counters))
+        for shard in written.iter_shards():
+            _assert_canonical(shard)
+        assert_columnar_identical(written.concat(), expected)
+
+    def test_concat_decodes_to_the_record_strings(self, sharded, whole):
+        records = [s for shard in sharded.iter_shards() for s in shard.to_trace().sessions]
+        by_key = {(s.start, s.end, s.peer_ip): s for s in records}
+        assert len(by_key) == whole.n_sessions
+        for session in whole.to_trace().sessions:
+            assert session == by_key[(session.start, session.end, session.peer_ip)]

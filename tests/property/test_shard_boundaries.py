@@ -93,6 +93,41 @@ def test_eligible_gap_stream_is_cut_invariant(columnar, reference, fractions):
     assert np.array_equal(np.sort(got), np.sort(expected))
 
 
+def _decoded_rows(block):
+    """(peer, timestamp, keywords, user agent, kept) per query row."""
+    trace, sess = block.trace, block.session_index
+    return list(zip(
+        trace.session_peer_ip[sess].tolist(),
+        trace.query_timestamp.tolist(),
+        trace.query_keywords().tolist(),
+        trace.session_user_agents(sess).tolist(),
+        block.query_mask.tolist(),
+    ))
+
+
+@given(fractions=cut_fractions)
+@settings(max_examples=10, deadline=None)
+def test_reassembled_blocks_decode_to_the_same_strings(columnar, reference, fractions):
+    # Each chunk carries its own vocabularies (exactly the strings its
+    # rows use); a reassembled block merges them, and every query must
+    # still decode to its own keywords and its session's user agent.
+    from repro.filtering.streaming import StreamingFilter, split_for_streaming
+
+    filt = StreamingFilter(split_sessions=True)
+    got = []
+    for chunk in split_for_streaming(columnar, [columnar.end_time * f for f in fractions]):
+        assert chunk.keyword_vocab.tolist() == sorted(set(chunk.query_keywords().tolist()))
+        assert chunk.agent_vocab.tolist() == sorted(set(chunk.session_user_agents().tolist()))
+        block = filt.push(chunk)
+        if block is not None:
+            got += _decoded_rows(block)
+    tail = filt.finish()
+    if tail is not None:
+        got += _decoded_rows(tail)
+    assert filt.report.as_dict() == reference.report.as_dict()
+    assert sorted(got) == sorted(_decoded_rows(apply_filters_columnar(columnar)))
+
+
 @pytest.mark.parametrize("shard_days", [0.07, 0.13, 0.4])
 def test_awkward_shard_widths_match_in_memory_run(tmp_path, shard_days):
     # 0.07 / 0.13 leave a partial final window; 0.4 is a single shard.

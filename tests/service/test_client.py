@@ -1,6 +1,7 @@
 """Subscriber framing: a broken or foreign stream ends in ValueError."""
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from repro.service.framing import (
     FRAME_DATA,
     FRAME_END,
     FRAME_HELLO,
+    MAGIC,
     MANIFEST_FORMAT,
+    VERSION,
     encode_columns,
     encode_frame,
     encode_json_frame,
@@ -57,3 +60,10 @@ def test_foreign_hello_is_a_value_error():
     foreign = encode_json_frame(FRAME_HELLO, {"format": "another-stream-v2"})
     with pytest.raises(ValueError, match="not a repro-service-stream"):
         read_all(foreign + DATA + END)
+
+
+def test_header_declaring_a_huge_payload_is_a_value_error():
+    # Refused at the header: read_frames never waits for 2**62 bytes.
+    huge = struct.pack("<4sBBHQ", MAGIC, VERSION, FRAME_DATA, 0, 2**62)
+    with pytest.raises(ValueError, match="cap"):
+        read_all(HELLO + huge + bytes(1 << 16))

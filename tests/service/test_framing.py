@@ -15,6 +15,7 @@ from repro.service.framing import (
     HEADER_SIZE,
     MAGIC,
     MANIFEST_FORMAT,
+    MAX_PAYLOAD_BYTES,
     VERSION,
     FrameDecoder,
     decode_columns,
@@ -52,6 +53,30 @@ class TestHeader:
         header[0] = ord("X")
         with pytest.raises(ValueError, match="magic"):
             parse_header(bytes(header))
+
+    def test_payload_cap(self):
+        assert parse_header(frame_header(FRAME_DATA, MAX_PAYLOAD_BYTES)) == (
+            FRAME_DATA, MAX_PAYLOAD_BYTES,
+        )
+        with pytest.raises(ValueError, match="cap"):
+            frame_header(FRAME_DATA, MAX_PAYLOAD_BYTES + 1)
+        huge = struct.pack("<4sBBHQ", MAGIC, VERSION, FRAME_DATA, 0, 2**62)
+        with pytest.raises(ValueError, match="cap"):
+            parse_header(huge)
+
+    def test_encode_frame_refuses_oversized_payload(self):
+        class Oversized(bytes):
+            def __len__(self):
+                return MAX_PAYLOAD_BYTES + 1
+
+        with pytest.raises(ValueError, match="cap"):
+            encode_frame(FRAME_DATA, Oversized(b"x"))
+
+    def test_decoder_refuses_huge_declared_length(self):
+        huge = struct.pack("<4sBBHQ", MAGIC, VERSION, FRAME_DATA, 0, 2**62)
+        decoder = FrameDecoder()
+        with pytest.raises(ValueError, match="cap"):
+            list(decoder.feed(huge + bytes(1 << 20)))
 
     def test_bad_version_rejected(self):
         header = bytearray(frame_header(FRAME_DATA, 1))

@@ -30,6 +30,7 @@ from repro.core.kernels import (
     isin_sorted,
     load_npz_members,
     merge_unique,
+    merge_vocabularies,
     pool_map,
     resolve_workers,
     save_npz_payload,
@@ -216,6 +217,33 @@ def test_merge_and_diff_match_python_sets(a, b):
     # Outputs keep the sorted-unique invariant the inputs carried.
     assert (np.diff(union) > 0).all()
     assert (np.diff(diff) > 0).all()
+
+
+vocab_lists = st.lists(
+    st.lists(st.text(alphabet="abc ", max_size=4), max_size=6), min_size=1, max_size=4
+)
+
+
+@given(vocabs=vocab_lists, data=st.data())
+@settings(max_examples=100)
+def test_merge_vocabularies_recodes_to_the_same_strings(vocabs, data):
+    # Unsorted, overlapping vocabularies with repeats and unused entries.
+    arrays = [np.array(v, dtype=np.str_) if v else np.empty(0, "U1") for v in vocabs]
+    codes = [
+        np.asarray(
+            data.draw(st.lists(st.integers(0, len(v) - 1), max_size=8)) if v else [],
+            dtype=np.int32,
+        )
+        for v in vocabs
+    ]
+    vocab, recoded = merge_vocabularies(arrays, codes)
+    used = sorted({vocabs[i][c] for i, column in enumerate(codes) for c in column.tolist()})
+    assert vocab.tolist() == used
+    width = max([len(s) for s in used] + [1])
+    assert vocab.dtype == np.dtype(f"U{width}")
+    for array, column, new in zip(arrays, codes, recoded):
+        assert new.dtype == np.int32
+        assert vocab[new].tolist() == array[column].tolist()
 
 
 # -- golden: the table is pinned to exact searchsorted draws -------------
