@@ -42,7 +42,7 @@ def _without_rule2(raw_sessions):
 
 
 def test_filter_ablation(ctx, benchmark):
-    raw = ctx.columnar.to_trace().sessions
+    raw = ctx.shards.concat().to_trace().sessions
 
     def ablate():
         filtered = apply_filters(raw).sessions

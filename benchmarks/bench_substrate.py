@@ -25,7 +25,12 @@ from pathlib import Path
 
 from repro.core import SyntheticWorkloadGenerator
 from repro.gnutella import OverlayNetwork
-from repro.synthesis import SynthesisConfig, TraceCache, TraceSynthesizer, load_or_synthesize
+from repro.synthesis import (
+    SynthesisConfig,
+    TraceCache,
+    TraceSynthesizer,
+    load_or_synthesize_sharded,
+)
 from repro.synthesis.bench import measure_substrate, write_bench_report
 
 from conftest import run_and_render  # noqa: F401
@@ -67,10 +72,10 @@ def test_sharded_synthesis_throughput(benchmark):
 def test_cache_warm_read(benchmark, tmp_path):
     config = _config()
     cache = TraceCache(tmp_path / "cache")
-    load_or_synthesize(config, cache=cache)  # populate outside the timer
+    load_or_synthesize_sharded(config, cache=cache)  # populate outside the timer
 
     def run():
-        return load_or_synthesize(config, cache=cache)
+        return load_or_synthesize_sharded(config, cache=cache)
 
     trace = benchmark.pedantic(run, rounds=3, iterations=1)
     print(f"\n  loaded {trace.n_connections} connections from warm cache per round")

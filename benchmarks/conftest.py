@@ -27,7 +27,9 @@ BENCH_CONFIG = SynthesisConfig(days=2.0, mean_arrival_rate=0.35, seed=20040315)
 @pytest.fixture(scope="session")
 def ctx():
     context = ExperimentContext(BENCH_CONFIG)
-    # Materialize the shared trace and its streaming pass outside any timer.
+    # Materialize the shared trace and its streaming pass, the X1-X4
+    # query columns included, outside any timer.
+    context._plan(True)
     context.streaming
     return context
 

@@ -33,7 +33,7 @@ def main() -> None:
 
     start = time.time()
     print(f"synthesizing {args.days:g} days at {args.rate:g} connections/second ...")
-    trace = ctx.source
+    trace = ctx.shards
     print(f"  {trace.n_connections} connections, {trace.hop1_query_count()} hop-1 "
           f"queries ({time.time() - start:.1f}s)\n")
 

@@ -171,11 +171,12 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="always synthesize fresh; do not read or write the cache")
     parser.add_argument("--stream", action="store_true",
-                        help="out-of-core pipeline: synthesize into time-ordered "
-                             "shards and analyze with single-pass streaming "
-                             "reducers (bounded memory; identical output)")
+                        help="split the trace into --shard-hours-wide time "
+                             "shards (without it: one shard, or --jobs shards); "
+                             "every run synthesizes into shards and analyzes "
+                             "them one at a time")
     parser.add_argument("--shard-hours", type=float, default=24.0, metavar="H",
-                        help="shard width for --stream, in trace hours "
+                        help="shard width with --stream, in trace hours "
                              "(default: 24, one shard per day)")
     parser.add_argument("--max-rss-mb", type=float, metavar="MB",
                         help="fail (exit 3) if the process's peak resident set "
@@ -248,37 +249,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    if args.stream:
-        return _cmd_synthesize_stream(args)
-    from repro.synthesis import TraceSynthesizer, load_or_synthesize
-
-    config = _scale_config(args)
-    cache = _trace_cache(args)
-    if cache is None:
-        trace = TraceSynthesizer(config).run()
-    else:
-        # load() distinguishes a usable entry from a missing/corrupt one,
-        # so the hit/miss line reflects what actually happened.
-        trace = cache.load(config)
-        if trace is None:
-            print(f"trace cache miss: {cache.path_for(config)}")
-            trace = load_or_synthesize(config, cache=cache)
-        else:
-            print(f"trace cache hit: {cache.path_for(config)}")
-    print(
-        f"synthesized {trace.n_connections} connections, "
-        f"{trace.hop1_query_count()} hop-1 queries over {trace.duration_days:g} days"
-    )
-    for name, value in sorted(trace.counters.items()):
-        print(f"  {name}: {value}")
-    if args.out:
-        trace.to_jsonl(args.out)
-        print(f"trace written to {args.out}")
-    return _check_rss(args)
-
-
-def _cmd_synthesize_stream(args) -> int:
-    """``synthesize --stream``: shards on disk, never the full trace in RAM."""
+    """Synthesize into shards on disk; the full trace is built in memory
+    only for ``--out``."""
     import tempfile
 
     from repro.synthesis import load_or_synthesize_sharded
@@ -291,15 +263,16 @@ def _cmd_synthesize_stream(args) -> int:
         # command's other modules: the synthesis stage then times
         # synthesis, not compiling the engine's imports.
         import repro.synthesis.synthesizer  # noqa: F401
-    workdir = None
+    # Without a cache, or when the cache cannot be written, the shards
+    # live here for the length of the command.
+    workdir = tempfile.mkdtemp(prefix="repro-p2p-stream-")
     try:
         if cache is None:
-            workdir = tempfile.mkdtemp(prefix="repro-p2p-stream-")
             sharded = load_or_synthesize_sharded(config, use_cache=False, workdir=workdir)
         else:
             print(f"trace cache {'hit' if hit else 'miss'}: "
                   f"{cache.shards_path_for(config)}")
-            sharded = load_or_synthesize_sharded(config, cache=cache)
+            sharded = load_or_synthesize_sharded(config, cache=cache, workdir=workdir)
         print(
             f"synthesized {sharded.n_connections} connections, "
             f"{sharded.hop1_query_count()} hop-1 queries over "
@@ -308,16 +281,15 @@ def _cmd_synthesize_stream(args) -> int:
         for name, value in sorted(sharded.counters.items()):
             print(f"  {name}: {value}")
         if args.out:
-            # Explicit opt-out of bounded memory: concatenation is
-            # byte-identical to the single-file synthesis output.
+            # Explicit opt-out of bounded memory: the concatenation is
+            # the whole trace, byte-identical to an in-memory synthesis.
             sharded.concat().to_trace().to_jsonl(args.out)
             print(f"trace written to {args.out}")
         return _check_rss(args)
     finally:
-        if workdir is not None:
-            import shutil
+        import shutil
 
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _cmd_experiment(args) -> int:
@@ -329,9 +301,7 @@ def _cmd_experiment(args) -> int:
         print(f"unknown experiment ids: {unknown}; known: {sorted(ALL_EXPERIMENTS)}",
               file=sys.stderr)
         return 2
-    ctx = ExperimentContext(
-        _scale_config(args), cache=_trace_cache(args) or False, stream=args.stream
-    )
+    ctx = ExperimentContext(_scale_config(args), cache=_trace_cache(args) or False)
     for result in run_many(ids, ctx, jobs=args.analysis_jobs):
         print(result.render())
         print()
@@ -342,9 +312,7 @@ def _cmd_figures(args) -> int:
     from repro.experiments import ExperimentContext
     from repro.viz import render_all
 
-    ctx = ExperimentContext(
-        _scale_config(args), cache=_trace_cache(args) or False, stream=args.stream
-    )
+    ctx = ExperimentContext(_scale_config(args), cache=_trace_cache(args) or False)
     paths = render_all(ctx, args.outdir)
     for path in paths:
         print(path)

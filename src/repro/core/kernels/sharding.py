@@ -133,8 +133,9 @@ def pool_map_windowed(
             for task in itertools.islice(task_iter, workers + 1)
         )
         while pending:
-            result = pending.popleft().result()
+            pending[0].result()  # wait for the oldest; a worker's error raises here
             nxt = next(task_iter, None)
             if nxt is not None:
                 pending.append(pool.submit(fn, nxt))
-            consume(result)
+            # No local keeps the result, so ``consume`` can release it.
+            consume(pending.popleft().result())

@@ -15,14 +15,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.analysis import run_streaming
-from repro.analysis.streaming import StreamingAnalysis
-from repro.measurement import ColumnarTrace, ShardedTrace
-from repro.synthesis import (
-    SynthesisConfig,
-    TraceCache,
-    load_or_synthesize_columnar,
-    load_or_synthesize_sharded,
-)
+from repro.analysis.streaming import QueryColumns, StreamingAnalysis
+from repro.measurement import ShardedTrace
+from repro.synthesis import SynthesisConfig, TraceCache, load_or_synthesize_sharded
 
 __all__ = ["ExperimentResult", "ExperimentContext", "format_rows"]
 
@@ -82,7 +77,7 @@ def _fmt(value: object) -> str:
 
 
 class ExperimentContext:
-    """The shared trace source and its one streaming pass, for a batch of
+    """The shared trace and its one streaming pass, for a batch of
     experiments.
 
     Synthesis and the streaming pass run lazily, once, and every
@@ -95,17 +90,18 @@ class ExperimentContext:
     False -- the default -- to always synthesize fresh, keeping library
     and test runs hermetic; the CLI opts in).
 
-    The context holds three things: the config, the trace source
-    (:attr:`source`) and :attr:`streaming`, the single pass that yields
-    the filter report, the Figure 1-11 reducers and the query columns of
-    the extensions X1-X4.  In-memory contexts take the trace as columns
-    (:attr:`columnar`) and run the pass over it as one chunk.
-    ``stream=True`` switches to the out-of-core pipeline: synthesis
-    spills time-ordered shards to disk (:attr:`shards`) and the pass
-    visits them one at a time, so no whole-trace view is built.  Both
-    modes print identical results.  ``shard_hours`` sets the shard window
-    width (the config's ``shard_days`` drives both sharded synthesis and
-    shard granularity).
+    The context holds three things: the config, the trace as
+    time-ordered on-disk shards (:attr:`shards`) and :attr:`streaming`,
+    the single pass over them that yields the filter report and the
+    Figure 1-11 reducers.  The pass visits one memory-mapped shard at a
+    time, so no whole-trace view is built.  ``shard_hours`` sets the
+    shard window width (the config's ``shard_days``); by default the
+    trace is one shard, or ``jobs`` shards.
+
+    The query columns of the extensions X1-X4 (:attr:`queries`) grow
+    with the trace, so the pass folds them only when the experiments or
+    figures it is run for read them (:meth:`_plan`); a context asked for
+    them after a pass without them runs the pass again.
     """
 
     #: Default scale: big enough for stable distributions, small enough
@@ -117,7 +113,6 @@ class ExperimentContext:
         config: Optional[SynthesisConfig] = None,
         jobs: Optional[int] = None,
         cache: Union[bool, TraceCache] = False,
-        stream: bool = False,
         shard_hours: Optional[float] = None,
     ):
         self.config = config or self.DEFAULT
@@ -126,47 +121,41 @@ class ExperimentContext:
         if shard_hours is not None:
             self.config = replace(self.config, shard_days=float(shard_hours) / 24.0)
         self.cache = TraceCache() if cache is True else (cache or None)
-        self.stream = bool(stream)
+        self._query_columns = False
 
-    @property
-    def source(self) -> Union[ColumnarTrace, ShardedTrace]:
-        """The trace source: :attr:`shards` in stream mode, else
-        :attr:`columnar`.  Both carry the Table 1 totals
-        (``n_connections``, ``counters``, ``hop1_query_count()``)."""
-        return self.shards if self.stream else self.columnar
-
-    @cached_property
-    def columnar(self) -> ColumnarTrace:
-        """The whole trace as columns, the in-memory source.
-
-        The columnar synthesis engine emits this directly (no per-event
-        Python loop) and a warm ``.npz`` cache entry loads it as plain
-        array bundles.
-        """
-        if self.cache is None:
-            return load_or_synthesize_columnar(self.config, use_cache=False)
-        return load_or_synthesize_columnar(self.config, cache=self.cache)
+    def _plan(self, query_columns: bool) -> None:
+        """Before the pass runs: fold the query columns into it too when
+        the work ahead reads them (X1-X4, the extension figures)."""
+        self._query_columns = self._query_columns or query_columns
 
     @cached_property
     def shards(self) -> ShardedTrace:
-        """The trace as time-ordered on-disk shards (stream mode).
+        """The trace as time-ordered on-disk shards.
 
         Hermetic (cache-less) contexts synthesize into a private
         temporary directory that lives as long as the context; cached
-        contexts synthesize straight into (or open) the shared sharded
-        cache entry.
+        contexts synthesize straight into (or open) the shared cache
+        entry, and fall back to the private directory, with a warning,
+        when the cache cannot be written.  The manifest carries the
+        Table 1 totals (``n_connections``, ``counters``,
+        ``hop1_query_count()``).
         """
+        self._shard_dir = tempfile.TemporaryDirectory(prefix="repro-p2p-shards-")
+        workdir = Path(self._shard_dir.name) / "trace"
         if self.cache is None:
-            self._shard_dir = tempfile.TemporaryDirectory(prefix="repro-p2p-shards-")
-            return load_or_synthesize_sharded(
-                self.config, use_cache=False, workdir=Path(self._shard_dir.name) / "trace"
-            )
-        return load_or_synthesize_sharded(self.config, cache=self.cache)
+            return load_or_synthesize_sharded(self.config, use_cache=False, workdir=workdir)
+        return load_or_synthesize_sharded(self.config, cache=self.cache, workdir=workdir)
 
     @cached_property
     def streaming(self) -> StreamingAnalysis:
-        """Single-pass filter, Figure 1-11 reducers and X1-X4 query
-        columns, over :attr:`shards` in stream mode and over
-        :attr:`columnar` as one chunk otherwise."""
-        chunks = self.shards if self.stream else [self.columnar]
-        return run_streaming(chunks, query_columns=True)
+        """Single-pass filter and Figure 1-11 reducers over :attr:`shards`,
+        with the X1-X4 query columns when :meth:`_plan` asked for them."""
+        return run_streaming(self.shards, query_columns=self._query_columns)
+
+    @property
+    def queries(self) -> QueryColumns:
+        """The kept and user query columns X1-X4 read, from :attr:`streaming`;
+        a pass run without them is run again with them."""
+        if self.streaming.queries is None:
+            self.streaming = run_streaming(self.shards, query_columns=True)
+        return self.streaming.queries

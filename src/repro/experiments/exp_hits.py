@@ -22,7 +22,7 @@ __all__ = ["run_hit_rate"]
 
 def run_hit_rate(ctx: ExperimentContext) -> ExperimentResult:
     result = ExperimentResult("X1", "Query hit rate (extension: paper's future work)")
-    queries = ctx.streaming.queries
+    queries = ctx.queries
     raw, user = queries.raw, queries.user
     user_region = user.query_region()
 

@@ -29,7 +29,7 @@ def run_caching(ctx: ExperimentContext) -> ExperimentResult:
     issue queries on the users action."
     """
     result = ExperimentResult("X3", "Result caching vs. automated re-queries")
-    queries = ctx.streaming.queries
+    queries = ctx.queries
     raw, user = queries.raw, queries.user
     rows = stream_hit_rates(
         coded_query_stream(raw.timestamp, queries.cache_key[raw.keyword]),
@@ -59,7 +59,7 @@ def run_caching(ctx: ExperimentContext) -> ExperimentResult:
 def run_availability(ctx: ExperimentContext) -> ExperimentResult:
     """X4: peer availability and churn (Bhagwan et al.'s measures)."""
     result = ExperimentResult("X4", "Peer availability and churn (extension)")
-    lifetimes = ctx.streaming.queries
+    lifetimes = ctx.queries
     start, end = lifetimes.session_start, lifetimes.session_end
     churn = churn_from_lifetimes(start, end, end_time=lifetimes.end_time)
     result.add(

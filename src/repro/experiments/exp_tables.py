@@ -18,8 +18,8 @@ def run_table1(ctx: ExperimentContext) -> ExperimentResult:
     """
     result = ExperimentResult("T1", "Overall trace characteristics")
     # table1 only reads counters/connection/query totals, which the
-    # sharded manifest carries -- no shard is loaded in stream mode.
-    for row, values in table1_comparison(ctx.source).items():
+    # shard manifest carries -- no shard is loaded.
+    for row, values in table1_comparison(ctx.shards).items():
         result.add(
             measure=row,
             paper=values["paper"],

@@ -27,7 +27,7 @@ __all__ = ["run_downloads"]
 def run_downloads(ctx: ExperimentContext) -> ExperimentResult:
     result = ExperimentResult("X2", "Derived download workload (extension)")
     model = DownloadModel(seed=ctx.config.seed + 7)
-    queries = ctx.streaming.queries
+    queries = ctx.queries
     downloads = model.generate_from_columns(queries.user, queries.keywords)
     if not downloads:
         result.note("no answered queries at this scale; enlarge the trace")

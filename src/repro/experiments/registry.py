@@ -1,11 +1,10 @@
 """Registry of all experiments, keyed by the DESIGN.md experiment ids.
 
 ``run_many``/``run_all`` can fan experiments out across a process pool
-(``jobs``): the trace is synthesized or loaded **once** in the parent,
-shared with the workers through a content-addressed cache file (the
-fast columnar ``.npz`` format, so each worker's warm load is array
-reads, not JSON parsing), and the result list always comes back in
-registry order regardless of worker scheduling.
+(``jobs``): the trace is synthesized or opened **once** in the parent,
+shared with the workers as a content-addressed ``.shards`` cache entry
+(each worker memory-maps the same shard files), and the result list
+always comes back in registry order regardless of worker scheduling.
 """
 
 from __future__ import annotations
@@ -74,6 +73,11 @@ ALL_EXPERIMENTS: Dict[str, Callable[[ExperimentContext], ExperimentResult]] = {
     "C1": run_correlations,
 }
 
+#: The experiments that read the streaming pass's query columns
+#: (:attr:`ExperimentContext.queries`); the pass folds them only when
+#: one of these is about to run.
+_QUERY_COLUMN_EXPERIMENTS = frozenset({"X1", "X2", "X3", "X4"})
+
 
 def run_experiment(experiment_id: str, ctx: ExperimentContext) -> ExperimentResult:
     """Run one experiment by id against a shared context."""
@@ -107,7 +111,8 @@ def run_many(
     """Run the given experiments against one shared trace.
 
     Every experiment reads the context's one streaming pass
-    (:attr:`ExperimentContext.streaming`), which runs on first use.
+    (:attr:`ExperimentContext.streaming`), which runs on first use and
+    folds the X1-X4 query columns only when ``ids`` names one of them.
     ``jobs`` > 1 fans the experiments out across a process pool.  The
     parent synthesizes (or cache-loads) the trace exactly once and
     publishes it as a cache entry; each worker runs the streaming pass
@@ -123,6 +128,7 @@ def run_many(
         raise KeyError(
             f"unknown experiments {unknown!r}; known: {sorted(ALL_EXPERIMENTS)}"
         )
+    ctx._plan(not _QUERY_COLUMN_EXPERIMENTS.isdisjoint(ids))
     workers = effective_run_jobs(jobs, len(ids))
     if workers <= 1:
         return [run_experiment(experiment_id, ctx) for experiment_id in ids]
@@ -143,9 +149,10 @@ def run_all(
 _WORKER_CTX: Optional[ExperimentContext] = None
 
 
-def _init_worker(config: SynthesisConfig, cache_root: str, stream: bool = False) -> None:
+def _init_worker(config: SynthesisConfig, cache_root: str, query_columns: bool) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = ExperimentContext(config, cache=TraceCache(cache_root), stream=stream)
+    _WORKER_CTX = ExperimentContext(config, cache=TraceCache(cache_root))
+    _WORKER_CTX._plan(query_columns)
 
 
 def _run_one(experiment_id: str) -> ExperimentResult:
@@ -160,20 +167,14 @@ def _run_parallel(
     tmpdir: Optional[str] = None
     if cache is None:
         # Hermetic contexts get a private throwaway cache directory: the
-        # workers still share one trace file, and nothing leaks into the
+        # workers still share one trace entry, and nothing leaks into the
         # user-visible cache.
         tmpdir = tempfile.mkdtemp(prefix="repro-p2p-run-many-")
         cache = TraceCache(tmpdir)
     try:
-        if ctx.stream:
-            # Sharded store: workers re-open the shard directory with
-            # memory-mapped loads; no full trace is ever resident.
-            if cache.load_sharded(ctx.config) is None:
-                cache.adopt_sharded(ctx.config, ctx.shards)
-        elif not cache.contains(ctx.config):
-            # Columnar store: the fast-path arrays go straight to .npz
-            # without materializing per-record objects in the parent.
-            cache.store_columnar(ctx.config, ctx.columnar)
+        # Workers re-open the shard directory with memory-mapped loads;
+        # no full trace is ever resident.
+        cache.adopt_sharded(ctx.config, ctx.shards)
         # One task per experiment (dynamic balancing: a heavy experiment
         # never gates a whole pre-assigned chunk); map() returns results
         # in submission order, so ordering is deterministic by design.
@@ -182,7 +183,7 @@ def _run_parallel(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(ctx.config, str(cache.root), ctx.stream),
+            initargs=(ctx.config, str(cache.root), ctx._query_columns),
         ) as pool:
             return list(pool.map(_run_one, ids))
     finally:

@@ -59,7 +59,7 @@ def write_experiments_md(
         _HEADER.format(
             days=ctx.config.days,
             rate=ctx.config.mean_arrival_rate,
-            connections=ctx.source.n_connections,
+            connections=ctx.shards.n_connections,
         )
     ]
     for experiment_id, runner in ALL_EXPERIMENTS.items():

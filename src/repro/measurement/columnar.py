@@ -27,10 +27,14 @@ The conversion ``Trace <-> ColumnarTrace`` is lossless: regions
 round-trip through a stable code table, strings through the
 vocabularies, and floats bit-exactly through float64.
 
+A query's hop count and TTL are ``uint8``, the width of the TTL and
+Hops bytes of the Gnutella descriptor header they are read from.
+
 ``save_npz``/``load_npz`` persist every column with :func:`numpy.savez`
-(uncompressed, ``allow_pickle=False``, columnar schema v2): a warm load
-is a handful of ``mmap``-friendly array reads instead of a per-record
-JSON parse, which is what makes the ``.npz`` trace cache entries fast.
+(uncompressed, ``allow_pickle=False``, columnar schema v3): each shard
+of a :class:`~repro.measurement.shards.ShardedTrace` is one such
+archive, and a read is a handful of ``mmap``-friendly array views
+instead of a per-record JSON parse.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ __all__ = [
 #: Bumped whenever the on-disk ``.npz`` column layout changes.
 #: v2: keywords and user agents became codes into sorted vocabularies,
 #: and the per-row rule-2 ``query_norm_key`` column was dropped.
-COLUMNAR_SCHEMA_VERSION = 2
+#: v3: ``query_hops`` and ``query_ttl`` became ``uint8``.
+COLUMNAR_SCHEMA_VERSION = 3
 
 #: Stable region code table: the wire format stores ``int8`` codes, not
 #: enum values, so reordering the enum cannot silently corrupt archives.
@@ -112,6 +117,15 @@ def _str_array(values: List[str]) -> np.ndarray:
     return np.array(values, dtype=np.str_)
 
 
+def _wire_bytes(values: List[int], name: str) -> np.ndarray:
+    """A header byte column (hops, TTL) as ``uint8``; refuses values that
+    do not fit in one byte instead of wrapping them."""
+    wide = np.array(values, dtype=np.int64)
+    if wide.size and (wide.min() < 0 or wide.max() > 255):
+        raise ValueError(f"{name} must lie in 0-255, got {wide.min()}..{wide.max()}")
+    return wide.astype(np.uint8)
+
+
 def _encode(values: List[str]):
     """``(vocab, codes)`` of a string list, in the trace's vocabulary form."""
     vocab, (codes,) = merge_vocabularies(
@@ -144,8 +158,8 @@ class ColumnarTrace:
     #: code into ``keyword_vocab``
     query_keyword: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
     query_sha1: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
-    query_hops: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    query_ttl: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    query_hops: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
+    query_ttl: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
     query_automated: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
     query_hits: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
@@ -258,8 +272,8 @@ class ColumnarTrace:
             query_timestamp=np.array(q_ts, dtype=np.float64),
             query_keyword=keyword,
             query_sha1=np.array(q_sha1, dtype=np.bool_),
-            query_hops=np.array(q_hops, dtype=np.int64),
-            query_ttl=np.array(q_ttl, dtype=np.int64),
+            query_hops=_wire_bytes(q_hops, "query hops"),
+            query_ttl=_wire_bytes(q_ttl, "query TTL"),
             query_automated=np.array(q_auto, dtype=np.bool_),
             query_hits=np.array(q_hits, dtype=np.int64),
             keyword_vocab=keyword_vocab,

@@ -69,8 +69,11 @@ class ShardWriter:
     canonicalizes it through a single-part
     :class:`~repro.measurement.columnar.ColumnarTraceBuilder` pass, and
     writes it out immediately -- nothing but running totals stays in
-    memory.  ``close`` persists the manifest (written last: its presence
-    marks the directory complete) and reopens the result.
+    memory.  The part is read and released before the shard is written,
+    so a caller that hands over its only reference holds one copy of the
+    shard at a time, not two.  ``close`` persists the manifest (written
+    last: its presence marks the directory complete) and reopens the
+    result.
     """
 
     def __init__(self, root: Union[str, Path], start_time: float, end_time: float):
@@ -88,14 +91,16 @@ class ShardWriter:
         return len(self._shards)
 
     def append(self, part: ColumnarTrace) -> ShardInfo:
+        for key, value in part.counters.items():
+            self.raw_counters[key] = self.raw_counters.get(key, 0) + int(value)
         builder = ColumnarTraceBuilder()
         builder.append(part)
+        del part
         shard = builder.build()
+        del builder  # held the last reference to the raw part
         index = len(self._shards)
         name = f"shard-{index:05d}.npz"
         shard.save_npz(self.root / name)
-        for key, value in part.counters.items():
-            self.raw_counters[key] = self.raw_counters.get(key, 0) + int(value)
         self.total_sessions += shard.n_sessions
         self.total_queries += shard.n_queries
         if shard.n_queries:

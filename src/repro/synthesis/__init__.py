@@ -4,8 +4,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
     "cache": (
-        "TraceCache", "default_cache_dir", "load_or_synthesize",
-        "load_or_synthesize_columnar", "load_or_synthesize_sharded", "trace_cache_key",
+        "TraceCache", "default_cache_dir", "load_or_synthesize_sharded", "trace_cache_key",
     ),
     "config": ("SynthesisConfig", "shard_windows"),
     "hits": ("HitModel",),

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core import host_block, peak_rss_mb
 from repro.measurement import ColumnarTrace
 
-from .cache import TraceCache, effective_shard_count, load_or_synthesize
+from .cache import TraceCache, effective_shard_count, load_or_synthesize_sharded
 from .synthesizer import SynthesisConfig, TraceSynthesizer
 
 __all__ = ["columnar_ks_checks", "measure_substrate", "write_bench_report"]
@@ -195,8 +195,8 @@ def measure_substrate(
         config = SynthesisConfig(
             days=days, mean_arrival_rate=mean_arrival_rate, seed=seed
         )
-        timed("cache_cold", lambda: load_or_synthesize(config, cache=cache))
-        timed("cache_warm", lambda: load_or_synthesize(config, cache=cache))
+        timed("cache_cold", lambda: load_or_synthesize_sharded(config, cache=cache))
+        timed("cache_warm", lambda: load_or_synthesize_sharded(config, cache=cache))
         cold = report["runs"]["cache_cold"]["seconds"]
         warm = report["runs"]["cache_warm"]["seconds"]
         report["runs"]["cache_warm"]["speedup_vs_cold"] = round(cold / max(warm, 1e-9), 1)

@@ -4,8 +4,10 @@ Synthesizing a trace is by far the most expensive step of every
 experiment run, yet its output is a pure function of the
 :class:`~repro.synthesis.synthesizer.SynthesisConfig` (and of the
 synthesis code itself).  This module memoizes that function on disk:
-traces are stored as columnar ``.npz`` archives, or as ``.shards``
-directories for out-of-core runs, under a key derived from
+every entry is a ``<key>.shards`` directory, the
+:class:`~repro.measurement.shards.ShardedTrace` a run synthesizes into
+(one shard, ``jobs`` shards, or the ``shard_days`` plan), under a key
+derived from
 
 * every content-affecting config field (``jobs`` is deliberately
   *excluded* -- the worker count never changes the trace, only the shard
@@ -19,12 +21,11 @@ directories for out-of-core runs, under a key derived from
 The default cache root honours ``REPRO_P2P_CACHE`` and falls back to
 ``~/.cache/repro-p2p/traces`` (under ``XDG_CACHE_HOME`` when set).
 A warm hit replays a multi-minute synthesis in the time it takes to
-load a few ``.npz`` arrays (or to open a sharded entry's manifest) -- the
-experiment CLI and benchmarks lean on this to make "run everything
-again" cheap.  The synthesizer is imported only on a miss, so a hit
-never loads it or the agent, client and monitor layers it drives.
-JSON lines remain the interchange format (``synthesize --out``,
-``compare``), not a cache format.
+open the entry's manifest; its shards are memory-mapped as they are
+read.  The synthesizer is imported only on a miss, so a hit never loads
+it or the agent, client and monitor layers it drives.  JSON lines
+remain the interchange format (``synthesize --out``, ``compare``), not
+a cache format.
 """
 
 from __future__ import annotations
@@ -35,25 +36,18 @@ import json
 import os
 import shutil
 import warnings
-import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from repro import __version__
-from repro.measurement.columnar import ColumnarTrace
 from repro.measurement.shards import ShardedTrace
 
 from .config import SynthesisConfig, shard_windows
-
-if TYPE_CHECKING:
-    from repro.measurement.trace import Trace
 
 __all__ = [
     "TRACE_CACHE_VERSION",
     "TraceCache",
     "default_cache_dir",
-    "load_or_synthesize",
-    "load_or_synthesize_columnar",
     "load_or_synthesize_sharded",
     "trace_cache_key",
 ]
@@ -67,7 +61,9 @@ __all__ = [
 #: traces for a fixed config changed realization.
 #: v4: columnar schema v2 (keyword and user-agent codes into sorted
 #: vocabularies); entries of earlier versions are never read.
-TRACE_CACHE_VERSION = 4
+#: v5: columnar schema v3 (``uint8`` hops and TTL); every entry is a
+#: ``.shards`` directory.
+TRACE_CACHE_VERSION = 5
 
 #: Fingerprint of the default component wiring (paper WorkloadModel +
 #: seed-derived QueryUniverse/PeerPopulation/UserBehavior).  Runs with
@@ -123,86 +119,22 @@ def trace_cache_key(config: SynthesisConfig) -> str:
     return digest[:32]
 
 
-#: Exceptions treated as "corrupt entry" on a cache read: interrupted
-#: writes from older non-atomic writers, disk trouble, truncated zips.
-_CORRUPT_ENTRY_ERRORS = (
-    ValueError, KeyError, TypeError, json.JSONDecodeError, OSError,
-    zipfile.BadZipFile,
-)
+#: Exceptions treated as "corrupt entry" on a cache read: an unreadable
+#: or incomplete manifest (interrupted writer, version skew, disk trouble).
+_CORRUPT_ENTRY_ERRORS = (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError)
 
 
 class TraceCache:
-    """Directory of content-addressed serialized traces.
+    """Directory of content-addressed sharded traces.
 
-    Entries are columnar ``<key>.npz`` archives
-    (:meth:`~repro.measurement.columnar.ColumnarTrace.save_npz`) -- a
-    warm read is a handful of array loads -- and ``<key>.shards``
-    directories for sharded runs.  Writes go through a temporary file +
-    rename, so readers never see partial entries.
+    Each entry is a ``<key>.shards`` directory
+    (:class:`~repro.measurement.shards.ShardedTrace`); writers fill a
+    temporary sibling and rename it, so readers never see a partial
+    entry.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-
-    def path_for(self, config: SynthesisConfig) -> Path:
-        """Where the entry for ``config`` lives."""
-        return self.root / f"{trace_cache_key(config)}.npz"
-
-    def contains(self, config: SynthesisConfig) -> bool:
-        return self.path_for(config).exists()
-
-    def load(self, config: SynthesisConfig) -> Optional[Trace]:
-        """The cached trace for ``config`` as records, or None on a miss."""
-        return self._read(config, lambda path: ColumnarTrace.load_npz(path).to_trace())
-
-    def load_columnar(self, config: SynthesisConfig) -> Optional[ColumnarTrace]:
-        """The cached trace as columns, or None on a miss.
-
-        The fast path for array-based analysis: no dataclass records are
-        materialized.
-        """
-        return self._read(config, ColumnarTrace.load_npz)
-
-    def _read(self, config: SynthesisConfig, reader):
-        """``reader(path)`` of the entry, or None on a miss.
-
-        A corrupt entry (interrupted write from an older, non-atomic
-        writer; disk trouble) is treated as a miss and removed.
-        """
-        path = self.path_for(config)
-        if not path.exists():
-            return None
-        try:
-            return reader(path)
-        except _CORRUPT_ENTRY_ERRORS:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - race/permissions
-                pass
-        return None
-
-    def store(self, config: SynthesisConfig, trace: Trace) -> Path:
-        """Serialize a record ``trace`` under ``config``'s key; returns the path."""
-        return self.store_columnar(config, ColumnarTrace.from_trace(trace))
-
-    def store_columnar(self, config: SynthesisConfig, trace: ColumnarTrace) -> Path:
-        """Serialize an already-columnar ``trace`` under ``config``'s key.
-
-        The columnar synthesis engine hands its arrays straight to
-        ``save_npz`` with no per-record objects in between.
-        """
-        path = self.path_for(config)
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            trace.save_npz(tmp)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # pragma: no cover - only on failed replace
-                tmp.unlink()
-        return path
-
-    # -- sharded entries ------------------------------------------------------
 
     def shards_path_for(self, config: SynthesisConfig) -> Path:
         """Directory a sharded entry for ``config`` lives in."""
@@ -249,7 +181,8 @@ class TraceCache:
         return ShardedTrace.open(path)
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
+        """Delete every cache entry, ``.npz`` files older versions wrote
+        included; returns the number removed."""
         if not self.root.exists():
             return 0
         removed = 0
@@ -270,54 +203,6 @@ def _synthesizer(config: SynthesisConfig):
     return TraceSynthesizer(config)
 
 
-def load_or_synthesize(
-    config: SynthesisConfig,
-    cache: Optional[TraceCache] = None,
-    use_cache: bool = True,
-) -> Trace:
-    """The trace for ``config``: from cache when warm, else synthesized
-    (and stored for next time).
-
-    Only default-wiring synthesis is cacheable; callers overriding the
-    model/universe/population must call :class:`TraceSynthesizer`
-    directly.  ``use_cache=False`` degrades to plain synthesis.
-    """
-    if not use_cache:
-        return _synthesizer(config).run()
-    cache = cache or TraceCache()
-    trace = cache.load(config)
-    if trace is None:
-        return load_or_synthesize_columnar(config, cache=cache).to_trace()
-    return trace
-
-
-def load_or_synthesize_columnar(
-    config: SynthesisConfig,
-    cache: Optional[TraceCache] = None,
-    use_cache: bool = True,
-) -> ColumnarTrace:
-    """The columnar trace for ``config``: warm ``.npz`` entries load as
-    plain array bundles, and a cold synthesis on the columnar engine
-    feeds the cache without ever materializing per-record objects.
-    """
-    if not use_cache:
-        return _synthesizer(config).run_columnar()
-    cache = cache or TraceCache()
-    trace = cache.load_columnar(config)
-    if trace is None:
-        trace = _synthesizer(config).run_columnar()
-        try:
-            cache.store_columnar(config, trace)
-        except OSError as exc:
-            # An unwritable cache must not discard a finished synthesis.
-            warnings.warn(
-                f"could not write trace cache entry ({exc}); continuing uncached",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return trace
-
-
 def load_or_synthesize_sharded(
     config: SynthesisConfig,
     cache: Optional[TraceCache] = None,
@@ -329,9 +214,9 @@ def load_or_synthesize_sharded(
     (through a temp directory + rename, so concurrent readers never see a
     partial entry).
 
-    Unlike the in-memory loaders a sharded trace always lives on disk
-    somewhere; with ``use_cache=False`` the caller must supply the
-    ``workdir`` to synthesize into.
+    A sharded trace always lives on disk somewhere; with
+    ``use_cache=False`` the caller must supply the ``workdir`` to
+    synthesize into.
     """
     if not use_cache:
         if workdir is None:

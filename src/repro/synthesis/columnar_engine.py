@@ -256,8 +256,8 @@ class ColumnarShardEngine:
             query_timestamp=q_time,
             query_keyword=keyword,
             query_sha1=q_sha1,
-            query_hops=np.full(q_time.size, 1, dtype=np.int64),
-            query_ttl=np.full(q_time.size, 6, dtype=np.int64),
+            query_hops=np.full(q_time.size, 1, dtype=np.uint8),
+            query_ttl=np.full(q_time.size, 6, dtype=np.uint8),
             query_automated=q_auto,
             query_hits=hits,
             keyword_vocab=keyword_vocab,

@@ -71,12 +71,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.agents import ArrivalProcess, PeerPopulation, UserBehavior
-from repro.core.kernels import (
-    pool_map,
-    pool_map_windowed,
-    resolve_workers,
-    spawn_shard_streams,
-)
+from repro.core.kernels import pool_map_windowed, resolve_workers, spawn_shard_streams
 from repro.core.model import WorkloadModel
 from repro.core.popularity import QueryUniverse
 
@@ -254,34 +249,10 @@ class TraceSynthesizer:
 
         if self.effective_backend == "event":
             return ColumnarTrace.from_trace(self.run_event())
-
-        from .columnar_engine import ColumnarShardEngine, synthesize_shard_columnar
-
-        cfg = self.config
-        if len(self._windows) == 1:
-            start, end = self._windows[0]
-            self.universe.prebuild(_prebuild_day(cfg))
-            parts = [
-                ColumnarShardEngine(
-                    cfg, self.model, self.universe, self.population,
-                    self.behavior, self.arrivals, self.hit_model, self._rng,
-                ).run(start, end)
-            ]
-        else:
-            n = len(self._windows)
-            universe = self.universe if self._custom_universe else None
-            tasks = [
-                (cfg, n, index, start, end, None, universe)
-                for index, (start, end) in enumerate(self._windows)
-            ]
-            parts = pool_map(
-                _columnar_shard_task, tasks, resolve_workers(cfg.jobs, n)
-            )
         builder = ColumnarTraceBuilder()
-        for part in parts:
-            builder.append(part)
+        self._synthesize_parts(builder.append)
         trace = builder.build()
-        trace.start_time, trace.end_time = 0.0, cfg.end_time
+        trace.start_time, trace.end_time = 0.0, self.config.end_time
         _finalize_counters_columnar(trace)
         return trace
 
@@ -295,44 +266,19 @@ class TraceSynthesizer:
         of trace live in memory.  ``ShardedTrace.concat()`` of the result
         is byte-identical to :meth:`run_columnar` for the same config.
 
-        Only the columnar fast path can shard to disk; configurations
-        that fall back to the event engine (slot caps, custom
-        populations/models) must use :meth:`run` instead.
+        A configuration on the event engine (slot caps, custom wiring;
+        see :attr:`effective_backend`) spills its whole trace as one
+        shard.
         """
+        from repro.measurement.columnar import ColumnarTrace
         from repro.measurement.shards import ShardWriter
 
-        if self.effective_backend != "columnar":
-            raise ValueError(
-                "run_sharded() requires the columnar engine; this configuration "
-                "falls back to the event engine"
-            )
-        from .columnar_engine import ColumnarShardEngine, synthesize_shard_columnar
-
-        cfg = self.config
-        writer = ShardWriter(dest, 0.0, cfg.end_time)
-        if len(self._windows) == 1:
-            start, end = self._windows[0]
-            self.universe.prebuild(_prebuild_day(cfg))
-            writer.append(
-                ColumnarShardEngine(
-                    cfg, self.model, self.universe, self.population,
-                    self.behavior, self.arrivals, self.hit_model, self._rng,
-                ).run(start, end)
-            )
-        else:
-            n = len(self._windows)
-            universe = self.universe if self._custom_universe else None
-            tasks = [
-                (cfg, n, index, start, end, None, universe)
-                for index, (start, end) in enumerate(self._windows)
-            ]
-            # Bounded in-flight window, consumed in shard order: the
-            # writer sees at most ~workers + 1 completed parts at once,
-            # keeping the out-of-core RSS budget intact.
-            pool_map_windowed(
-                _columnar_shard_task, tasks, resolve_workers(cfg.jobs, n),
-                writer.append,
-            )
+        writer = ShardWriter(dest, 0.0, self.config.end_time)
+        if self.effective_backend == "event":
+            trace = self.run_event()
+            writer.append(ColumnarTrace.from_trace(trace))
+            return writer.close(trace.counters)
+        self._synthesize_parts(writer.append)
         counters = dict(writer.raw_counters)
         _finalize_counter_dict(
             counters,
@@ -341,6 +287,35 @@ class TraceSynthesizer:
             observed_hits=writer.total_observed_hits,
         )
         return writer.close(counters)
+
+    def _synthesize_parts(self, consume) -> None:
+        """Feed each shard window's raw columnar part to ``consume``, in
+        shard order (in parallel when configured)."""
+        from .columnar_engine import ColumnarShardEngine
+
+        cfg = self.config
+        if len(self._windows) == 1:
+            start, end = self._windows[0]
+            self.universe.prebuild(_prebuild_day(cfg))
+            consume(
+                ColumnarShardEngine(
+                    cfg, self.model, self.universe, self.population,
+                    self.behavior, self.arrivals, self.hit_model, self._rng,
+                ).run(start, end)
+            )
+            return
+        n = len(self._windows)
+        universe = self.universe if self._custom_universe else None
+        tasks = [
+            (cfg, n, index, start, end, None, universe)
+            for index, (start, end) in enumerate(self._windows)
+        ]
+        # Bounded in-flight window, consumed in shard order: at most
+        # ~workers + 1 completed parts are alive at once, keeping the
+        # out-of-core RSS budget intact.
+        pool_map_windowed(
+            _columnar_shard_task, tasks, resolve_workers(cfg.jobs, n), consume
+        )
 
 
 def _shard_ip_range(n_shards: int, index: int) -> dict:

@@ -232,7 +232,7 @@ def _fig11(ctx: ExperimentContext) -> Dict[str, LinePlot]:
 def _fig_extensions(ctx: ExperimentContext) -> Dict[str, LinePlot]:
     """Extension figures: hit-count CCDF (X1) and the concurrency curve (X4)."""
     out = {}
-    queries = ctx.streaming.queries
+    queries = ctx.queries
     try:
         ccdf = empirical_ccdf(queries.user.hits)
     except ValueError:
@@ -267,6 +267,8 @@ _BUILDERS = (_fig1, _fig2, _fig3, _fig4, _fig5, _fig6, _fig7, _fig8, _fig9, _fig
 
 def build_figures(ctx: ExperimentContext) -> Dict[str, LinePlot]:
     """Build every renderable figure for a context (name -> plot)."""
+    # The extension figures read the X1/X4 query columns: one pass.
+    ctx._plan(True)
     figures: Dict[str, LinePlot] = {}
     for builder in _BUILDERS:
         figures.update(builder(ctx))

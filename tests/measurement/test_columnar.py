@@ -91,6 +91,30 @@ class TestRecordRoundTrip:
         assert columnar.n_sessions == 2
         assert columnar.n_queries == 2
 
+    @pytest.mark.parametrize("field, value", [("hops", 256), ("ttl", 300)])
+    def test_hops_and_ttl_outside_a_header_byte_rejected(self, field, value):
+        # Hops and TTL are stored at wire width (uint8); a value that
+        # does not fit is refused, never wrapped (records already refuse
+        # negative ones).
+        trace = make_trace()
+        session = trace.sessions[0]
+        query = QueryRecord(timestamp=100.0, keywords="x", **{field: value})
+        trace.sessions[0] = SessionRecord(
+            session.peer_ip, session.region, session.start, session.end,
+            session.queries + (query,), session.user_agent, session.ultrapeer,
+            session.shared_files,
+        )
+        with pytest.raises(ValueError, match="0-255"):
+            ColumnarTrace.from_trace(trace)
+
+    def test_hops_and_ttl_are_header_bytes(self):
+        columnar = ColumnarTrace.from_trace(make_trace())
+        assert columnar.query_hops.dtype == np.uint8
+        assert columnar.query_ttl.dtype == np.uint8
+        assert columnar.query_hops.tolist() == [1, 2]
+        assert columnar.query_ttl.tolist() == [7, 5]
+        assert ColumnarTrace(0.0, 1.0).query_hops.dtype == np.uint8
+
     def test_synthesized_trace_round_trips(self, small_trace):
         back = ColumnarTrace.from_trace(small_trace).to_trace()
         assert back.sessions == small_trace.sessions

@@ -7,6 +7,7 @@ the per-shard RNG streams, so "same config" includes ``shard_days``).
 """
 
 import dataclasses
+import weakref
 import zipfile
 
 import numpy as np
@@ -72,6 +73,30 @@ class TestShardWriter:
             assert loaded.counters == part.counters
         assert_columnar_identical(written.concat(), reopened.concat())
 
+    def test_raw_part_is_released_before_the_write(self, tmp_path, monkeypatch):
+        # The writer holds one copy of a shard: the raw part it was
+        # handed (the caller keeps no reference) is dead by the time the
+        # canonical shard is written.
+        refs, alive_at_write = [], []
+        save_npz = ColumnarTrace.save_npz
+
+        def spy(self, path):
+            alive_at_write.append([ref() is not None for ref in refs])
+            save_npz(self, path)
+
+        def raw_part(offset):
+            part = ColumnarTrace.from_trace(make_trace(offset=offset))
+            refs.append(weakref.ref(part))
+            return part
+
+        monkeypatch.setattr(ColumnarTrace, "save_npz", spy)
+        writer = ShardWriter(tmp_path / "t", 0.0, 2 * 86400.0)
+        writer.append(raw_part(0.0))
+        writer.append(raw_part(86400.0))
+        assert alive_at_write == [[False], [False, False]]
+        assert writer.raw_counters == {"ping_messages": 84, "query_messages": 14}
+        assert writer.total_sessions == 4 and writer.total_queries == 4
+
     def test_open_without_manifest_rejected(self, tmp_path):
         with pytest.raises((FileNotFoundError, OSError)):
             ShardedTrace.open(tmp_path / "absent")
@@ -112,18 +137,35 @@ class TestShardedSynthesis:
         in_memory = TraceSynthesizer(sharded_config).run_columnar()
         assert_columnar_identical(sharded.concat(), in_memory)
 
-    def test_event_backend_cannot_shard(self, tmp_path):
-        # A slot cap falls back to the event engine, which has no
-        # on-disk sharded path.
-        config = SynthesisConfig(days=0.1, seed=1, max_slots=50)
-        assert TraceSynthesizer(config).effective_backend == "event"
-        with pytest.raises(ValueError, match="columnar engine"):
-            TraceSynthesizer(config).run_sharded(tmp_path / "t")
+    def test_slot_capped_context_spills_the_event_trace(self):
+        # A slot cap runs the event engine, and the context still reads
+        # it through the store: one shard holding the event trace,
+        # canonically sorted, with its finalized counters.
+        from repro.experiments import ExperimentContext, run_many
+
+        config = SynthesisConfig(days=0.1, seed=1, max_slots=50, jobs=2)
+        ctx = ExperimentContext(config)
+        with pytest.warns(RuntimeWarning, match="slot caps"):
+            sharded = ctx.shards
+        with pytest.warns(RuntimeWarning, match="slot caps"):
+            synthesizer = TraceSynthesizer(config)
+        assert synthesizer.effective_backend == "event"
+        event = synthesizer.run_event()
+        builder = ColumnarTraceBuilder()
+        builder.append(ColumnarTrace.from_trace(event))
+        expected = builder.build()
+        assert sharded.n_shards == 1
+        assert sharded.counters == event.counters
+        assert sharded.counters["rejected_connections"] > 0
+        assert_columnar_identical(sharded.load_shard(0), expected)
+        (t1,) = run_many(["T1"], ctx)
+        rows = {row["measure"]: row["ours"] for row in t1.rows}
+        assert rows["direct_connections"] == event.n_connections
 
 
 class TestShardSchema:
     def test_only_peer_addresses_are_per_row_strings(self, sharded):
-        # Schema v2: keywords and user agents are integer codes into
+        # Since schema v2, keywords and user agents are integer codes into
         # vocabularies; a per-row unicode column would bring the padding
         # back.  Observation addresses (pong_ip, hit_ip) are not pinned.
         for info in sharded.shards:
@@ -138,6 +180,9 @@ class TestShardSchema:
             assert unicode == {"session_peer_ip"}, info.file
             assert shard.query_keyword.dtype == np.int32
             assert shard.session_agent.dtype == np.int32
+            # Schema v3: hops and TTL at the width of their header bytes.
+            assert shard.query_hops.dtype == np.uint8
+            assert shard.query_ttl.dtype == np.uint8
             _assert_canonical(shard)
 
 

@@ -1,13 +1,18 @@
-"""Content-addressed trace cache: keying, round-trips, and hygiene."""
+"""Content-addressed trace cache: keying, round-trips, and hygiene.
+
+Every entry is a ``<key>.shards`` directory; JSON lines and the
+whole-trace ``.npz`` files older versions wrote are never read.
+"""
 
 import pytest
 
+from repro.measurement import ColumnarTrace
 from repro.synthesis import (
     SynthesisConfig,
     TraceCache,
     TraceSynthesizer,
     default_cache_dir,
-    load_or_synthesize,
+    load_or_synthesize_sharded,
     trace_cache_key,
 )
 from repro.synthesis.cache import effective_shard_count
@@ -70,78 +75,90 @@ class TestCacheRoundTrip:
 
     def test_cold_miss_then_warm_hit(self, tmp_path):
         cache = TraceCache(tmp_path)
-        assert cache.load(self.CFG) is None
-        trace = load_or_synthesize(self.CFG, cache=cache)
-        assert cache.contains(self.CFG)
-        warm = load_or_synthesize(self.CFG, cache=cache)
-        assert warm.counters == trace.counters
-        assert len(warm.sessions) == len(trace.sessions)
+        assert cache.load_sharded(self.CFG) is None
+        cold = load_or_synthesize_sharded(self.CFG, cache=cache)
+        assert cold.root == cache.shards_path_for(self.CFG)
+        warm = cache.load_sharded(self.CFG)
+        assert warm is not None
+        assert warm.counters == cold.counters
+        assert warm.n_sessions == cold.n_sessions
+        assert load_or_synthesize_sharded(self.CFG, cache=cache).shards == cold.shards
 
     def test_cached_trace_equals_fresh_synthesis(self, tmp_path):
         cache = TraceCache(tmp_path)
-        cached = load_or_synthesize(self.CFG, cache=cache)
-        cached = load_or_synthesize(self.CFG, cache=cache)  # warm read
+        load_or_synthesize_sharded(self.CFG, cache=cache)
+        cached = load_or_synthesize_sharded(self.CFG, cache=cache)  # warm read
         fresh = TraceSynthesizer(self.CFG).run()
         a, b = tmp_path / "cached.jsonl", tmp_path / "fresh.jsonl"
-        cached.to_jsonl(a)
+        cached.concat().to_trace().to_jsonl(a)
         fresh.to_jsonl(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_use_cache_false_bypasses(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        load_or_synthesize(self.CFG, cache=cache, use_cache=False)
-        assert not cache.contains(self.CFG)
+        cache = TraceCache(tmp_path / "cache")
+        sharded = load_or_synthesize_sharded(
+            self.CFG, cache=cache, use_cache=False, workdir=tmp_path / "work"
+        )
+        assert sharded.root == tmp_path / "work"
+        assert cache.load_sharded(self.CFG) is None
+        assert not cache.root.exists()
+        with pytest.raises(ValueError, match="workdir"):
+            load_or_synthesize_sharded(self.CFG, cache=cache, use_cache=False)
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = TraceCache(tmp_path)
-        load_or_synthesize(self.CFG, cache=cache)
-        path = cache.path_for(self.CFG)
-        path.write_text("not json at all\n")
-        assert cache.load(self.CFG) is None
+        load_or_synthesize_sharded(self.CFG, cache=cache)
+        path = cache.shards_path_for(self.CFG)
+        (path / "manifest.json").write_text("not json at all\n")
+        assert cache.load_sharded(self.CFG) is None
         assert not path.exists()
 
     def test_truncated_jsonl_entry_is_a_miss(self, tmp_path):
         # JSON lines are an interchange format, not a cache format: a
         # JSONL file under the entry's key, whole or truncated, is never
-        # read, and the cache synthesizes a fresh .npz entry instead.
+        # read, and the cache synthesizes a fresh .shards entry instead.
         cache = TraceCache(tmp_path)
         trace = TraceSynthesizer(self.CFG).run()
-        jsonl = cache.path_for(self.CFG).with_suffix(".jsonl")
+        jsonl = cache.shards_path_for(self.CFG).with_suffix(".jsonl")
         trace.to_jsonl(jsonl)
-        assert not cache.contains(self.CFG)
-        assert cache.load(self.CFG) is None
+        assert cache.load_sharded(self.CFG) is None
         lines = jsonl.read_text().splitlines()
         jsonl.write_text("\n".join(lines[1:]) + "\n")
-        assert cache.load(self.CFG) is None
-        assert load_or_synthesize(self.CFG, cache=cache).counters == trace.counters
-        assert cache.path_for(self.CFG).suffix == ".npz"
-        assert cache.contains(self.CFG)
+        assert cache.load_sharded(self.CFG) is None
+        assert load_or_synthesize_sharded(self.CFG, cache=cache).counters == trace.counters
+        assert cache.load_sharded(self.CFG) is not None
 
     def test_truncated_npz_entry_is_a_miss(self, tmp_path):
+        # Whole-trace .npz entries are what older versions wrote; one
+        # under the entry's key, whole or truncated, is never read.
         cache = TraceCache(tmp_path)
-        load_or_synthesize(self.CFG, cache=cache)
-        path = cache.path_for(self.CFG)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        assert cache.load(self.CFG) is None
-        assert not path.exists()
+        npz = cache.shards_path_for(self.CFG).with_suffix(".npz")
+        TraceSynthesizer(self.CFG).run_columnar().save_npz(npz)
+        assert cache.load_sharded(self.CFG) is None
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        assert cache.load_sharded(self.CFG) is None
+        load_or_synthesize_sharded(self.CFG, cache=cache)
+        assert cache.load_sharded(self.CFG) is not None
 
     def test_clear_removes_entries(self, tmp_path):
         cache = TraceCache(tmp_path)
-        load_or_synthesize(self.CFG, cache=cache)
-        assert cache.clear() == 1
-        assert not cache.contains(self.CFG)
+        load_or_synthesize_sharded(self.CFG, cache=cache)
+        # An entry an older version wrote goes too.
+        (tmp_path / "0123456789abcdef.npz").write_bytes(b"PK")
+        assert cache.clear() == 2
+        assert cache.load_sharded(self.CFG) is None
         assert cache.clear() == 0
 
     def test_store_writes_loadable_npz_by_default(self, tmp_path):
-        from repro.measurement import ColumnarTrace
-
+        # A cache entry is a directory of loadable columnar .npz shards.
         cache = TraceCache(tmp_path)
+        sharded = load_or_synthesize_sharded(self.CFG, cache=cache)
         trace = TraceSynthesizer(self.CFG).run()
-        path = cache.store(self.CFG, trace)
-        assert path.suffix == ".npz"
-        loaded = ColumnarTrace.load_npz(path)
-        assert loaded.counters == trace.counters
+        assert sharded.root.suffix == ".shards"
+        assert [p.suffix for p in sorted(sharded.root.iterdir())] == [".json", ".npz"]
+        loaded = ColumnarTrace.load_npz(sharded.root / sharded.shards[0].file)
         assert loaded.n_sessions == len(trace.sessions)
+        assert sharded.counters == trace.counters
 
     def test_unknown_format_rejected(self, tmp_path):
         # The cache has one entry format, so it takes no format at all.
@@ -151,29 +168,6 @@ class TestCacheRoundTrip:
         assert not hasattr(TraceCache(tmp_path), "format")
 
 
-class TestCacheCrossFormat:
-    """An entry is a ``.npz`` archive; record and columnar reads of it
-    agree, and a JSON-lines file under the same key is never read."""
-
-    CFG = SynthesisConfig(days=0.02, seed=31337)
-
-    def test_load_columnar_from_npz_and_jsonl(self, tmp_path):
-        npz = TraceCache(tmp_path / "npz")
-        trace = load_or_synthesize(self.CFG, cache=npz)
-        from_npz = npz.load_columnar(self.CFG)
-        assert from_npz.n_sessions == len(trace.sessions)
-        assert from_npz.counters == trace.counters
-        assert from_npz.to_trace().sessions == trace.sessions
-        jsonl = TraceCache(tmp_path / "jsonl")
-        path = jsonl.path_for(self.CFG).with_suffix(".jsonl")
-        path.parent.mkdir(parents=True)
-        trace.to_jsonl(path)
-        assert jsonl.load_columnar(self.CFG) is None
-
-    def test_load_columnar_misses_cold_cache(self, tmp_path):
-        assert TraceCache(tmp_path).load_columnar(self.CFG) is None
-
-
 class TestExperimentContextCache:
     def test_context_populates_and_reuses_cache(self, tmp_path):
         from repro.experiments import ExperimentContext
@@ -181,10 +175,11 @@ class TestExperimentContextCache:
         cfg = SynthesisConfig(days=0.02, seed=99)
         cache = TraceCache(tmp_path)
         ctx = ExperimentContext(cfg, cache=cache)
-        trace = ctx.columnar
-        assert cache.contains(cfg)
+        trace = ctx.shards
+        assert trace.root == cache.shards_path_for(cfg)
+        assert [p.suffix for p in sorted(tmp_path.iterdir())] == [".shards"]
         ctx2 = ExperimentContext(cfg, cache=cache)
-        assert ctx2.columnar.counters == trace.counters
+        assert ctx2.shards.counters == trace.counters
 
     def test_context_cache_false_bypasses(self, tmp_path, monkeypatch):
         from repro.experiments import ExperimentContext
@@ -192,8 +187,22 @@ class TestExperimentContextCache:
         monkeypatch.setenv("REPRO_P2P_CACHE", str(tmp_path))
         cfg = SynthesisConfig(days=0.02, seed=99)
         ctx = ExperimentContext(cfg, cache=False)
-        ctx.columnar
-        assert not TraceCache().contains(cfg)
+        ctx.shards
+        assert TraceCache().load_sharded(cfg) is None
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_unwritable_cache_falls_back_to_a_private_directory(self, tmp_path):
+        # An unwritable cache must not discard a finished synthesis: the
+        # context warns and synthesizes into its own directory.
+        from repro.experiments import ExperimentContext
+
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        cfg = SynthesisConfig(days=0.02, seed=99)
+        ctx = ExperimentContext(cfg, cache=TraceCache(blocker))
+        with pytest.warns(RuntimeWarning, match="could not write"):
+            sharded = ctx.shards
+        assert sharded.counters == ExperimentContext(cfg).shards.counters
 
     def test_context_jobs_override(self):
         from repro.experiments import ExperimentContext

@@ -4,11 +4,10 @@ Contract under test: ``run_columnar()`` emits a
 :class:`~repro.measurement.columnar.ColumnarTrace` directly (no
 per-event Python loop, no record objects), byte-reproducible for a
 fixed (config, seed, shard layout), invariant to the worker count,
-distribution-equivalent to the event reference engine, and feeding the
-``.npz`` trace cache with zero serialization.
+distribution-equivalent to the event reference engine, and spilled to
+the sharded trace cache with no record objects in between.
 """
 
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from repro.synthesis import (
     SynthesisConfig,
     TraceCache,
     TraceSynthesizer,
-    load_or_synthesize_columnar,
+    load_or_synthesize_sharded,
 )
 from repro.synthesis.bench import columnar_ks_checks
 
@@ -154,13 +153,13 @@ class TestBackendDispatch:
 
 class TestCacheRoundTrip:
     def test_npz_roundtrip_matches_jsonl_filter_report(self, tmp_path):
-        """End to end: fast path -> .npz cache -> reload -> filter must
+        """End to end: fast path -> .shards cache -> reload -> filter must
         equal the same trace filtered through the record/JSONL path."""
         cache = TraceCache(tmp_path / "cache")
         columnar = TraceSynthesizer(CFG).run_columnar()
-        cache.store_columnar(CFG, columnar)
+        load_or_synthesize_sharded(CFG, cache=cache)
 
-        reloaded = cache.load_columnar(CFG)
+        reloaded = cache.load_sharded(CFG).concat()
         npz_report = apply_filters_columnar(reloaded).report.as_dict()
 
         jsonl_path = tmp_path / "trace.jsonl"
@@ -170,13 +169,3 @@ class TestCacheRoundTrip:
 
         assert npz_report == jsonl_report
         assert npz_report["initial_queries"] > 0
-
-    def test_load_or_synthesize_columnar_warm_hit(self, tmp_path):
-        cache = TraceCache(tmp_path / "cache")
-        cold = load_or_synthesize_columnar(CFG, cache=cache)
-        assert cache.contains(CFG)
-        warm = load_or_synthesize_columnar(CFG, cache=cache)
-        buf_a, buf_b = io.BytesIO(), io.BytesIO()
-        np.savez(buf_a, ts=cold.query_timestamp, ip=cold.session_peer_ip)
-        np.savez(buf_b, ts=warm.query_timestamp, ip=warm.session_peer_ip)
-        assert buf_a.getvalue() == buf_b.getvalue()

@@ -1,17 +1,16 @@
 """Tier-1 smoke runs of the benchmark measurement paths.
 
 Runs the same measurement code as ``benchmarks/bench_substrate.py`` and
-``benchmarks/bench_analysis.py`` at smoke scale (days=0.05, seconds of
-wall time) so every test run exercises sequential synthesis, sharded
-synthesis, the trace cache, the columnar filter/analysis path, and the
-report emission end to end.  The reports are written under ``tmp_path``
--- the repo-root ``BENCH_*.json`` files are bench-scale records produced
-by the benchmark suite, and a smoke-scale run must not clobber them.
+the other harnesses at smoke scale (days=0.05, seconds of wall time) so
+every test run exercises sequential synthesis, sharded synthesis, the
+trace cache, and the report emission end to end.  The reports are
+written under ``tmp_path`` -- the repo-root ``BENCH_*.json`` files are
+bench-scale records produced by the benchmark suite, and a smoke-scale
+run must not clobber them.
 """
 
 import json
 
-from repro.analysis.bench import measure_analysis
 from repro.core.generator_bench import measure_generator
 from repro.synthesis.bench import measure_substrate, write_bench_report
 
@@ -48,54 +47,6 @@ def test_substrate_smoke_benchmark(tmp_path):
     parsed = json.loads(path.read_text())
     assert parsed["scale"]["days"] == 0.05
     assert parsed["runs"]["sequential"]["connections_per_second"] > 0
-
-
-def test_analysis_smoke_benchmark(tmp_path):
-    # run_all_jobs=() keeps the smoke run to seconds; the experiment
-    # fan-out has its own coverage in tests/experiments/.
-    report = measure_analysis(days=0.05, run_all_jobs=(), cache_dir=tmp_path / "cache")
-    runs = report["runs"]
-
-    assert set(runs) == {
-        "trace_load_npz", "filter_analysis_loop", "filter_analysis_columnar",
-    }
-    for label, run in runs.items():
-        assert run["seconds"] > 0, label
-
-    # measure_analysis itself asserts Table 2 equality; re-check the
-    # recorded outcome and that the report carries the actual counts.
-    assert report["table2_identical"] is True
-    assert report["table2"]["initial_queries"] > 0
-    assert report["table2"]["final_sessions"] > 0
-    assert report["host"]["cpu_count"] >= 1
-
-    # The cache has one entry format, so the load has no speedup partner.
-    assert not any(k.startswith("speedup") for k in runs["trace_load_npz"])
-    assert "speedup_vs_filter_analysis_loop" in runs["filter_analysis_columnar"]
-    assert "kernels_backend" not in report["host"]
-
-    path = write_bench_report(report, tmp_path / "BENCH_analysis.json")
-    parsed = json.loads(path.read_text())
-    assert parsed["scale"]["days"] == 0.05
-
-
-def test_analysis_fan_out_reports_speedup_only_across_worker_counts(tmp_path, monkeypatch):
-    # On one CPU every requested jobs value runs on one worker, so the
-    # run_all timings differ by warm-up and noise alone: no speedup.
-    import repro.experiments.registry as registry
-
-    monkeypatch.setattr(registry, "available_cpus", lambda: 1)
-    report = measure_analysis(days=0.02, run_all_jobs=(1, 2), cache_dir=tmp_path / "one")
-    runs = report["runs"]
-    assert runs["run_all_jobs1"]["effective_jobs"] == 1
-    assert runs["run_all_jobs2"]["effective_jobs"] == 1
-    assert not [key for run in runs.values() for key in run
-                if key.startswith("speedup_vs_run_all")]
-
-    monkeypatch.setattr(registry, "available_cpus", lambda: 2)
-    report = measure_analysis(days=0.02, run_all_jobs=(1, 2), cache_dir=tmp_path / "two")
-    assert report["runs"]["run_all_jobs2"]["effective_jobs"] == 2
-    assert "speedup_vs_run_all_jobs1" in report["runs"]["run_all_jobs2"]
 
 
 def test_generator_smoke_benchmark(tmp_path):

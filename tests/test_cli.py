@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
 
 def assert_rejected(argv):
@@ -58,7 +59,7 @@ class TestParser:
             build_parser().parse_args(["experiment", "T1", "--analysis-jobs", "0"])
 
     def test_cache_format_flag(self):
-        # Cache entries are .npz (or .shards) only, and synthesis runs
+        # Cache entries are .shards only, and synthesis runs
         # one engine: neither selector exists on any scale command.
         for command in (["synthesize"], ["experiment", "T1"], ["figures"]):
             for fmt in ("npz", "jsonl"):
@@ -95,8 +96,8 @@ class TestCommands:
         out = capsys.readouterr().out
         # Deterministic order regardless of worker scheduling.
         assert out.index("T1") < out.index("T2")
-        # The workers shared one columnar cache entry.
-        assert sorted(tmp_path.glob("*.npz"))
+        # The workers shared one sharded cache entry.
+        assert [p.suffix for p in sorted(tmp_path.iterdir())] == [".shards"]
 
     def test_generate_writes_workload(self, tmp_path, capsys):
         out = tmp_path / "workload.jsonl"
@@ -209,11 +210,10 @@ class TestStreamCommands:
         assert "trace cache hit" in capsys.readouterr().out
 
     def test_streamed_out_matches_in_memory_synthesis(self, tmp_path, capsys):
-        # --out on a streamed run is the explicit opt-out of bounded
-        # memory; the concatenated trace must be byte-identical to the
-        # single-file path under the same config (shard layout is part
-        # of the trace identity, so the plain run gets the same windows
-        # via --stream's shard_days).
+        # --out is the explicit opt-out of bounded memory; the
+        # concatenated trace must be byte-identical across reruns and
+        # to an in-memory synthesis under the same shard plan (shard
+        # layout is part of the trace identity).
         streamed = tmp_path / "streamed.jsonl"
         direct = tmp_path / "direct.jsonl"
         base = ["--days", "0.1", "--shard-hours", "1.2", "--rate", "0.2",
@@ -221,6 +221,34 @@ class TestStreamCommands:
         assert main(["synthesize", "--stream", *base, "--out", str(streamed)]) == 0
         assert main(["synthesize", "--stream", *base, "--out", str(direct)]) == 0
         assert streamed.read_bytes() == direct.read_bytes()
+        in_memory = tmp_path / "in_memory.jsonl"
+        config = SynthesisConfig(days=0.1, mean_arrival_rate=0.2, seed=5, shard_days=0.05)
+        TraceSynthesizer(config).run().to_jsonl(in_memory)
+        assert streamed.read_bytes() == in_memory.read_bytes()
+
+    def test_every_command_leaves_only_shard_entries(self, tmp_path, capsys):
+        # Without --stream a run still synthesizes into (one) shard: the
+        # cache holds .shards directories and no whole-trace .npz.
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        base = ["--days", "0.05", "--rate", "0.2", "--seed", "5", *cache]
+        assert main(["synthesize", *base]) == 0
+        out = capsys.readouterr().out
+        assert "trace cache miss" in out and "in 1 shard(s)" in out
+        assert main(["experiment", "all", *base]) == 0
+        assert main(["figures", *base, "--outdir", str(tmp_path / "figs")]) == 0
+        assert main(["synthesize", "--jobs", "2", *base]) == 0
+        assert "in 2 shard(s)" in capsys.readouterr().out
+        entries = [p.suffix for p in sorted((tmp_path / "cache").iterdir())]
+        assert entries == [".shards", ".shards"]
+
+    def test_unwritable_cache_still_synthesizes(self, tmp_path, capsys):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        with pytest.warns(RuntimeWarning, match="could not write"):
+            code = main(["synthesize", "--days", "0.02", "--rate", "0.2",
+                         "--seed", "5", "--cache-dir", str(blocker)])
+        assert code == 0
+        assert "synthesized" in capsys.readouterr().out
 
     def test_experiment_stream_runs_and_orders_results(self, capsys):
         # Result parity with the in-memory context is pinned in
