@@ -84,6 +84,16 @@ class TestCacheRoundTrip:
         assert warm.n_sessions == cold.n_sessions
         assert load_or_synthesize_sharded(self.CFG, cache=cache).shards == cold.shards
 
+    def test_load_sharded_misses_cold_cache(self, tmp_path):
+        # A miss writes nothing: the cache root is not made, and an entry
+        # for another config does not answer this one.
+        absent = TraceCache(tmp_path / "absent")
+        assert absent.load_sharded(self.CFG) is None
+        assert not absent.root.exists()
+        cache = TraceCache(tmp_path / "cache")
+        load_or_synthesize_sharded(SynthesisConfig(days=0.02, seed=7), cache=cache)
+        assert cache.load_sharded(self.CFG) is None
+
     def test_cached_trace_equals_fresh_synthesis(self, tmp_path):
         cache = TraceCache(tmp_path)
         load_or_synthesize_sharded(self.CFG, cache=cache)
