@@ -29,7 +29,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "sampling": ("CategoricalTable", "CategoricalTableStack", "searchsorted_left"),
     "setops": (
         "isin_sorted", "merge_unique", "merge_vocabularies", "setdiff_sorted",
-        "sorted_lookup",
+        "sorted_lookup", "unique_first", "unique_sorted",
     ),
     "sharding": (
         "pool_map", "pool_map_windowed", "resolve_workers", "shard_sizes",

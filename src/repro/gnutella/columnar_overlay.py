@@ -51,6 +51,8 @@ from repro.core.kernels import (
     resolve_workers,
     segmented_arange,
     sorted_lookup,
+    unique_first,
+    unique_sorted,
 )
 from repro.core.parameters import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS
 from repro.core.regions import Region
@@ -81,11 +83,16 @@ ENGINE_BACKENDS = ("columnar", "event")
 MONITOR_ID = "monitor"
 MONITOR_IP = "129.217.1.1"
 
-#: Queries per worker task: small enough that the per-round frontier
-#: arrays stay inside the laptop RSS budget at 50k+ populations.
+#: Queries per worker task: the unit ``jobs`` fans out.  A task's
+#: memory is bounded by ``FLOOD_ROWS``, not by this size.
 QUERIES_PER_TASK = 512
 
-_IDLE_OVERSHOOT = IDLE_PROBE_SECONDS + IDLE_CLOSE_SECONDS
+#: (query, active ultrapeer) rows one flood sub-batch may span: a task
+#: floods ``FLOOD_ROWS // active ultrapeers`` queries at a time (at
+#: least one), so the frontier arrays stay about the same size as the
+#: population grows (about 68 queries per sub-batch at 3k steady-state
+#: peers, 21 at 10k).
+FLOOD_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,7 @@ def _csr_take(
 def _code_csr(pairs_code: np.ndarray, pairs_row: np.ndarray, n_codes: int, cap: int):
     """(code, row) pairs -> per-code sorted unique row CSR."""
     if pairs_code.size:
-        keys = np.unique(pairs_code * np.int64(cap) + pairs_row)
+        keys = unique_sorted(pairs_code * np.int64(cap) + pairs_row)
         counts = np.bincount(keys // cap, minlength=n_codes).astype(np.int64)
         flat = (keys % cap).astype(np.int64)
     else:
@@ -298,10 +305,37 @@ def flood_context_from_overlay(
 # ---------------------------------------------------------------------------
 
 
+def _stack_floods(parts, bounds, record_reach: bool) -> Tuple[np.ndarray, ...]:
+    """Concatenate per-batch flood outputs; reach query ids shift by ``bounds``."""
+    msgs, hits, reach = (np.concatenate([p[i] for p in parts]) for i in range(3))
+    if not record_reach:
+        return msgs, hits, reach, None, None, None
+    rq = np.concatenate([p[3] + lo for p, lo in zip(parts, bounds)])
+    rn = np.concatenate([p[4] for p in parts])
+    rd = np.concatenate([p[5] for p in parts])
+    return msgs, hits, reach, rq, rn, rd
+
+
 def _flood_chunk(task) -> Tuple[np.ndarray, ...]:
-    """Flood one chunk of queries; pure function of its task tuple."""
-    (cap, indptr, indices, up_indptr, up_indices, is_up, origins, codes,
-     ttl, m_off, m_cnt, m_flat, h_off, h_cnt, h_flat, record_reach) = task
+    """Flood one task's queries, ``batch`` at a time; pure function of ``task``.
+
+    Sub-batches bound the working set; floods are independent per
+    query, so the split cannot change any output.
+    """
+    graph, origins, codes, batch, record_reach = task
+    bounds = range(0, max(origins.size, 1), batch)
+    parts = [
+        _flood_batch(graph, origins[lo: lo + batch], codes[lo: lo + batch],
+                     record_reach)
+        for lo in bounds
+    ]
+    return _stack_floods(parts, bounds, record_reach)
+
+
+def _flood_batch(graph, origins, codes, record_reach) -> Tuple[np.ndarray, ...]:
+    """Flood one batch of queries through ``graph`` (see ``flood_queries``)."""
+    (cap, indptr, indices, up_indptr, up_indices, is_up, ttl,
+     m_off, m_cnt, m_flat, h_off, h_cnt, h_flat) = graph
     capi = np.int64(cap)
     nq = origins.size
     qids = np.arange(nq, dtype=np.int64)
@@ -341,7 +375,7 @@ def _flood_chunk(task) -> Tuple[np.ndarray, ...]:
         cq, cn, cex = cq[keep], cn[keep], cex[keep]
         msgs += np.bincount(cq, minlength=nq).astype(np.int64)
         keys = cq * capi + cn
-        uniq, first = np.unique(keys, return_index=True)
+        uniq, first = unique_first(keys)
         fresh = ~isin_sorted(visited, uniq)
         new_keys = uniq[fresh]
         fsend = cex[first][fresh]
@@ -442,7 +476,8 @@ def flood_queries(
 
     ``origins[i]`` (a node index) floods vocabulary code ``codes[i]``.
     Floods are independent per query, so sharding the batch over
-    workers cannot change any output.
+    workers (``QUERIES_PER_TASK`` per task) and each task into
+    sub-batches (``FLOOD_ROWS`` budget) cannot change any output.
     """
     if ttl < 1:
         raise ValueError(f"ttl must be >= 1, got {ttl}")
@@ -461,30 +496,27 @@ def flood_queries(
     np.cumsum(up_counts, out=up_indptr[1:])
     up_indices = indices[up_mask]
 
-    bounds = list(range(0, max(origins.size, 1), QUERIES_PER_TASK))
+    graph = (
+        topo.capacity, indptr, indices, up_indptr, up_indices,
+        topo.is_ultrapeer, int(ttl),
+        ctx.matched_offsets, ctx.matched_counts, ctx.matched_flat,
+        ctx.holder_offsets, ctx.holder_counts, ctx.holder_flat,
+    )
+    n_up = int(np.count_nonzero(topo.is_ultrapeer & topo.active))
+    batch = max(1, FLOOD_ROWS // max(n_up, 1))
+    bounds = range(0, max(origins.size, 1), QUERIES_PER_TASK)
     tasks = [
-        (topo.capacity, indptr, indices, up_indptr, up_indices,
-         topo.is_ultrapeer, origins[lo: lo + QUERIES_PER_TASK],
-         codes[lo: lo + QUERIES_PER_TASK], int(ttl),
-         ctx.matched_offsets, ctx.matched_counts, ctx.matched_flat,
-         ctx.holder_offsets, ctx.holder_counts, ctx.holder_flat,
-         record_reach)
+        (graph, origins[lo: lo + QUERIES_PER_TASK],
+         codes[lo: lo + QUERIES_PER_TASK], batch, record_reach)
         for lo in bounds
     ]
     workers = resolve_workers(jobs, len(tasks))
     parts = pool_map(_flood_chunk, tasks, workers)
-    msgs = np.concatenate([p[0] for p in parts])
-    hits = np.concatenate([p[1] for p in parts])
-    reach = np.concatenate([p[2] for p in parts])
-    result = FloodResult(messages=msgs, hits=hits, reach=reach)
-    if record_reach:
-        offs = [np.int64(lo) for lo in bounds]
-        result.reach_query = np.concatenate(
-            [p[3] + off for p, off in zip(parts, offs)]
-        )
-        result.reach_node = np.concatenate([p[4] for p in parts])
-        result.reach_depth = np.concatenate([p[5] for p in parts])
-    return result
+    msgs, hits, reach, rq, rn, rd = _stack_floods(parts, bounds, record_reach)
+    return FloodResult(
+        messages=msgs, hits=hits, reach=reach,
+        reach_query=rq, reach_node=rn, reach_depth=rd,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +606,7 @@ def _plan_churn(
         total = int(want.sum())
         draws = rng.integers(0, vocab.size, size=total)
         owner = np.repeat(np.arange(n, dtype=np.int64), want)
-        keys = np.unique(owner * np.int64(vocab.size) + draws)
+        keys = unique_sorted(owner * np.int64(vocab.size) + draws)
         lib_counts = np.bincount(keys // vocab.size, minlength=n).astype(np.int64)
         lib_codes = (keys % vocab.size).astype(np.int64)
     else:
@@ -839,7 +871,7 @@ def _run_columnar(
     matched, holders = _build_flood_tables(
         plan.vocab, _cat(leaf_rows), _cat(leaf_codes),
         _cat(holder_rows), _cat(holder_codes), topo.capacity,
-        config.qrp_log_size, used_codes=np.unique(plan.query_code),
+        config.qrp_log_size, used_codes=unique_sorted(plan.query_code),
     )
     ctx = FloodContext(topo, plan.vocab, *matched, *holders)
 
@@ -897,12 +929,13 @@ def _run_columnar(
     # Monitor-side reducers: hop-1 capture is total by construction
     # (every session keeps its monitor link for its whole lifetime);
     # session reconstruction applies the idle-detection overshoot.
+    # The overshoot is added in MeasurementNode.client_departed's float
+    # order, (end + probe) + close, so both engines round alike.
     h_order = _hop1_order(plan)
-    last_activity = plan.start.copy()
-    if plan.n_queries:
-        np.maximum.at(last_activity, plan.query_session, plan.query_te)
     end_obs = np.where(
-        plan.departs, plan.end_true + _IDLE_OVERSHOOT, plan.run_seconds
+        plan.departs,
+        plan.end_true + IDLE_PROBE_SECONDS + IDLE_CLOSE_SECONDS,
+        plan.run_seconds,
     )
     n_queries = np.bincount(plan.query_session, minlength=n).astype(np.int64)
     pings, pongs = _session_keepalives(plan)

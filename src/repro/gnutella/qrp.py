@@ -19,7 +19,7 @@ from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.kernels import segment_ids, segmented_arange
+from repro.core.kernels import segment_ids, segmented_arange, unique_sorted
 
 __all__ = [
     "keyword_hash",
@@ -158,7 +158,7 @@ def text_hash_table(texts: Sequence[str], bits: int) -> Tuple[np.ndarray, np.nda
     hashes = keyword_hashes(words, bits)
     # Dedupe per text with one sort over packed (text, hash) keys.
     size = np.int64(1) << np.int64(bits)
-    keys = np.unique(np.asarray(word_text, dtype=np.int64) * size + hashes)
+    keys = unique_sorted(np.asarray(word_text, dtype=np.int64) * size + hashes)
     counts = np.bincount(keys // size, minlength=n).astype(np.int64)
     return (keys % size).astype(np.int64), counts
 

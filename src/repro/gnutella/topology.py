@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import isin_sorted, merge_unique, setdiff_sorted
+from repro.core.kernels import isin_sorted, merge_unique, setdiff_sorted, unique_sorted
 
 __all__ = ["CSRTopology"]
 
@@ -76,7 +76,7 @@ class CSRTopology:
         a, b = self._edge_batch(a, b)
         if a.size == 0:
             return
-        fresh = np.unique(
+        fresh = unique_sorted(
             np.concatenate([self._pack(a, b), self._pack(b, a)])
         )
         self._keys = merge_unique(self._keys, fresh)
@@ -91,7 +91,7 @@ class CSRTopology:
         a, b = self._edge_batch(a, b, check_active=False)
         if a.size == 0:
             return
-        gone = np.unique(
+        gone = unique_sorted(
             np.concatenate([self._pack(a, b), self._pack(b, a)])
         )
         self._keys = setdiff_sorted(self._keys, gone)
@@ -99,7 +99,7 @@ class CSRTopology:
 
     def detach(self, indices: np.ndarray) -> None:
         """Drop every edge touching any of ``indices`` (batch departure)."""
-        indices = np.unique(self._indices(indices))
+        indices = unique_sorted(self._indices(indices))
         if indices.size == 0 or self._keys.size == 0:
             return
         src = self._keys // self.capacity
@@ -206,7 +206,7 @@ class CSRTopology:
         ]
         if pairs:
             arr = np.asarray(pairs, dtype=np.int64)
-            topo._keys = np.unique(arr[:, 0] * topo.capacity + arr[:, 1])
+            topo._keys = unique_sorted(arr[:, 0] * topo.capacity + arr[:, 1])
         return topo.validate(), node_ids
 
     # -- internals ----------------------------------------------------------

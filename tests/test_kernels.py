@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, integer_dtypes, unsigned_integer_dtypes
 
 from sampling_reference import sample_n
 
@@ -44,6 +45,8 @@ from repro.core.kernels import (
     shard_sizes,
     sorted_lookup,
     spawn_shard_streams,
+    unique_first,
+    unique_sorted,
 )
 
 counts_arrays = st.lists(st.integers(min_value=0, max_value=7), min_size=0, max_size=12).map(
@@ -217,6 +220,81 @@ def test_merge_and_diff_match_python_sets(a, b):
     # Outputs keep the sorted-unique invariant the inputs carried.
     assert (np.diff(union) > 0).all()
     assert (np.diff(diff) > 0).all()
+
+
+#: Wide mostly-distinct keys, duplicate-heavy narrow keys, and every
+#: integer dtype over its full range (spans too wide for unique_first).
+key_arrays = st.one_of(
+    st.lists(st.integers(-(2**40), 2**40), max_size=40).map(
+        lambda xs: np.asarray(xs, dtype=np.int64)
+    ),
+    st.lists(st.integers(-3, 3), max_size=60).map(lambda xs: np.asarray(xs, dtype=np.int64)),
+    arrays(
+        st.one_of(integer_dtypes(endianness="="), unsigned_integer_dtypes(endianness="=")),
+        st.integers(0, 40),
+    ),
+)
+
+
+def _packs(keys):
+    """Whether unique_first can pack ``keys`` with their positions."""
+    if keys.size == 0:
+        return True
+    bits = (keys.size - 1).bit_length()
+    return int(keys.max()) - int(keys.min()) < 2 ** (63 - bits)
+
+
+@given(keys=key_arrays)
+@settings(max_examples=100)
+def test_unique_sorted_matches_np_unique(keys):
+    got, expected = unique_sorted(keys), np.unique(keys)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@given(keys=key_arrays)
+@settings(max_examples=100)
+def test_unique_first_matches_np_unique_return_index(keys):
+    if not _packs(keys):
+        with pytest.raises(ValueError):
+            unique_first(keys)
+        return
+    got, first = unique_first(keys)
+    expected, expected_first = np.unique(keys, return_index=True)
+    assert got.dtype == expected.dtype and first.dtype == expected_first.dtype
+    assert np.array_equal(got, expected)
+    assert np.array_equal(first, expected_first)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[], [5], [7] * 9, [3, -1, 3, 3, -1, 0, 0, 3], [2**61 - 1, 0, 2**61 - 1]],
+    ids=["empty", "single", "all-equal", "duplicates", "widest-span"],
+)
+def test_unique_kernels_on_edge_inputs(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    assert np.array_equal(unique_sorted(keys), np.unique(keys))
+    got, first = unique_first(keys)
+    expected, expected_first = np.unique(keys, return_index=True)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(first, expected_first)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[0, 2**62], [0, 2**61, 1], [np.iinfo(np.int64).min, np.iinfo(np.int64).max]],
+)
+def test_unique_first_refuses_keys_that_overflow_the_packing(keys):
+    # Two positions take one low bit, three take two: a key span of
+    # 2**62 (2**61) no longer fits beside them in an int64.
+    with pytest.raises(ValueError, match="too wide"):
+        unique_first(np.asarray(keys, dtype=np.int64))
+
+
+def test_unique_first_refuses_non_integer_keys():
+    # Casting floats to int64 for the packing would truncate silently.
+    with pytest.raises(TypeError):
+        unique_first(np.array([1.5, 0.5]))
 
 
 vocab_lists = st.lists(
