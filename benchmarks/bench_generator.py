@@ -3,48 +3,13 @@
 Regenerates the paper artifact from the shared bench-scale synthesized
 trace and prints paper-vs-measured rows; the timed section is the
 analysis that produces the artifact (synthesis is shared and untimed).
-
-``test_emit_generator_report`` additionally measures event vs. columnar
-generation throughput at ``GENERATOR_PEERS`` (default ``200,10000``)
-steady-state peers and emits ``BENCH_generator.json`` at the repo root
--- the acceptance record for the columnar backend's >= 10x
-sessions/second requirement at ``n_peers=10_000``.
 """
 
-import os
-from pathlib import Path
-
-from repro.core.generator_bench import measure_generator
 from repro.experiments.exp_generator import run_generator_validation
-from repro.synthesis.bench import write_bench_report
 
 from conftest import run_and_render
-
-GENERATOR_PEERS = tuple(
-    int(n) for n in os.environ.get("GENERATOR_PEERS", "200,10000").split(",")
-)
-GENERATOR_HOURS = float(os.environ.get("GENERATOR_HOURS", "1.0"))
-GENERATOR_JOBS = int(os.environ.get("GENERATOR_JOBS", "4"))
 
 
 def test_generator(ctx, benchmark):
     result = run_and_render(benchmark, run_generator_validation, ctx)
     assert result.rows
-
-
-def test_emit_generator_report():
-    """Full generator measurement + BENCH_generator.json emission."""
-    report = measure_generator(
-        n_peers=GENERATOR_PEERS, hours=GENERATOR_HOURS, jobs=GENERATOR_JOBS
-    )
-    path = write_bench_report(
-        report, Path(__file__).resolve().parent.parent / "BENCH_generator.json"
-    )
-    print(f"\n  report written to {path}")
-    for label, run in report["runs"].items():
-        print(f"  {label}: {run['sessions_per_second']} sessions/s, "
-              f"{run['queries_per_second']} queries/s ({run['seconds']} s)")
-    assert report["jobs_identical"] is True
-    assert report["ks_checks"]["ok"] is True, report["ks_checks"]
-    largest = max(GENERATOR_PEERS)
-    assert report["runs"][f"columnar_n{largest}"]["speedup_vs_event"] >= 10.0

@@ -18,8 +18,8 @@ Exactness relies on two properties of the sharded pipeline:
   first/last anchors) and therefore local to one chunk.
 
 The streamed outputs are asserted *equal* -- not approximately equal --
-to the in-memory path by the equivalence suite and the paper-scale
-bench.
+to the in-memory path by the equivalence suite
+(``tests/analysis/test_streaming_parity.py``).
 """
 
 from __future__ import annotations

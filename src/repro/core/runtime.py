@@ -1,7 +1,7 @@
-"""Host runtime introspection shared by schedulers and benchmarks.
+"""Host runtime introspection shared by schedulers and the benchmark.
 
 Every component that sizes a worker pool (sharded synthesis, the
-experiment fan-out) or stamps host metadata into a benchmark report must
+experiment fan-out) or stamps host metadata into a benchmark record must
 agree on how many CPUs are *actually* usable: ``os.cpu_count()`` reports
 the machine, while cgroup limits and CPU affinity masks (containers, CI
 runners, ``taskset``) can leave the process with far fewer.  Disagreeing
@@ -16,12 +16,7 @@ import platform
 import sys
 from typing import Any, Dict
 
-__all__ = ["DEFAULT_RSS_BUDGET_MB", "available_cpus", "peak_rss_mb", "host_block"]
-
-#: The acceptance budget the benchmark gates hold ``peak_rss_mb`` to: the
-#: full 40-day paper scenario must complete synthesis + filtering +
-#: Fig. 1-11 analyses, and the overlay scale run, under 2 GiB.
-DEFAULT_RSS_BUDGET_MB = 2048.0
+__all__ = ["available_cpus", "peak_rss_mb", "host_block"]
 
 
 def available_cpus() -> int:
@@ -36,9 +31,9 @@ def peak_rss_mb() -> float:
     """High-water resident set size of this process, in MiB.
 
     ``ru_maxrss`` is kilobytes on Linux but bytes on macOS; normalizing
-    here keeps every benchmark's ``peak_rss_mb`` field comparable across
-    hosts.  Returns 0.0 where the ``resource`` module is unavailable
-    (non-POSIX), so report emitters can stamp it unconditionally.
+    here keeps ``--max-rss-mb`` and the benchmark's ``peak_rss_mb``
+    comparable across hosts.  Returns 0.0 where the ``resource`` module
+    is unavailable (non-POSIX), so callers can read it unconditionally.
     """
     try:
         import resource
@@ -51,14 +46,13 @@ def peak_rss_mb() -> float:
 
 
 def host_block() -> Dict[str, Any]:
-    """The ``"host"`` block every benchmark report starts from.
+    """The host stamp a benchmark record starts from.
 
-    One emitter instead of a copy per benchmark module, so the fields a
-    report archives -- and the invariant readers rely on (the lint
-    ruleset the run was checked against) -- cannot drift between
-    reports.  ``peak_rss_mb`` is
-    deliberately absent: it is only meaningful after the measured work
-    ran, so emitters stamp it at the end of the run.
+    perfbench's run record and the artifact benchmarks' session header
+    both take it from here, so the fields they archive -- and the
+    invariant readers rely on (the lint ruleset the run was checked
+    against) -- cannot drift apart.  ``peak_rss_mb`` is deliberately
+    absent: it is only meaningful after the measured work ran.
     """
     from repro.lint import RULESET_VERSION
 

@@ -549,7 +549,6 @@ class OverlayPlan:
     ultrapeer: np.ndarray
     attach_pos: np.ndarray
     region_code: np.ndarray
-    peer_ip: List[str]
     lib_counts: np.ndarray
     lib_offsets: np.ndarray
     lib_codes: np.ndarray
@@ -614,10 +613,6 @@ def _plan_churn(
         lib_codes = np.zeros(0, dtype=np.int64)
     lib_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lib_counts, out=lib_offsets[1:])
-    peer_ip = [
-        f"10.{(int(r) >> 16) & 255}.{(int(r) >> 8) & 255}.{int(r) & 255}"
-        for r in rows
-    ]
 
     # Queries: resolve emission times and vocabulary codes, then order
     # by round (stable, so workload row order survives within a round).
@@ -646,7 +641,7 @@ def _plan_churn(
         departs=departs, first_round=first_round, last_round=last_round,
         ultrapeer=ultrapeer, attach_pos=attach_pos.astype(np.int64),
         region_code=workload.session_region[rows].astype(np.int64),
-        peer_ip=peer_ip, lib_counts=lib_counts,
+        lib_counts=lib_counts,
         lib_offsets=lib_offsets[:-1], lib_codes=lib_codes,
         query_rows=q_rows[order], query_session=q_sess[order],
         query_te=q_te[order], query_code=q_code[order],
@@ -714,9 +709,6 @@ class OverlayRunResult:
     run_seconds: float
     n_rounds: int
     peers_simulated: int
-    #: Wall-clock seconds, stamped by the bench harness after the run
-    #: (the engine itself never reads the host clock; see DET201).
-    elapsed_seconds: float
     messages_total: int
     # per query (plan order)
     query_messages: np.ndarray
@@ -743,10 +735,6 @@ class OverlayRunResult:
     @property
     def n_queries(self) -> int:
         return int(self.query_messages.size)
-
-    @property
-    def messages_per_second(self) -> float:
-        return self.messages_total / max(self.elapsed_seconds, 1e-9)
 
 
 def compare_runs(a: OverlayRunResult, b: OverlayRunResult) -> Dict[str, bool]:
@@ -943,7 +931,6 @@ def _run_columnar(
     result = OverlayRunResult(
         backend="columnar", run_seconds=plan.run_seconds,
         n_rounds=plan.n_rounds, peers_simulated=base + n,
-        elapsed_seconds=0.0,
         messages_total=int(msgs.sum()),
         query_messages=msgs, query_hits=hits, query_reach=reach,
         hop1_session=plan.query_session[h_order],
@@ -985,6 +972,12 @@ def _run_event(
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     base = len(node_ids)
     n = plan.n_sessions
+    # Each session's address, from its workload row; only this engine
+    # (its PeerNodes and the record monitor) identifies peers by string.
+    peer_ip = [
+        f"10.{(int(r) >> 16) & 255}.{(int(r) >> 8) & 255}.{int(r) & 255}"
+        for r in plan.session_rows
+    ]
     scheduler = EventScheduler()
     monitor = MeasurementNode(max_slots=None)
     msgs = np.zeros(plan.n_queries, dtype=np.int64)
@@ -1072,7 +1065,7 @@ def _run_event(
                 str(plan.vocab[c]) for c in plan.session_lib_codes(i)
             }
             node = PeerNode(
-                node_id=node_id, ip=plan.peer_ip[i],
+                node_id=node_id, ip=peer_ip[i],
                 mode=(PeerMode.ULTRAPEER if plan.ultrapeer[i]
                       else PeerMode.LEAF),
                 library=library, max_connections=2 ** 31,
@@ -1081,7 +1074,7 @@ def _run_event(
             region = WORKLOAD_REGION_ORDER[int(plan.region_code[i])]
             overlay.region_of[node_id] = region
             conn = monitor.open_connection(
-                float(plan.start[i]), peer_ip=plan.peer_ip[i], region=region,
+                float(plan.start[i]), peer_ip=peer_ip[i], region=region,
                 user_agent=config.user_agent,
                 ultrapeer=bool(plan.ultrapeer[i]),
                 shared_files=int(plan.lib_counts[i]),
@@ -1115,7 +1108,7 @@ def _run_event(
         raise AssertionError("monitor missed a hop-1 query")
 
     # Reassemble plan-order arrays from the monitor's session records.
-    by_ip = {ip: i for i, ip in enumerate(plan.peer_ip)}
+    by_ip = {ip: i for i, ip in enumerate(peer_ip)}
     end_obs = np.zeros(n, dtype=np.float64)
     start_obs = np.zeros(n, dtype=np.float64)
     n_queries = np.zeros(n, dtype=np.int64)
@@ -1154,7 +1147,6 @@ def _run_event(
     result = OverlayRunResult(
         backend="event", run_seconds=plan.run_seconds,
         n_rounds=plan.n_rounds, peers_simulated=base + n,
-        elapsed_seconds=0.0,
         messages_total=int(msgs.sum()),
         query_messages=msgs, query_hits=hits,
         query_reach=np.bincount(

@@ -10,8 +10,8 @@ TTL/hops semantics, and disconnect.  For populations past what the
 per-message event loop can carry (50k+ peers with churn), the batched
 array engine in :mod:`repro.gnutella.columnar_overlay` computes the
 same floods and monitor observables -- held identical to this
-machinery by its equivalence battery -- at a 20x+ message-throughput
-speedup (70x measured in ``BENCH_overlay.json``).
+machinery by its equivalence battery -- at many times its message
+throughput (CI fails the columnar engine below 5x at 150 peers).
 
 It validates the paper's central measurement claims mechanically:
 

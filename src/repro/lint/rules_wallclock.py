@@ -4,9 +4,9 @@ Trace synthesis models its own clock (simulated seconds from the
 config's start); reading the host's clock or entropy pool anywhere in
 the measurement pipeline makes output depend on *when* or *where* the
 run happened.  Entry points that legitimately time things -- the CLI,
-the bench harnesses -- are granted these codes via the pyproject
-``per-path-allow`` table rather than inline noqa, so the grant is
-visible in one place.
+the service's clocks, the benchmarks -- are granted these codes via the
+pyproject ``per-path-allow`` table rather than inline noqa, so the
+grant is visible in one place.
 """
 
 from __future__ import annotations

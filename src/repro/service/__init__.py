@@ -10,9 +10,7 @@ slowest subscriber falls behind.  The hot path is columnar end to end:
 every wave batch is serialized once (:mod:`.stream`) and the same
 immutable bytes are fanned out to every subscriber; clients decode
 straight back into NumPy views with no per-event Python objects
-(:mod:`.client`).  :mod:`.loadtest` drives N concurrent subscribers and
-:mod:`.bench` runs the strong/weak-scaling harness behind
-``BENCH_service.json``.
+(:mod:`.client`).  :mod:`.loadtest` drives N concurrent subscribers.
 
 See ``docs/SERVICE.md`` for the protocol, the backpressure semantics,
 and the reproducibility contract.

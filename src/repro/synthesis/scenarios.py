@@ -8,9 +8,9 @@ comparable across runs and machines:
 * ``laptop`` -- the default: one day, distribution-stable, <10 s.
 * ``bench``  -- the benchmark scale: two days at a higher rate.
 * ``paper``  -- the paper's full 40 days at ~1.26 connections/second
-  (~4.5M connections); runs end to end in minutes at ~1 GB peak RSS
-  via the streaming pipeline (``repro-p2p experiment all --scenario
-  paper --stream``; see ``BENCH_paper_scale.json``).
+  (~4.5M connections), run through the streaming pipeline
+  (``repro-p2p experiment all --scenario paper --stream``); its
+  ``synthesize --stream`` peaked at 119 MiB in 15.7 s on a 2-CPU host.
 """
 
 from __future__ import annotations

@@ -212,10 +212,9 @@ class TraceSynthesizer:
         """Synthesize with the event engine, the per-event reference loop.
 
         :meth:`run` falls back to it for the configurations named in
-        :attr:`effective_backend`; parity tests and harnesses call it
-        directly.  A fixed seed gives a different, equally distributed
-        realization from the columnar engine's (their RNG consumption
-        orders differ).
+        :attr:`effective_backend`; parity tests call it directly.  A
+        fixed seed gives a different, equally distributed realization
+        from the columnar engine's (their RNG consumption orders differ).
         """
         from .event_engine import (
             EventShardEngine,

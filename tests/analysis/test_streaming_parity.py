@@ -1,23 +1,24 @@
 """Streaming reducers vs the in-memory reference, product by product.
 
-``streamed_equivalence_checks`` is the same comparator the paper-scale
-benchmark gate runs at 40 days; here it runs at smoke scale on every
-test pass so a reducer regression fails in seconds, not in the
-benchmark suite.  Tolerance is zero by construction: both sides draw
-the identical sharded synthesis (same config, same ``shard_days``), so
-every Figure 1-11 product must match bit for bit.
+``streamed_equivalence_checks`` (``tests/equivalence_reference.py``)
+runs at two inputs: a multi-shard smoke config, and two days of the
+``paper`` scenario at its own rate in 1-day shards.  Tolerance is zero
+by construction: both sides draw the identical sharded synthesis (same
+config, same ``shard_days``), so every Figure 1-11 product must match
+bit for bit.
 """
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis import run_streaming
 from repro.analysis.active import active_sessions
-from repro.analysis.paper_scale import streamed_equivalence_checks
 from repro.filtering import apply_filters_columnar
-from repro.synthesis import SynthesisConfig, TraceSynthesizer
+from repro.synthesis import SynthesisConfig, TraceSynthesizer, scenario_config
+from equivalence_reference import streamed_equivalence_checks
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +33,22 @@ def sharded(config, tmp_path_factory):
 
 
 class TestEquivalenceChecks:
-    def test_every_product_is_bit_identical(self, config, tmp_path):
-        outcome = streamed_equivalence_checks(config, workdir=tmp_path)
+    @staticmethod
+    def assert_bit_identical(config, workdir):
+        outcome = streamed_equivalence_checks(config, workdir=workdir)
         assert outcome["tolerance"] == 0.0
         assert outcome["days"] == config.days
         failed = [name for name, ok in outcome["checks"].items() if not ok]
         assert outcome["all_identical"] is True, f"diverged: {failed}"
+
+    def test_every_product_is_bit_identical(self, config, tmp_path):
+        self.assert_bit_identical(config, tmp_path)
+
+    def test_every_product_is_bit_identical_at_paper_rate(self, tmp_path):
+        # The paper's arrival rate (1.26 conn/s) for two days in 1-day
+        # shards: the scale of the 40-day run's own shards.
+        paper = replace(scenario_config("paper", seed=20040315), days=2.0, shard_days=1.0)
+        self.assert_bit_identical(paper, tmp_path)
 
     def test_check_list_covers_the_paper_products(self, config, tmp_path):
         outcome = streamed_equivalence_checks(config, workdir=tmp_path)

@@ -27,14 +27,18 @@ from repro.gnutella.overlay import OverlayNetwork
 RUN_SECONDS = 900.0
 
 
-@pytest.fixture(scope="module")
-def workload():
-    return SyntheticWorkloadGenerator(n_peers=80, seed=7).generate_columnar(
+def _workload(n_peers, seed):
+    return SyntheticWorkloadGenerator(n_peers=n_peers, seed=seed).generate_columnar(
         RUN_SECONDS
     )
 
 
 @pytest.fixture(scope="module")
+def workload():
+    return _workload(80, 7)
+
+
+@pytest.fixture(scope="class")
 def both_runs(workload):
     columnar = simulate_workload(
         workload, RUN_SECONDS, backend="columnar", record_reach=True
@@ -84,6 +88,14 @@ class TestBackendEquivalence:
         assert columnar.messages_total == int(columnar.query_messages.sum())
         assert columnar.keepalive_pings > 0
         assert columnar.keepalive_pongs > 0
+
+
+class TestBackendEquivalence150Peers(TestBackendEquivalence):
+    """The same battery on a second input: 150 peers, seed 11."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return _workload(150, 11)
 
 
 class TestValidation:

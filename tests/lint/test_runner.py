@@ -236,3 +236,18 @@ class TestRepoIsClean:
         files = iter_python_files(["tests/lint"], REPO_ROOT, config)
         rels = [rel for _, rel in files]
         assert rels and all("fixtures" not in rel for rel in rels)
+
+    def test_every_allow_pattern_matches_a_file(self):
+        # A per-path-allow glob that matches nothing is silently ignored
+        # (test_allow_glob_matching_nothing_changes_nothing), so an entry
+        # left behind by a deleted module would grant nothing unnoticed.
+        config = load_config(REPO_ROOT)
+        rels = [rel for _, rel in iter_python_files([REPO_ROOT], REPO_ROOT, config)]
+        stale = [
+            pattern for pattern, codes in config.per_path_allow
+            if not any(
+                LintConfig(per_path_allow=((pattern, codes),)).allowed_codes(rel)
+                for rel in rels
+            )
+        ]
+        assert config.per_path_allow and stale == []

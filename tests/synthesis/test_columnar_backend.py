@@ -21,7 +21,7 @@ from repro.synthesis import (
     TraceSynthesizer,
     load_or_synthesize_sharded,
 )
-from repro.synthesis.bench import columnar_ks_checks
+from equivalence_reference import columnar_ks_checks
 
 CFG = SynthesisConfig(days=0.05, mean_arrival_rate=0.3, seed=1234)
 #: Multi-shard layout: 0.1 days cut into 0.04-day shards (3 shards).
@@ -102,10 +102,20 @@ class TestEquivalence:
     def event(self):
         return ColumnarTrace.from_trace(TraceSynthesizer(self.SCALE).run_event())
 
+    @staticmethod
+    def assert_same_volume(reference, candidate):
+        # Different realizations of one process: the connection volume
+        # must still agree broadly.
+        gap = abs(candidate.n_connections - reference.n_connections)
+        assert gap / reference.n_connections < 0.25, (
+            reference.n_connections, candidate.n_connections,
+        )
+
     def test_sequential_ks_equivalence(self, event):
         columnar = TraceSynthesizer(self.SCALE).run_columnar()
         checks = columnar_ks_checks(event, columnar)
         assert checks["ok"] is True, checks
+        self.assert_same_volume(event, columnar)
 
     def test_sharded_ks_equivalence(self, event):
         # The sharded fast path (jobs > 1, disjoint RNG streams and IP
@@ -115,6 +125,18 @@ class TestEquivalence:
         assert np.unique(columnar.session_peer_ip).size == columnar.n_sessions
         checks = columnar_ks_checks(event, columnar)
         assert checks["ok"] is True, checks
+        self.assert_same_volume(event, columnar)
+
+    def test_sharded_event_engine_equivalence(self, event):
+        # run_event() over several shards (synthesize_shards_event, the
+        # path a custom model or universe takes with jobs > 1) must
+        # synthesize the same process as its one-shard run.
+        sharded = ColumnarTrace.from_trace(
+            TraceSynthesizer(replace(self.SCALE, jobs=2)).run_event()
+        )
+        checks = columnar_ks_checks(event, sharded)
+        assert checks["ok"] is True, checks
+        self.assert_same_volume(event, sharded)
 
 
 class TestBackendDispatch:
