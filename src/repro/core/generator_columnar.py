@@ -511,23 +511,32 @@ def _resolve_keywords(
 
     Groups are visited in sorted (day, class) order, so the universe's
     lazily built rankings are consumed canonically regardless of how
-    the codes were produced (or across how many workers).
+    the codes were produced (or across how many workers).  The column
+    is as wide as the widest of those days' rankings.
     """
     if q_cls.size == 0:
         return np.empty(0, dtype="U1")
-    order, keys, bounds = group_slices(q_day * len(CLASS_ORDER) + q_cls)
-    rankings = [
-        universe.ranking_array(
-            int(key) // len(CLASS_ORDER), CLASS_ORDER[int(key) % len(CLASS_ORDER)]
-        )
-        for key in keys
-    ]
-    width = max(a.dtype.itemsize // 4 for a in rankings)
+    n_classes = len(CLASS_ORDER)
+    order, keys, bounds = group_slices(q_day * n_classes + q_cls)
+    groups = [(int(key) // n_classes, CLASS_ORDER[int(key) % n_classes]) for key in keys]
+    width = max(universe.ranking_width(day, cls) for day, cls in groups)
     out = np.empty(q_cls.size, dtype=f"U{width}")
-    for g, ranking in enumerate(rankings):
+    for g, (day, cls) in enumerate(groups):
         idx = order[bounds[g]:bounds[g + 1]]
-        out[idx] = ranking[np.minimum(q_rank[idx], ranking.size) - 1]
+        out[idx] = universe.keywords(
+            day, cls, np.minimum(q_rank[idx], universe.daily_size(cls))
+        )
     return out
+
+
+def _merge_column(parts: List[dict], name: str, order: Optional[np.ndarray]) -> np.ndarray:
+    """Column ``name`` of every shard part, concatenated and put in ``order``.
+
+    Each part's array is released here, so the merge holds one window
+    plus one column in flight, not a second copy of the window.
+    """
+    merged = np.concatenate([part.pop(name) for part in parts])
+    return merged if order is None else merged[order]
 
 
 def generate_columnar_workload(
@@ -567,33 +576,30 @@ def generate_columnar_workload(
     parts = pool_map(_shard_task, tasks, resolve_workers(jobs, n_shards))
 
     session_base = np.cumsum([0] + [p["start"].size for p in parts])
-    region = np.concatenate([p["region"] for p in parts])
-    start = np.concatenate([p["start"] for p in parts])
-    duration = np.concatenate([p["duration"] for p in parts])
-    passive = np.concatenate([p["passive"] for p in parts])
-    q_sess = np.concatenate(
-        [p["q_sess"] + session_base[i] for i, p in enumerate(parts)]
-    )
-    q_off = np.concatenate([p["q_off"] for p in parts])
-    q_cls = np.concatenate([p["q_cls"] for p in parts])
-    q_rank = np.concatenate([p["q_rank"] for p in parts])
-    q_day = np.concatenate([p["q_day"] for p in parts])
-
+    for base, part in zip(session_base.tolist(), parts):
+        part["q_sess"] += base
     # Global start-time order (the event backend's yield order); the
     # stable sort keeps the shard/slot order deterministic across ties.
+    start = _merge_column(parts, "start", None)
     order = np.argsort(start, kind="stable")
+    start = start[order]
+    region, duration, passive = (
+        _merge_column(parts, name, order) for name in ("region", "duration", "passive")
+    )
     inverse = np.empty(order.size, dtype=np.int64)
     inverse[order] = np.arange(order.size)
-    region, start, duration, passive = (
-        a[order] for a in (region, start, duration, passive)
+    del order
+    q_sess = inverse[_merge_column(parts, "q_sess", None)]
+    del inverse
+    q_order = np.argsort(q_sess, kind="stable")
+    q_sess = q_sess[q_order]
+    q_off, q_cls, q_rank, q_day = (
+        _merge_column(parts, name, q_order) for name in ("q_off", "q_cls", "q_rank", "q_day")
     )
-    new_sess = inverse[q_sess]
-    q_order = np.argsort(new_sess, kind="stable")
-    q_sess = new_sess[q_order]
-    q_off, q_cls, q_rank, q_day = (a[q_order] for a in (q_off, q_cls, q_rank, q_day))
+    del q_order
 
     return ColumnarWorkload(
-        session_region=region.astype(np.int8),
+        session_region=region,
         session_start=start,
         session_duration=duration,
         session_passive=passive,

@@ -62,7 +62,7 @@ class QueryClassId(enum.Enum):
 #: Stable class <-> small-integer code table for the columnar synthesis
 #: fast path: query identities travel through the vectorized pipeline as
 #: ``(class code, rank)`` integer pairs and are resolved to strings once,
-#: at the very end, via :meth:`QueryUniverse.ranking_array`.
+#: at the very end, via :meth:`QueryUniverse.keywords`.
 CLASS_ORDER: Tuple[QueryClassId, ...] = tuple(QueryClassId)
 CLASS_CODE: Dict[QueryClassId, int] = {c: i for i, c in enumerate(CLASS_ORDER)}
 
@@ -197,11 +197,16 @@ class QueryUniverse:
     observation that for ~80% of days at most 4 of the top 10 queries
     reappear in the next day's top 100.
 
-    Days are drawn lazily and memoized once, as ranking arrays.  The
-    score chain keeps only its head (the latest day drawn, which the
-    next day is drawn from) and the days drawn but not yet ranked;
-    :meth:`drop_days_before` forgets whole days, so a stream that only
-    moves forward holds the days its later queries can still reach.
+    Days are drawn lazily, in order, and a day is ranked as its chain
+    draws it: the memo holds each (class, day) ranking as int32 indices
+    into the class pool (4 bytes a query where its string takes up to
+    56), and each class keeps one score vector, its chain's head, which
+    the next day is drawn from.  Strings are gathered from the pool only
+    for the rows a caller asks for (:meth:`keywords`).
+    :meth:`drop_days_before` forgets whole days, and a day the chain
+    draws behind that point is drawn (the shared RNG must advance past
+    it) but not ranked, so a stream that only moves forward holds the
+    days its later queries can still reach.
     """
 
     def __init__(
@@ -225,8 +230,8 @@ class QueryUniverse:
         self._daily_size: Dict[QueryClassId, int] = {}
         self._pool_arrays: Dict[QueryClassId, np.ndarray] = {}
         self._base_weight: Dict[QueryClassId, np.ndarray] = {}
-        self._scores: Dict[QueryClassId, Dict[int, np.ndarray]] = {}
-        self._ranking_arrays: Dict[Tuple[QueryClassId, int], np.ndarray] = {}
+        self._heads: Dict[QueryClassId, Tuple[int, np.ndarray]] = {}
+        self._rankings: Dict[Tuple[QueryClassId, int], np.ndarray] = {}
         self._lookup_index: Dict[int, Dict[str, Tuple[QueryClassId, int]]] = {}
         self._popularity_cache: Dict[QueryClassId, object] = {}
         self._region_cum_cache: Dict[Region, tuple] = {}
@@ -248,7 +253,6 @@ class QueryUniverse:
             # Mild long-term skew: persistent favourites exist, but the
             # daily lognormal noise (sigma = 2) dominates rank identity.
             self._base_weight[cls] = -0.3 * np.log(ranks)
-            self._scores[cls] = {}
 
     def daily_size(self, cls: QueryClassId) -> int:
         """Number of distinct queries the class contributes per period."""
@@ -273,7 +277,7 @@ class QueryUniverse:
 
     def daily_ranking(self, day: int, cls: QueryClassId) -> List[str]:
         """The day's query strings for ``cls``, most popular first."""
-        return self.ranking_array(day, cls).tolist()
+        return self._pool_arrays[cls][self.ranking_indices(day, cls)].tolist()
 
     def popularity_distribution(self, cls: QueryClassId):
         """Figure 11 rank distribution for this class's daily set."""
@@ -295,7 +299,7 @@ class QueryUniverse:
         """
         for day in range(max_day + 1):
             for cls in QueryClassId:
-                self.ranking_array(day, cls)
+                self.ranking_indices(day, cls)
         return self
 
     def _region_class_cum(self, region: Region):
@@ -327,9 +331,10 @@ class QueryUniverse:
         cls = classes[int(self._region_class_table(region).lookup(rng.random()))]
         dist = self.popularity_distribution(cls)
         rank = int(dist.sample(rng))
-        ranking = self.ranking_array(day, cls)
+        ranking = self.ranking_indices(day, cls)
         rank = min(rank, ranking.size)
-        return SampledQuery(keywords=str(ranking[rank - 1]), rank=rank, query_class=cls)
+        keywords = self._pool_arrays[cls].item(ranking.item(rank - 1))
+        return SampledQuery(keywords=keywords, rank=rank, query_class=cls)
 
     def sample_batch(
         self, rng: np.random.Generator, day: int, region: Region, count: int
@@ -352,44 +357,63 @@ class QueryUniverse:
             cls = classes[int(cls_index)]
             positions = np.nonzero(picks == cls_index)[0]
             ranks = self.popularity_distribution(cls).sample(rng, size=positions.size)
-            ranking = self.ranking_array(day, cls)
-            for pos, rank in zip(positions, np.asarray(ranks, dtype=int)):
-                rank = min(int(rank), ranking.size)
-                out[pos] = SampledQuery(
-                    keywords=str(ranking[rank - 1]), rank=rank, query_class=cls
-                )
+            ranks = np.minimum(np.asarray(ranks, dtype=int), self._daily_size[cls])
+            keywords = self.keywords(day, cls, ranks).tolist()
+            for pos, rank, query in zip(positions, ranks.tolist(), keywords):
+                out[pos] = SampledQuery(keywords=query, rank=rank, query_class=cls)
         return out
 
-    def ranking_array(self, day: int, cls: QueryClassId) -> np.ndarray:
-        """The day's query strings for ``cls`` as a NumPy unicode array.
+    def ranking_indices(self, day: int, cls: QueryClassId) -> np.ndarray:
+        """The day's ranking for ``cls``: int32 pool indices, most popular first.
 
-        The one memo of a (class, day) ranking: the columnar paths
-        gather whole groups of query strings from it with one
-        fancy-indexing operation, and :meth:`daily_ranking` lists it.
-        Its width is that of its longest string, the width
-        ``np.array(strings, dtype=np.str_)`` gives.  A dropped day
-        raises ``ValueError``: drawing it again would shift the shared
-        RNG under every later day.
+        The one memo of a (class, day) ranking.  A dropped day raises
+        ``ValueError``: drawing it again would shift the shared RNG under
+        every later day.
         """
         if day < 0:
             raise ValueError(f"day must be >= 0, got {day}")
         if day < self._first_day:
             raise ValueError(f"day {day} was dropped (days before {self._first_day})")
-        key = (cls, day)
-        arr = self._ranking_arrays.get(key)
-        if arr is None:
-            chain = self._scores[cls]
-            scores = self._scores_for(cls, day)
-            order = np.argsort(-scores)[: self._daily_size[cls]]
-            arr = self._pool_arrays[cls][order]
-            arr = arr.astype(f"U{int(np.char.str_len(arr).max())}", copy=False)
-            self._ranking_arrays[key] = arr
-            if day != max(chain):  # ranked and not the head: no longer needed
-                del chain[day]
-        return arr
+        ranking = self._rankings.get((cls, day))
+        if ranking is None:
+            # Every day drawn since the last drop is ranked, so a day not
+            # held lies past the chain's head.
+            self._draw_through(cls, day)
+            ranking = self._rankings[(cls, day)]
+        return ranking
+
+    def ranking_width(self, day: int, cls: QueryClassId) -> int:
+        """Characters in the longest query string of the day's ``cls`` ranking."""
+        ranking = self.ranking_indices(day, cls)
+        # A pool string never gets shorter as its index grows (zero-padded
+        # to five digits, longer past 99999): the longest is the last.
+        return len(self._pool_arrays[cls][ranking.max()])
+
+    def keywords(self, day: int, cls: QueryClassId, ranks: np.ndarray) -> np.ndarray:
+        """The day's ``cls`` query strings at 1-based ``ranks``.
+
+        Gathered from the class pool for these rows only, as a unicode
+        array as wide as the day's whole ranking (:meth:`ranking_width`):
+        the rows of :meth:`ranking_array`, byte for byte.
+        """
+        ranking = self.ranking_indices(day, cls)
+        rows = self._pool_arrays[cls][ranking[np.asarray(ranks) - 1]]
+        return rows.astype(f"U{self.ranking_width(day, cls)}", copy=False)
+
+    def ranking_array(self, day: int, cls: QueryClassId) -> np.ndarray:
+        """The day's query strings for ``cls`` as a NumPy unicode array.
+
+        Gathered from the class pool on each call, not memoized: the
+        memo is the int32 index form (:meth:`ranking_indices`), and the
+        columnar paths gather only the rows they resolve
+        (:meth:`keywords`).  Its width is that of its longest string,
+        the width ``np.array(strings, dtype=np.str_)`` gives.  A dropped
+        day raises ``ValueError``.
+        """
+        return self.keywords(day, cls, np.arange(1, self._daily_size[cls] + 1))
 
     def drop_days_before(self, day: int) -> None:
-        """Forget every day before ``day``: rankings, lookup index, scores.
+        """Forget every day before ``day``: rankings and lookup index.
 
         Each class keeps its score-chain head, the state later days are
         drawn from.  Asking for a dropped day afterwards raises.
@@ -397,28 +421,18 @@ class QueryUniverse:
         if day <= self._first_day:
             return
         self._first_day = day
-        for key in [k for k in self._ranking_arrays if k[1] < day]:
-            del self._ranking_arrays[key]
+        for key in [k for k in self._rankings if k[1] < day]:
+            del self._rankings[key]
         for d in [d for d in self._lookup_index if d < day]:
             del self._lookup_index[d]
-        for chain in self._scores.values():
-            if chain:
-                head = max(chain)
-                for d in [d for d in chain if d < day and d != head]:
-                    del chain[d]
 
     def held_days(self) -> List[int]:
-        """Days with a ranking, lookup index or score vector in memory.
+        """Days with a ranking or lookup index in memory.
 
         Each class's score-chain head is not counted: it is the chain's
         state, kept whatever day it belongs to.
         """
-        days = {d for _, d in self._ranking_arrays} | set(self._lookup_index)
-        for chain in self._scores.values():
-            if chain:
-                head = max(chain)
-                days.update(d for d in chain if d != head)
-        return sorted(days)
+        return sorted({d for _, d in self._rankings} | set(self._lookup_index))
 
     def sample_batch_codes(
         self, rng: np.random.Generator, region: Region, count: int
@@ -430,7 +444,7 @@ class QueryUniverse:
         is the string-free form of :meth:`sample_batch`: the day never
         enters the draw (class choice and rank distribution are
         day-independent), so callers resolve codes to strings later with
-        :meth:`ranking_array` for whatever day each query lands on.
+        :meth:`keywords` for whatever day each query lands on.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -458,35 +472,45 @@ class QueryUniverse:
         """
         return ClassRankSampler.from_universe(self)
 
-    def _scores_for(self, cls: QueryClassId, day: int) -> np.ndarray:
-        """AR(1) latent interest ``g`` per query; score = base + sigma * g.
+    def _draw_through(self, cls: QueryClassId, day: int) -> None:
+        """Advance ``cls``'s AR(1) chain to ``day``, ranking each day drawn.
 
-        Scores for day ``d`` are the log-popularity of every pool entry.
-        The chain is built sequentially from day 0 so results are
-        deterministic for a given seed regardless of query order.  Only
-        its head and unranked days are kept (see :meth:`ranking_array`).
+        ``g`` is the latent interest per pool query; a day's scores are
+        ``base + sigma * g``, and its ranking is the top ``daily_size`` of
+        them.  The chain is drawn sequentially from day 0, so results are
+        deterministic for a given seed regardless of query order.  Days
+        before ``_first_day`` are drawn but not ranked.
         """
-        cache = self._scores[cls]
-        if day in cache:
-            return self._base_weight[cls] + self._noise_sigma * cache[day]
-        start = day
-        while start > 0 and (start - 1) not in cache:
-            start -= 1
+        head = self._heads.get(cls)
+        first, g = (0, None) if head is None else (head[0] + 1, head[1])
         rho = self.persistence
         innovation_scale = math.sqrt(1.0 - rho * rho)
         n = self._pool_arrays[cls].size
-        for d in range(start, day + 1):
+        for d in range(first, day + 1):
             fresh = self._rng.standard_normal(n)
-            if d == 0 or (d - 1) not in cache:
-                cache[d] = fresh
-            else:
-                cache[d] = rho * cache[d - 1] + innovation_scale * fresh
-        # The old head and the new days before ``day`` stay only while
-        # unranked and not dropped.
-        for d in range(start - 1, day):
-            if d in cache and (d < self._first_day or (cls, d) in self._ranking_arrays):
-                del cache[d]
-        return self._base_weight[cls] + self._noise_sigma * cache[day]
+            g = fresh if d == 0 else rho * g + innovation_scale * fresh
+            if d >= self._first_day:
+                scores = self._base_weight[cls] + self._noise_sigma * g
+                self._rankings[(cls, d)] = _top_ranked(scores, self._daily_size[cls])
+        self._heads[cls] = (day, g)
+
+
+def _top_ranked(scores: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-scores)[:k]`` as int32, sorting only the top ``k``.
+
+    A partition finds the top ``k`` and only they are sorted: the same
+    permutation whenever none of the scores it depends on are equal.  A
+    tie inside the top ``k`` or at the cut takes the full sort, whose
+    order for equal scores is its own.
+    """
+    neg = -scores
+    top = np.argpartition(neg, k - 1)[:k]
+    ranked = neg[top]
+    order = np.argsort(ranked)
+    ranked = ranked[order]
+    if (ranked[1:] == ranked[:-1]).any() or np.count_nonzero(neg <= ranked[-1]) != k:
+        return np.argsort(neg)[:k].astype(np.int32)
+    return top[order].astype(np.int32)
 
 
 class ClassRankSampler:

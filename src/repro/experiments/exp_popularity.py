@@ -49,21 +49,21 @@ def run_fig10(ctx: ExperimentContext) -> ExperimentResult:
     from repro.core.popularity import QueryClassId, QueryUniverse, top_n_overlap
 
     universe = QueryUniverse(seed=ctx.config.seed + 1)
-    for label, rank_range in ranges:
-        overlaps = [
-            top_n_overlap(
-                universe.daily_ranking(d, QueryClassId.NA_ONLY),
-                universe.daily_ranking(d + 1, QueryClassId.NA_ONLY),
-                rank_range, 100,
-            )
-            for d in range(20)
-        ]
-        dist = drift_distribution(overlaps)
+    overlaps = {label: [] for label, _ in ranges}
+    # The universe gathers a day's strings on each call: list each once.
+    today = universe.daily_ranking(0, QueryClassId.NA_ONLY)
+    for d in range(20):
+        tomorrow = universe.daily_ranking(d + 1, QueryClassId.NA_ONLY)
+        for label, rank_range in ranges:
+            overlaps[label].append(top_n_overlap(today, tomorrow, rank_range, 100))
+        today = tomorrow
+    for label, _ in ranges:
+        dist = drift_distribution(overlaps[label])
         result.add(
             source="ground truth",
             day_n_ranks=label,
             next_day_top=100,
-            mean_retained=sum(overlaps) / len(overlaps),
+            mean_retained=sum(overlaps[label]) / len(overlaps[label]),
             frac_days_gt4=float(dist[4]),
         )
     result.note("paper anchor: P[>4 of top10 in next-day top100] ~ 0.2")

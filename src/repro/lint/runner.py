@@ -45,7 +45,9 @@ __all__ = [
 #: in every JSON report and in bench artifacts so an archived run states
 #: what was enforced at the time.  2.0: the dataflow analyzer -- RNG7xx
 #: stream provenance, DTY8xx dtype/reduction-order contracts, NOQ901
-#: suppression audit, project call graph.
+#: suppression audit, project call graph.  2.1: KER602
+#: ``deprecated-shim-import`` (no import of the removed
+#: ``repro.core.arrays`` shim).
 RULESET_VERSION = "2.1"
 
 

@@ -488,9 +488,10 @@ class ColumnarShardEngine:
         # draws from its shared RNG, so the order is part of the trace.
         order, groups, bounds = group_slices((keys >> 1) // rank_span)
         strings = np.concatenate([
-            self.universe.ranking_array(key // n_classes, CLASS_ORDER[key % n_classes])[
-                entry_rank[order[bounds[g]:bounds[g + 1]]]
-            ]
+            self.universe.keywords(
+                key // n_classes, CLASS_ORDER[key % n_classes],
+                entry_rank[order[bounds[g]:bounds[g + 1]]] + 1,
+            )
             for g, key in enumerate(groups.tolist())
         ])
         # Wide enough for the 40-hex SHA1 urns too.

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.popularity import (
     BodyTailZipf,
     QueryClassId,
     QueryUniverse,
+    _top_ranked,
     region_class_probabilities,
     top_n_overlap,
     zipf_for_class,
 )
 from repro.core.regions import Region
+from universe_reference import ReferenceUniverse
 
 RNG = np.random.default_rng(17)
 
@@ -166,14 +170,27 @@ class TestQueryUniverse:
             # The width np.array(list) gives: part of the frame bytes.
             assert arr.dtype == np.array(listed, dtype=np.str_).dtype
 
-    def test_score_chain_keeps_head_and_unranked_days(self):
+    @staticmethod
+    def ranked_days(u, cls):
+        """Days ``cls`` holds a ranking for, each an int32 index array."""
+        days = sorted(d for c, d in u._rankings if c is cls)
+        assert all(u._rankings[(cls, d)].dtype == np.int32 for d in days)
+        return days
+
+    def test_score_chain_keeps_only_its_head(self):
         u = QueryUniverse(seed=5)
         cls = QueryClassId.NA_ONLY
-        u.ranking_array(5, cls)  # draws days 0-5, ranks day 5 (the head)
-        u.ranking_array(2, cls)
-        assert sorted(u._scores[cls]) == [0, 1, 3, 4, 5]
-        u.ranking_array(7, cls)  # day 5 is ranked and no longer the head
-        assert sorted(u._scores[cls]) == [0, 1, 3, 4, 6, 7]
+        u.ranking_array(5, cls)  # draws days 0-5 and ranks each
+        assert list(u._heads) == [cls] and u._heads[cls][0] == 5
+        assert self.ranked_days(u, cls) == [0, 1, 2, 3, 4, 5]
+        state = u._rng.bit_generator.state
+        u.ranking_array(2, cls)  # already ranked: no draw
+        assert u._rng.bit_generator.state == state
+        assert u.held_days() == [0, 1, 2, 3, 4, 5]
+        u.ranking_array(7, cls)  # draws days 6-7 from the head
+        assert list(u._heads) == [cls] and u._heads[cls][0] == 7
+        assert self.ranked_days(u, cls) == [0, 1, 2, 3, 4, 5, 6, 7]
+        assert u.held_days() == [0, 1, 2, 3, 4, 5, 6, 7]
         fresh = QueryUniverse(seed=5)
         for day in (5, 2, 7, 0, 6):
             assert fresh.daily_ranking(day, cls) == u.daily_ranking(day, cls)
@@ -196,11 +213,92 @@ class TestQueryUniverse:
         cls = QueryClassId.AS_ONLY
         u.ranking_array(1, cls)
         u.drop_days_before(4)
-        assert sorted(u._scores[cls]) == [1]  # the head, ranked and dropped
-        u.ranking_array(6, cls)  # draws days 2-6 from day 1
-        assert sorted(u._scores[cls]) == [4, 5, 6]
+        assert u._heads[cls][0] == 1  # the head, ranked and dropped
+        assert self.ranked_days(u, cls) == []
+        assert u.held_days() == []
+        u.ranking_array(6, cls)  # draws days 2-6 from day 1, ranks 4-6
+        assert list(u._heads) == [cls] and u._heads[cls][0] == 6
+        assert self.ranked_days(u, cls) == [4, 5, 6]
         assert u.held_days() == [4, 5, 6]
         assert u.daily_ranking(6, cls) == QueryUniverse(seed=9).daily_ranking(6, cls)
+
+    def test_keywords_are_rows_of_the_ranking(self):
+        u = QueryUniverse(seed=5)
+        ranks = np.array([3, 1, 3, 7])
+        for cls in QueryClassId:
+            rows = u.keywords(4, cls, np.minimum(ranks, u.daily_size(cls)))
+            whole = u.ranking_array(4, cls)
+            assert rows.dtype == whole.dtype
+            assert rows.tolist() == whole[np.minimum(ranks, whole.size) - 1].tolist()
+            assert u.ranking_width(4, cls) == whole.dtype.itemsize // 4
+
+
+#: NA_ONLY's pool then ends at q100004, so some days rank a six-digit
+#: string and some do not: the ranking's width varies by day.
+WIDE_SCALE = 20001 / 1927
+
+CLASSES = st.sampled_from(list(QueryClassId))
+universe_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("ranking_array"), st.integers(-1, 8), CLASSES),
+        st.tuples(st.just("daily_ranking"), st.integers(-1, 8), CLASSES),
+        st.tuples(st.just("lookup"), st.integers(-1, 8), CLASSES, st.integers(0, 120)),
+        st.tuples(st.just("drop_days_before"), st.integers(0, 8)),
+    ),
+    max_size=12,
+)
+
+
+def outcome(universe, call):
+    """What one call returns (arrays as list and dtype), or the error it raises."""
+    name, day, *args = call
+    try:
+        if name == "lookup":
+            cls, index = args
+            return universe.lookup(day, f"{cls.value}-q{index:05d}")
+        result = getattr(universe, name)(day, *args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(result, np.ndarray):
+        return result.tolist(), result.dtype
+    return result
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 3), scale=st.sampled_from([0.05, WIDE_SCALE]), calls=universe_calls)
+@example(  # NA_ONLY's day-4 ranking is one character narrower than its pool
+    seed=1, scale=WIDE_SCALE, calls=[
+        ("ranking_array", 4, QueryClassId.NA_ONLY),
+        ("ranking_array", 2, QueryClassId.NA_ONLY),
+        ("drop_days_before", 3),
+        ("lookup", 5, QueryClassId.EU_ONLY, 7),
+        ("ranking_array", 2, QueryClassId.NA_ONLY),
+    ],
+)
+def test_index_memo_answers_like_the_string_memo(seed, scale, calls):
+    universe = QueryUniverse(seed=seed, scale=scale)
+    reference = ReferenceUniverse(seed=seed, scale=scale)
+    for call in calls:
+        assert outcome(universe, call) == outcome(reference, call), call
+        assert universe.held_days() == reference.held_days(), call
+        assert universe._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), data=st.data())
+@example(seed=0, n=300, data=None)  # ties the partition orders unlike the full sort
+def test_top_ranked_is_the_head_of_a_full_sort(seed, n, data):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-3, 4, size=n).astype(float)  # ties
+    if data is None:
+        k = 290
+    else:
+        k = data.draw(st.integers(1, n - 1), label="k")
+        if data.draw(st.booleans(), label="tie-free"):
+            scores += rng.standard_normal(n)
+    got = _top_ranked(scores, k)
+    assert got.dtype == np.int32
+    assert got.tolist() == np.argsort(-scores)[:k].tolist()
 
 
 class TestTopNOverlap:

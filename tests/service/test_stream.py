@@ -1,5 +1,7 @@
 """The deterministic frame source: identity, slicing, and round trips."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,28 @@ class TestBoundedUniverse:
         assert 0 in universe.held_days()
         again = [f for f, _ in WorkloadFrameSource(config, universe=universe).frames()]
         assert first == again
+
+
+class TestOneWindowResident:
+    """Window w and every view of it are released before w + 1 is generated."""
+
+    def test_a_window_is_dead_when_the_next_is_generated(self, monkeypatch):
+        import repro.service.stream as stream
+
+        generate = stream.generate_columnar_workload
+        windows = []  # a weakref to each window's session_start
+        alive = []  # per request: which earlier windows are still alive
+
+        def spy(model, universe, **kwargs):
+            alive.append([ref() is not None for ref in windows])
+            workload = generate(model, universe, **kwargs)
+            windows.append(weakref.ref(workload.session_start))
+            return workload
+
+        monkeypatch.setattr(stream, "generate_columnar_workload", spy)
+        config = StreamConfig(
+            n_peers=300, seed=404, window_seconds=900.0, batch_sessions=200, n_frames=12
+        )
+        for _ in WorkloadFrameSource(config).frames():
+            pass
+        assert alive == [[], [False], [False, False]]
