@@ -172,9 +172,6 @@ class PeerPopulation:
             shared_files=sample_shared_files(rng),
         )
 
-    def spawn_many(self, hour: int, count: int) -> List[PeerIdentity]:
-        return [self.spawn(hour) for _ in range(count)]
-
     def allocate_ip_array(self, region: Region, count: int) -> np.ndarray:
         """Batch :meth:`allocate_ip` as a NumPy string array (same
         counters, so uniqueness spans both APIs)."""

@@ -13,7 +13,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ),
     "common": (
         "MAJOR", "session_start_hour", "session_start_period", "sessions_by_region",
-        "StreamingReducer",
     ),
     "geographic": ("GeographicProfile", "geographic_distribution"),
     "hits": (

@@ -2,45 +2,19 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.events import SessionRecord
 from repro.core.regions import KeyPeriod, Region, hour_of_day
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.filtering.columnar import ColumnarFilterResult
 
 __all__ = [
     "session_start_hour",
     "session_start_period",
     "sessions_by_region",
-    "group_by",
     "MAJOR",
-    "StreamingReducer",
 ]
 
 MAJOR = (Region.NORTH_AMERICA, Region.EUROPE, Region.ASIA)
-
-
-class StreamingReducer(Protocol):
-    """One-pass accumulator over filtered trace chunks.
-
-    The out-of-core analysis pipeline pushes each shard's
-    :class:`~repro.filtering.ColumnarFilterResult` through every reducer
-    exactly once (``update``), then asks each for its figure/table
-    product (``finalize``).  Implementations must depend only on running
-    state whose merge across chunks is exact -- integer counts, array
-    concatenations in chunk order, per-session values -- so the streamed
-    product is identical to the in-memory analysis of the whole trace.
-    """
-
-    def update(self, block: "ColumnarFilterResult") -> None:
-        """Fold one chunk's filter result into the running state."""
-        ...
-
-    def finalize(self) -> Any:
-        """Produce the final figure/table product."""
-        ...
 
 
 def session_start_hour(session: SessionRecord) -> int:
@@ -63,12 +37,4 @@ def sessions_by_region(sessions: Iterable[SessionRecord]) -> Dict[Region, List[S
     for session in sessions:
         if session.region in out:
             out[session.region].append(session)
-    return out
-
-
-def group_by(items: Sequence, key) -> Dict:
-    """Tiny multimap helper: group ``items`` by ``key(item)``."""
-    out: Dict = {}
-    for item in items:
-        out.setdefault(key(item), []).append(item)
     return out

@@ -1,10 +1,9 @@
 """Single-pass streaming accumulators for the Figure 1-11 analyses.
 
-Each reducer here implements the
-:class:`~repro.analysis.common.StreamingReducer` protocol: it folds one
-filtered trace chunk at a time into running state whose cross-chunk
-merge is *exact* -- integer counts, per-session scalars, and array
-concatenations in chunk order -- and finalizes into the same product the
+Each reducer here folds one filtered trace chunk at a time
+(``update``) into running state whose cross-chunk merge is *exact* --
+integer counts, per-session scalars, and array concatenations in chunk
+order -- and finalizes (``finalize``) into the same product the
 in-memory analysis functions compute over the whole trace at once.
 
 Exactness relies on two properties of the sharded pipeline:
@@ -831,27 +830,23 @@ class StreamingAnalysis:
     queries: Optional[QueryColumns] = None
 
 
-def _fold(block: Optional[ColumnarFilterResult], reducers) -> None:
-    if block is not None:
-        for reducer in reducers:
-            reducer.update(block)
-
-
 def run_streaming(
     shards: Union[Iterable[ColumnarTrace], "object"],
-    split_sessions: bool = False,
     query_columns: bool = False,
 ) -> StreamingAnalysis:
     """Filter and analyze a sharded trace in one bounded-memory pass.
 
     ``shards`` is a :class:`~repro.measurement.shards.ShardedTrace` (its
     shards are visited memory-mapped, one at a time) or any iterable of
-    time-ordered :class:`ColumnarTrace` chunks.  ``query_columns=True``
-    also folds :class:`QueryColumns` in the same pass; its columns grow
-    with the trace, so callers that do not run X1-X4 leave it off.
+    time-ordered :class:`ColumnarTrace` chunks of whole sessions (a
+    chunk that cuts a session raises ``ValueError``, see
+    :class:`~repro.filtering.streaming.StreamingFilter`).
+    ``query_columns=True`` also folds :class:`QueryColumns` in the same
+    pass; its columns grow with the trace, so callers that do not run
+    X1-X4 leave it off.
     """
     chunks = shards.iter_shards() if hasattr(shards, "iter_shards") else iter(shards)
-    filt = StreamingFilter(split_sessions=split_sessions)
+    filt = StreamingFilter()
     geographic = StreamingGeographic()
     shared_files = StreamingSharedFiles()
     load = StreamingQueryLoad()
@@ -864,11 +859,12 @@ def run_streaming(
         geographic, shared_files, load, passive_fraction, passive, active, popularity,
     ) + ((columns,) if columns else ())
     for chunk in chunks:
-        _fold(filt.push(chunk), reducers)
-        # Unbind the shard (and, with _fold returned, its filtered block)
-        # before the next one is mapped, so one shard is resident at a time.
-        del chunk
-    _fold(filt.finish(), reducers)
+        block = filt.push(chunk)
+        for reducer in reducers:
+            reducer.update(block)
+        # Unbind the shard and its filtered block before the next one is
+        # mapped, so one shard is resident at a time.
+        del chunk, block
     return StreamingAnalysis(
         report=filt.report,
         geographic=geographic.finalize(),

@@ -504,7 +504,7 @@ def _cmd_overlay(args) -> int:
     result = simulate_workload(workload, run_seconds, config=config, jobs=args.jobs)
     print(
         f"simulated {result.peers_simulated} peers over {run_seconds:g} s "
-        f"in {result.n_rounds} rounds (backend={result.backend})"
+        f"in {result.n_rounds} rounds"
     )
     print(
         f"  {result.n_queries} queries flooded: {result.messages_total} "

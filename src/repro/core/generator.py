@@ -13,35 +13,26 @@ each peer session:
    query identities (Table 3 + Fig. 11), and the time after the last
    query (Table A.5).
 
-The generator streams :class:`~repro.core.events.GeneratedSession`
-objects, so arbitrarily long workloads can be produced in constant
-memory.
+:class:`SyntheticWorkloadGenerator` runs it with the batched wave engine
+of :mod:`repro.core.generator_columnar` and hands the workload out as a
+:class:`~repro.core.generator_columnar.ColumnarWorkload` or as
+:class:`~repro.core.events.GeneratedSession` objects.  A workload is
+generated whole; the service's ``WorkloadFrameSource`` generates an
+unbounded stream one window at a time, in one window's memory.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from typing import Iterator, List, Optional
 
-import numpy as np
-
-from .events import GeneratedQuery, GeneratedSession
-from .generator_columnar import (
-    ColumnarWorkload,
-    generate_columnar_workload,
-    major_region_cum,
-)
+from .events import GeneratedSession
+from .generator_columnar import ColumnarWorkload, generate_columnar_workload
 from .model import WorkloadModel
 from .popularity import QueryUniverse
-from .regions import MAJOR_REGIONS, Region, hour_of_day, is_peak_hour
 
 __all__ = ["SyntheticWorkloadGenerator"]
 
 _SECONDS_PER_DAY = 86400.0
-
-#: Supported generation engines.
-_BACKENDS = ("event", "columnar")
 
 
 class SyntheticWorkloadGenerator:
@@ -64,16 +55,10 @@ class SyntheticWorkloadGenerator:
         tails occasionally produce multi-month sessions; the paper's own
         trace is bounded by the 40-day measurement period, so the default
         cap matches that.
-    backend:
-        ``"columnar"`` (default) batch-samples whole waves of sessions
-        with NumPy (see :mod:`repro.core.generator_columnar`);
-        ``"event"`` is the scalar per-session reference engine.  Both
-        draw from the same model; a fixed seed gives each backend its
-        own deterministic, KS-equivalent realization.
     jobs:
-        Worker processes for the columnar backend's shard fan-out
-        (capped by :func:`~repro.core.runtime.available_cpus`).  Output
-        is byte-identical for any value.
+        Worker processes for the shard fan-out (capped by
+        :func:`~repro.core.runtime.available_cpus`).  Output is
+        byte-identical for any value.
     """
 
     def __init__(
@@ -83,109 +68,33 @@ class SyntheticWorkloadGenerator:
         n_peers: int = 200,
         seed: int = 42,
         max_session_seconds: float = 40 * _SECONDS_PER_DAY,
-        backend: str = "columnar",
         jobs: int = 1,
     ):
         if n_peers < 1:
             raise ValueError(f"n_peers must be >= 1, got {n_peers}")
         if max_session_seconds <= 0:
             raise ValueError("max_session_seconds must be positive")
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.model = model or WorkloadModel.paper()
         self.universe = universe or QueryUniverse()
         self.n_peers = n_peers
         self.max_session_seconds = float(max_session_seconds)
-        self.backend = backend
         self.jobs = int(jobs)
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
-        # Per-hour cumulative region weights (Fig. 1), precomputed once;
-        # rebuilding the weight array per session was the hottest line of
-        # the scalar path.
-        self._region_cum = major_region_cum(self.model)
-
-    # -- single session -----------------------------------------------------
-
-    def generate_session(self, start_time: float) -> GeneratedSession:
-        """Generate one peer session starting at ``start_time``."""
-        rng = self._rng
-        hour = hour_of_day(start_time)
-        region = self._choose_region(hour)
-        # Step 2: passive vs. active, conditioned on region (and hour).
-        if rng.random() < self.model.passive_fraction(region, hour):
-            duration = self._bounded(self.model.passive_duration(region, is_peak_hour(region, start_time)).sample(rng))
-            return GeneratedSession(region=region, start=start_time, duration=duration, passive=True)
-        return self._generate_active(region, start_time)
-
-    def _generate_active(self, region: Region, start_time: float) -> GeneratedSession:
-        rng = self._rng
-        peak = is_peak_hour(region, start_time)
-        # Step 4a: number of queries (ceil of the continuous lognormal).
-        n_queries = max(1, int(math.ceil(self.model.queries_per_session(region).sample(rng))))
-        # Step 4b: time until the first query.
-        t_first = self._bounded(self.model.first_query(region, peak, n_queries).sample(rng))
-        offsets: List[float] = [t_first]
-        # Step 4c(i): interarrival gaps between successive queries.
-        for _ in range(n_queries - 1):
-            gap = self._bounded(self.model.interarrival(region, peak, n_queries).sample(rng))
-            offsets.append(offsets[-1] + gap)
-        # Step 4d: time after the last query.
-        t_after = self._bounded(self.model.last_query(region, peak, n_queries).sample(rng))
-        duration = min(offsets[-1] + t_after, self.max_session_seconds)
-        offsets = [min(o, duration) for o in offsets]
-        day = int((start_time + offsets[0]) // _SECONDS_PER_DAY)
-        queries: List[GeneratedQuery] = []
-        for offset in offsets:
-            # Steps 4c(ii)-(iii): query class, then rank within the class.
-            sampled = self.universe.sample(rng, day=day, region=region)
-            queries.append(
-                GeneratedQuery(
-                    offset=offset,
-                    keywords=sampled.keywords,
-                    rank=sampled.rank,
-                    query_class=sampled.query_class.value,
-                )
-            )
-        return GeneratedSession(
-            region=region, start=start_time, duration=duration, passive=False, queries=queries
-        )
-
-    # -- steady-state stream -------------------------------------------------
 
     def iter_sessions(self, duration_seconds: float, start_time: float = 0.0) -> Iterator[GeneratedSession]:
-        """Stream sessions from ``n_peers`` steady-state peer slots.
+        """Sessions from ``n_peers`` steady-state peer slots, in start order.
 
         Each slot runs sessions back to back (a finished peer is replaced
-        immediately, per Section 4.7).  Sessions are yielded in start-time
-        order; generation stops once every slot has passed
-        ``start_time + duration_seconds``.
+        immediately, per Section 4.7); generation stops once every slot
+        has passed ``start_time + duration_seconds``.
         """
-        if self.backend == "columnar":
-            workload = self.generate_columnar(duration_seconds, start_time)
-            yield from workload.iter_sessions()
-            return
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
-        end_time = start_time + duration_seconds
-        # (next_session_start, slot_id) priority queue.
-        slots = [(start_time, i) for i in range(self.n_peers)]
-        heapq.heapify(slots)
-        while slots:
-            t, slot = heapq.heappop(slots)
-            if t >= end_time:
-                continue
-            session = self.generate_session(t)
-            yield session
-            heapq.heappush(slots, (session.end, slot))
+        return self.generate_columnar(duration_seconds, start_time).iter_sessions()
 
     def generate(self, duration_seconds: float, start_time: float = 0.0) -> List[GeneratedSession]:
         """Materialize :meth:`iter_sessions` into a list."""
-        if self.backend == "columnar":
-            return self.generate_columnar(duration_seconds, start_time).to_sessions()
-        return list(self.iter_sessions(duration_seconds, start_time))
+        return self.generate_columnar(duration_seconds, start_time).to_sessions()
 
     def generate_columnar(
         self,
@@ -193,11 +102,7 @@ class SyntheticWorkloadGenerator:
         start_time: float = 0.0,
         jobs: Optional[int] = None,
     ) -> ColumnarWorkload:
-        """Generate the workload as a :class:`ColumnarWorkload` (no objects).
-
-        Available regardless of ``backend``; always uses the vectorized
-        wave engine with this generator's model, universe, and seed.
-        """
+        """Generate the workload as a :class:`ColumnarWorkload` (no objects)."""
         return generate_columnar_workload(
             model=self.model,
             universe=self.universe,
@@ -208,18 +113,3 @@ class SyntheticWorkloadGenerator:
             max_session_seconds=self.max_session_seconds,
             jobs=self.jobs if jobs is None else jobs,
         )
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _choose_region(self, hour: int) -> Region:
-        """Step 1: region choice conditioned on time of day (Fig. 1).
-
-        The OTHER share is folded into the three characterized regions,
-        since the paper's model covers only those (Section 4.1); the
-        per-hour cumulative weights are precomputed at construction.
-        """
-        index = int(np.searchsorted(self._region_cum[hour], self._rng.random(), side="right"))
-        return MAJOR_REGIONS[min(index, len(MAJOR_REGIONS) - 1)]
-
-    def _bounded(self, value: float) -> float:
-        return float(min(max(value, 0.0), self.max_session_seconds))

@@ -1,13 +1,13 @@
-"""Vectorized columnar backend for the Figure 12 workload generator.
+"""The Figure 12 workload generator's engine: batched NumPy waves.
 
-The event backend (:class:`~repro.core.generator.SyntheticWorkloadGenerator`
-with ``backend="event"``) walks a heap of per-slot Python tuples and
-draws every random quantity with a scalar ``sample()`` call.  This
-module generates the *same steady-state model* -- region choice by the
-Fig. 1 per-hour mix, the passive/active split, query counts, first-query
-/ interarrival / last-query offsets, and query identities -- as whole
-NumPy batches, emitting a :class:`ColumnarWorkload` struct-of-arrays
-with no per-session or per-query Python objects.
+The scalar form of the algorithm walks a heap of per-slot Python
+tuples and draws every random quantity with a scalar ``sample()`` call
+(the test suite keeps it as its reference, ``tests/event_reference.py``).
+This module generates the *same steady-state model* -- region choice
+by the Fig. 1 per-hour mix, the passive/active split, query counts,
+first-query / interarrival / last-query offsets, and query identities
+-- as whole NumPy batches, emitting a :class:`ColumnarWorkload`
+struct-of-arrays with no per-session or per-query Python objects.
 
 Wave algorithm
 --------------
@@ -40,12 +40,12 @@ parent resolves codes to strings once, after the merge, in sorted
 Equivalence contract
 --------------------
 
-Every random quantity is drawn from the same distribution as the event
-backend, but batched draws consume the stream in a different order, so
-a fixed seed yields a different, equally-distributed realization.  The
-test suite holds the two backends to KS equivalence on session
-durations, queries per session, interarrival times, first/last-query
-gaps, and the per-hour region mix (see docs/METHODOLOGY.md section 8).
+Every random quantity is drawn from the same distribution as the scalar
+reference, but batched draws consume the stream in a different order,
+so a fixed seed yields a different, equally-distributed realization.
+The test suite holds the two to KS equivalence on session durations,
+queries per session, interarrival times, first/last-query gaps, and
+the per-hour region mix (see docs/METHODOLOGY.md section 8).
 """
 
 from __future__ import annotations
@@ -95,14 +95,12 @@ _SECONDS_PER_DAY = 86400.0
 SLOTS_PER_SHARD = 2048
 
 #: Region <-> small-integer code table for the session column.  The
-#: generator itself only emits the three characterized regions, but the
-#: round-trip constructors accept OTHER so any session list columnarizes.
+#: generator itself only emits the three characterized regions; OTHER
+#: has a code so any session list columnarizes.
 WORKLOAD_REGION_ORDER: Tuple[Region, ...] = MAJOR_REGIONS + (Region.OTHER,)
 WORKLOAD_REGION_CODE: Dict[Region, int] = {
     r: i for i, r in enumerate(WORKLOAD_REGION_ORDER)
 }
-
-_CLASS_VALUE_CODE: Dict[str, int] = {c.value: i for i, c in enumerate(CLASS_ORDER)}
 
 #: (region code, hour) -> peak flag, from the static Section 4.2 periods.
 _PEAK_TABLE = np.array(
@@ -113,10 +111,9 @@ _PEAK_TABLE = np.array(
 def major_region_cum(model: WorkloadModel) -> np.ndarray:
     """Per-hour cumulative weights over the three characterized regions.
 
-    The OTHER share is folded into the major regions by normalization,
-    exactly as the scalar ``_choose_region`` did per session (Section
-    4.1); rebuilding the weight dict per draw was the generator's
-    hottest line.  ``searchsorted(cum[hour], u)`` yields a region index.
+    The OTHER share is folded into the major regions by normalization
+    (Section 4.1), once per model rather than per draw.
+    ``searchsorted(cum[hour], u)`` yields a region index.
     """
     weights = np.empty((24, len(MAJOR_REGIONS)), dtype=np.float64)
     for hour in range(24):
@@ -196,10 +193,10 @@ class ColumnarWorkload:
 
     Sessions are sorted by start time; queries are grouped contiguously
     per session (``query_session`` is nondecreasing) and time-sorted
-    within each group, mirroring the event backend's yield order.  The
-    representation round-trips losslessly to
-    :class:`~repro.core.events.GeneratedSession` objects and to ``.npz``
-    files via :mod:`repro.core.workload_io`.
+    within each group, the order the scalar algorithm yields them in.
+    The representation expands losslessly to
+    :class:`~repro.core.events.GeneratedSession` objects and round-trips
+    through ``.npz`` files via :mod:`repro.core.workload_io`.
     """
 
     session_region: np.ndarray     # int8, WORKLOAD_REGION_ORDER codes
@@ -269,7 +266,7 @@ class ColumnarWorkload:
             for name in self.ARRAY_FIELDS
         )
 
-    # -- round trip to record objects ---------------------------------------
+    # -- record objects ------------------------------------------------------
 
     def iter_sessions(self) -> Iterator[GeneratedSession]:
         """Yield :class:`GeneratedSession` objects one at a time."""
@@ -296,50 +293,6 @@ class ColumnarWorkload:
     def to_sessions(self) -> List[GeneratedSession]:
         """Materialize :meth:`iter_sessions` into a list."""
         return list(self.iter_sessions())
-
-    @classmethod
-    def from_sessions(cls, sessions) -> "ColumnarWorkload":
-        """Columnarize an iterable of :class:`GeneratedSession` objects."""
-        sessions = list(sessions)
-        n = len(sessions)
-        region = np.empty(n, dtype=np.int8)
-        start = np.empty(n, dtype=np.float64)
-        duration = np.empty(n, dtype=np.float64)
-        passive = np.empty(n, dtype=bool)
-        q_sess: List[int] = []
-        q_off: List[float] = []
-        q_rank: List[int] = []
-        q_cls: List[int] = []
-        q_kw: List[str] = []
-        for i, session in enumerate(sessions):
-            code = WORKLOAD_REGION_CODE.get(session.region)
-            if code is None:
-                raise ValueError(f"unknown region {session.region!r}")
-            region[i] = code
-            start[i] = session.start
-            duration[i] = session.duration
-            passive[i] = session.passive
-            for query in session.queries:
-                cls_code = _CLASS_VALUE_CODE.get(query.query_class)
-                if cls_code is None:
-                    raise ValueError(f"unknown query class {query.query_class!r}")
-                q_sess.append(i)
-                q_off.append(query.offset)
-                q_rank.append(query.rank)
-                q_cls.append(cls_code)
-                q_kw.append(query.keywords)
-        width = max([1] + [len(k) for k in q_kw])
-        return cls(
-            session_region=region,
-            session_start=start,
-            session_duration=duration,
-            session_passive=passive,
-            query_session=np.asarray(q_sess, dtype=np.int64),
-            query_offset=np.asarray(q_off, dtype=np.float64),
-            query_rank=np.asarray(q_rank, dtype=np.int64),
-            query_class=np.asarray(q_cls, dtype=np.int8),
-            query_keywords=np.asarray(q_kw, dtype=f"U{width}"),
-        ).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +400,12 @@ def _generate_shard(
             durations[act] = dur_act
 
             # Flat query rows: offset = first + per-session gap cumsum,
-            # clamped to the session duration like the event path.
+            # clamped to the session duration like the scalar path.
             offs = segmented_offsets_base(t_first, gaps, nq)
             offs = np.minimum(offs, np.repeat(dur_act, nq))
 
             # 4c(ii)-(iii): class and rank codes; the sample day is the
-            # day the (clamped) first query lands on, as in the event path.
+            # day the (clamped) first query lands on, as in the scalar path.
             day = (
                 (starts[act] + np.minimum(t_first, dur_act)) // _SECONDS_PER_DAY
             ).astype(np.int64)
@@ -578,7 +531,7 @@ def generate_columnar_workload(
     session_base = np.cumsum([0] + [p["start"].size for p in parts])
     for base, part in zip(session_base.tolist(), parts):
         part["q_sess"] += base
-    # Global start-time order (the event backend's yield order); the
+    # Global start-time order (the scalar path's yield order); the
     # stable sort keeps the shard/slot order deterministic across ties.
     start = _merge_column(parts, "start", None)
     order = np.argsort(start, kind="stable")

@@ -117,8 +117,7 @@ class WorkloadModel:
           ``[region, peak, class_code]``
 
         Custom models whose factories vary *within* a class are sampled
-        at the class representative; the event backend remains the
-        reference engine for such conditioning.
+        at the class representative.
         """
         grid: Dict[str, dict] = {
             "queries_per_session": {},

@@ -17,15 +17,13 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "QueryHit", "decode", "new_guid",
     ),
     "columnar_overlay": (
-        "ENGINE_BACKENDS", "FloodContext", "FloodResult", "OverlayConfig",
-        "OverlayRunResult", "compare_runs", "flood_context_from_overlay",
+        "FloodContext", "FloodResult", "OverlayConfig", "OverlayRunResult",
         "flood_queries", "simulate_workload",
     ),
     "overlay": ("OverlayNetwork", "QueryOutcome"),
     "peer": ("Action", "PeerMode", "PeerNode"),
     "qrp": (
-        "PackedQRPTables", "QueryRouteTable", "keyword_hash", "keyword_hashes",
-        "text_hash_table",
+        "QueryRouteTable", "keyword_hash", "keyword_hashes", "text_hash_table",
     ),
     "routing": ("DEFAULT_GUID_TTL_SECONDS", "RoutingTable"),
     "simulator": ("EventScheduler",),

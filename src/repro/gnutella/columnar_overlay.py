@@ -10,22 +10,22 @@ same ultrapeer/leaf protocol as array programs over the
   over neighbour lists per TTL ring, duplicate-GUID suppression via
   sorted set-membership kernels, vectorized hop accounting;
 * QRP leaf forwarding is resolved analytically after the ultrapeer BFS
-  from per-keyword-code postings of the packed tables
-  (:class:`~repro.gnutella.qrp.PackedQRPTables` bit semantics);
+  from per-keyword-hash postings of the leaf tables, bit-exact with
+  :class:`~repro.gnutella.qrp.QueryRouteTable` (false positives
+  included);
 * QUERYHIT reverse routing is a depth sum (the reverse path of an
   answerer at BFS depth ``d`` is exactly ``d`` messages long);
 * churn is delta-stepped: sessions connect at the round of their start
   and disconnect at the end of the round of their end, so the round
   width ``delta_seconds`` is part of the simulation's identity.
 
-``backend="event"`` runs the *same* plan through the real
-:class:`~repro.gnutella.peer.PeerNode` machinery with zero link latency
-(floods complete instantaneously in virtual time, which makes delivery
-a strict BFS) and the real :class:`~repro.measurement.MeasurementNode`.
-The two backends are held to identical monitor-observed hop-1 query
-streams, reach sets/TTL horizons, per-query message and hit counts,
-reconstructed sessions, and keep-alive totals by
-:func:`compare_runs` -- the equivalence battery CI enforces.
+The engine is held to an event-driven reference that replays the
+*same* seeded plan through the real :class:`~repro.gnutella.peer.PeerNode`
+machinery and the record monitor (``tests/event_reference.py``): both
+call :func:`_prepare`, and the equivalence battery requires identical
+monitor-observed hop-1 query streams, reach sets/TTL horizons,
+per-query message and hit counts, reconstructed sessions, and
+keep-alive totals.
 
 All array work dispatches through :mod:`repro.core.kernels`; query
 batches shard over workers via ``pool_map`` with byte-identical output
@@ -35,15 +35,11 @@ for any ``jobs`` (floods are independent per query).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.generator_columnar import (
-    WORKLOAD_REGION_CODE,
-    WORKLOAD_REGION_ORDER,
-    ColumnarWorkload,
-)
+from repro.core.generator_columnar import ColumnarWorkload
 from repro.core.kernels import (
     isin_sorted,
     merge_unique,
@@ -56,29 +52,21 @@ from repro.core.kernels import (
 )
 from repro.core.parameters import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS
 from repro.core.regions import Region
-from repro.measurement import MeasurementNode
 
-from .messages import Query, QueryHit
 from .overlay import OverlayNetwork
 from .peer import PeerMode, PeerNode
 from .qrp import text_hash_table
-from .simulator import EventScheduler
 from .topology import CSRTopology
 
 __all__ = [
-    "ENGINE_BACKENDS",
     "MONITOR_ID",
     "FloodContext",
     "FloodResult",
     "OverlayConfig",
     "OverlayRunResult",
-    "compare_runs",
-    "flood_context_from_overlay",
     "flood_queries",
     "simulate_workload",
 ]
-
-ENGINE_BACKENDS = ("columnar", "event")
 
 MONITOR_ID = "monitor"
 MONITOR_IP = "129.217.1.1"
@@ -97,7 +85,7 @@ FLOOD_ROWS = 1 << 15
 
 @dataclass(frozen=True)
 class OverlayConfig:
-    """Shared knobs of one overlay simulation (both backends)."""
+    """Knobs of one overlay simulation."""
 
     n_backbone_ultrapeers: int = 24
     n_backbone_leaves: int = 48
@@ -109,7 +97,6 @@ class OverlayConfig:
     churn_ultrapeer_prob: float = 0.15
     mean_library_files: float = 8.0
     qrp_log_size: int = 12
-    user_agent: str = "repro-sim/1.0"
     seed: int = 11
 
 
@@ -260,23 +247,25 @@ def _library_codes(vocab: np.ndarray, library) -> np.ndarray:
     return idx
 
 
-def flood_context_from_overlay(
-    overlay: OverlayNetwork,
-    extra_vocab: Sequence[str] = (),
-    log_size: int = 12,
-    capacity: Optional[int] = None,
-) -> Tuple[FloodContext, List[str]]:
-    """A :class:`FloodContext` over a scalar overlay's current state.
+def _cat(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
-    The vocabulary is the union of every node's library with
-    ``extra_vocab`` (include the query texts you intend to flood).
-    Returns ``(context, node_ids)`` with the same index mapping as
-    :meth:`CSRTopology.from_overlay`.
+
+def _flood_context(
+    topo: CSRTopology,
+    vocab: np.ndarray,
+    overlay: OverlayNetwork,
+    node_ids: Sequence[str],
+    log_size: int,
+    churn: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    used_codes: Optional[np.ndarray] = None,
+) -> FloodContext:
+    """The :class:`FloodContext` over ``topo``.
+
+    Postings hold every library entry of ``overlay``'s nodes (row ``i``
+    is ``node_ids[i]``), then the ``(rows, codes, is_leaf)`` entries of
+    ``churn``; ``used_codes`` is passed to :func:`_build_flood_tables`.
     """
-    topo, node_ids = CSRTopology.from_overlay(overlay, capacity=capacity)
-    words = {w for node in overlay.nodes.values() for w in node.library}
-    words.update(str(w).lower() for w in extra_vocab)
-    vocab = np.unique(np.asarray(sorted(words), dtype=np.str_))
     leaf_rows, leaf_codes, holder_rows, holder_codes = [], [], [], []
     for row, node_id in enumerate(node_ids):
         node = overlay.nodes[node_id]
@@ -287,17 +276,18 @@ def flood_context_from_overlay(
             if not node.is_ultrapeer:
                 leaf_rows.append(np.full(codes.size, row, dtype=np.int64))
                 leaf_codes.append(codes)
-
-    def _cat(parts):
-        return (
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        )
-
+    if churn is not None:
+        rows, codes, is_leaf = churn
+        holder_rows.append(rows)
+        holder_codes.append(codes)
+        leaf_rows.append(rows[is_leaf])
+        leaf_codes.append(codes[is_leaf])
     matched, holders = _build_flood_tables(
         vocab, _cat(leaf_rows), _cat(leaf_codes),
         _cat(holder_rows), _cat(holder_codes), topo.capacity, log_size,
+        used_codes=used_codes,
     )
-    return FloodContext(topo, vocab, *matched, *holders), node_ids
+    return FloodContext(topo, vocab, *matched, *holders)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +516,11 @@ def flood_queries(
 
 @dataclass
 class OverlayPlan:
-    """The seeded churn/query plan both backends consume verbatim.
+    """The seeded churn/query plan an engine consumes verbatim.
 
     Every random draw happens here, once -- attachment ultrapeers,
-    churn-peer modes, library contents -- so the backends cannot drift
-    through RNG consumption order.  Sessions are the workload's rows
+    churn-peer modes, library contents -- so the engine and its event
+    reference cannot drift through RNG consumption order.  Sessions are the workload's rows
     with ``start <= run_seconds``; queries those with ``te <=
     run_seconds``, sorted by (round, workload row).
     """
@@ -566,10 +556,6 @@ class OverlayPlan:
     @property
     def n_queries(self) -> int:
         return int(self.query_te.size)
-
-    def session_lib_codes(self, i: int) -> np.ndarray:
-        lo = self.lib_offsets[i]
-        return self.lib_codes[lo: lo + self.lib_counts[i]]
 
 
 def _plan_churn(
@@ -652,12 +638,13 @@ def _plan_churn(
 def _build_backbone(
     config: OverlayConfig, vocab: np.ndarray
 ) -> Tuple[OverlayNetwork, List[str]]:
-    """The static backbone + monitor, shared by both backends.
+    """The static backbone + monitor the churn peers attach to.
 
-    Zero link latency makes event-backend floods strict BFS; connection
+    Zero link latency makes event-driven floods strict BFS; connection
     caps are lifted after construction (slot pressure is not part of
     the engine's semantics).  Backbone QRP tables are rebuilt at the
-    configured ``qrp_log_size`` so both backends filter identically.
+    configured ``qrp_log_size``, the leaf tables the flood tables
+    reproduce.
     """
     overlay = OverlayNetwork(
         n_ultrapeers=config.n_backbone_ultrapeers,
@@ -697,15 +684,14 @@ def _build_backbone(
 
 
 # ---------------------------------------------------------------------------
-# Run results and the equivalence battery
+# Run results
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class OverlayRunResult:
-    """One backend's complete observable output, in plan order."""
+    """One run's complete observable output, in plan order."""
 
-    backend: str
     run_seconds: float
     n_rounds: int
     peers_simulated: int
@@ -735,40 +721,6 @@ class OverlayRunResult:
     @property
     def n_queries(self) -> int:
         return int(self.query_messages.size)
-
-
-def compare_runs(a: OverlayRunResult, b: OverlayRunResult) -> Dict[str, bool]:
-    """The backend-equivalence battery: every observable must match."""
-    checks = {
-        "query_messages": bool(np.array_equal(a.query_messages, b.query_messages)),
-        "query_hits": bool(np.array_equal(a.query_hits, b.query_hits)),
-        "query_reach": bool(np.array_equal(a.query_reach, b.query_reach)),
-        "messages_total": a.messages_total == b.messages_total,
-        "hop1_stream": (
-            np.array_equal(a.hop1_session, b.hop1_session)
-            and np.array_equal(a.hop1_time, b.hop1_time)
-            and np.array_equal(a.hop1_code, b.hop1_code)
-        ),
-        "sessions": all(
-            np.array_equal(getattr(a, name), getattr(b, name))
-            for name in (
-                "session_start", "session_end_observed", "session_n_queries",
-                "session_region", "session_ultrapeer", "session_shared_files",
-            )
-        ),
-        "keepalives": (
-            a.keepalive_pings == b.keepalive_pings
-            and a.keepalive_pongs == b.keepalive_pongs
-        ),
-    }
-    if a.reach_query is not None and b.reach_query is not None:
-        checks["reach_sets"] = (
-            np.array_equal(a.reach_query, b.reach_query)
-            and np.array_equal(a.reach_node, b.reach_node)
-            and np.array_equal(a.reach_depth, b.reach_depth)
-        )
-    checks["ok"] = all(checks.values())
-    return checks
 
 
 def _round_groups(values: np.ndarray, n_rounds: int, order: np.ndarray):
@@ -809,7 +761,7 @@ def _session_keepalives(plan: OverlayPlan) -> Tuple[int, int]:
     return pings, exchanges
 
 # ---------------------------------------------------------------------------
-# Columnar backend
+# The columnar engine
 # ---------------------------------------------------------------------------
 
 
@@ -834,34 +786,14 @@ def _run_columnar(
     # QRP/holder postings over the full slot space: backbone libraries
     # plus every churn session's planned library.  Static tables --
     # connectivity (the CSR) gates who can actually be reached.
-    leaf_rows, leaf_codes, holder_rows, holder_codes = [], [], [], []
-    for row, node_id in enumerate(node_ids):
-        codes = _library_codes(plan.vocab, overlay.nodes[node_id].library)
-        if codes.size:
-            holder_rows.append(np.full(codes.size, row, dtype=np.int64))
-            holder_codes.append(codes)
-            if not overlay.nodes[node_id].is_ultrapeer:
-                leaf_rows.append(np.full(codes.size, row, dtype=np.int64))
-                leaf_codes.append(codes)
-    if plan.lib_codes.size:
-        owners = sess_idx[np.repeat(np.arange(n, dtype=np.int64), plan.lib_counts)]
-        holder_rows.append(owners)
-        holder_codes.append(plan.lib_codes)
-        is_leaf_entry = ~plan.ultrapeer[
-            np.repeat(np.arange(n, dtype=np.int64), plan.lib_counts)
-        ]
-        leaf_rows.append(owners[is_leaf_entry])
-        leaf_codes.append(plan.lib_codes[is_leaf_entry])
-
-    def _cat(parts):
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-    matched, holders = _build_flood_tables(
-        plan.vocab, _cat(leaf_rows), _cat(leaf_codes),
-        _cat(holder_rows), _cat(holder_codes), topo.capacity,
-        config.qrp_log_size, used_codes=unique_sorted(plan.query_code),
+    owner = np.repeat(np.arange(n, dtype=np.int64), plan.lib_counts)
+    churn = (sess_idx[owner], plan.lib_codes, ~plan.ultrapeer[owner])
+    # The table build sets the run's peak RSS: free the owner index first.
+    del owner
+    ctx = _flood_context(
+        topo, plan.vocab, overlay, node_ids, config.qrp_log_size,
+        churn=churn, used_codes=unique_sorted(plan.query_code),
     )
-    ctx = FloodContext(topo, plan.vocab, *matched, *holders)
 
     starts_order = np.argsort(plan.first_round, kind="stable")
     starts_off = _round_groups(plan.first_round, plan.n_rounds, starts_order)
@@ -918,7 +850,8 @@ def _run_columnar(
     # (every session keeps its monitor link for its whole lifetime);
     # session reconstruction applies the idle-detection overshoot.
     # The overshoot is added in MeasurementNode.client_departed's float
-    # order, (end + probe) + close, so both engines round alike.
+    # order, (end + probe) + close, so the engine and the record monitor
+    # round alike.
     h_order = _hop1_order(plan)
     end_obs = np.where(
         plan.departs,
@@ -929,7 +862,7 @@ def _run_columnar(
     pings, pongs = _session_keepalives(plan)
 
     result = OverlayRunResult(
-        backend="columnar", run_seconds=plan.run_seconds,
+        run_seconds=plan.run_seconds,
         n_rounds=plan.n_rounds, peers_simulated=base + n,
         messages_total=int(msgs.sum()),
         query_messages=msgs, query_hits=hits, query_reach=reach,
@@ -950,258 +883,20 @@ def _run_columnar(
 
 
 # ---------------------------------------------------------------------------
-# Event reference backend
-# ---------------------------------------------------------------------------
-
-
-def _run_event(
-    plan: OverlayPlan,
-    config: OverlayConfig,
-    overlay: OverlayNetwork,
-    ups: List[str],
-    record_reach: bool,
-) -> OverlayRunResult:
-    """The same plan through real PeerNode/EventScheduler machinery.
-
-    Rounds are driven procedurally (connect batch, flood the round's
-    queries through the scheduler, disconnect batch); only the floods
-    themselves are event-driven.  Zero latency makes delivery strict
-    BFS, which is what the columnar engine computes directly.
-    """
-    node_ids = sorted(overlay.nodes)
-    index_of = {node_id: i for i, node_id in enumerate(node_ids)}
-    base = len(node_ids)
-    n = plan.n_sessions
-    # Each session's address, from its workload row; only this engine
-    # (its PeerNodes and the record monitor) identifies peers by string.
-    peer_ip = [
-        f"10.{(int(r) >> 16) & 255}.{(int(r) >> 8) & 255}.{int(r) & 255}"
-        for r in plan.session_rows
-    ]
-    scheduler = EventScheduler()
-    monitor = MeasurementNode(max_slots=None)
-    msgs = np.zeros(plan.n_queries, dtype=np.int64)
-    hits = np.zeros(plan.n_queries, dtype=np.int64)
-    guid_of: Dict[bytes, int] = {}
-    origin_of: Dict[bytes, str] = {}
-    conn_of: Dict[str, int] = {}
-    session_node: Dict[int, str] = {}
-    reach_min: Dict[Tuple[int, int], int] = {}
-    hop1_count = 0
-
-    def node_index(node_id: str) -> int:
-        if node_id in index_of:
-            return index_of[node_id]
-        return base + int(node_id[1:])
-
-    def deliver(dest: str, message, sender: str) -> None:
-        nonlocal hop1_count
-        target = overlay.nodes.get(dest)
-        if target is None or sender not in target.neighbours:
-            return
-        now = scheduler.now
-        k = guid_of.get(message.guid)
-        if isinstance(message, Query) and k is not None:
-            key = (k, node_index(dest))
-            if key not in reach_min:
-                reach_min[key] = int(message.hops)
-            if dest == MONITOR_ID and message.hops == 1 and sender in conn_of:
-                hop1_count += 1
-                monitor.receive_query(
-                    conn_of[sender], now, keywords=message.keywords,
-                    sha1=message.has_sha1,
-                )
-        if (
-            isinstance(message, QueryHit)
-            and k is not None
-            and dest == origin_of[message.guid]
-        ):
-            hits[k] += message.n_hits
-            target.handle(message, sender, now)
-            return
-        dispatch(dest, target.handle(message, sender, now), k)
-
-    def dispatch(sender: str, actions, k: Optional[int]) -> None:
-        for dest, message in actions:
-            if k is not None:
-                msgs[k] += 1
-            scheduler.schedule(
-                scheduler.now,
-                lambda dest=dest, message=message, sender=sender: deliver(
-                    dest, message, sender
-                ),
-            )
-
-    def emit(k: int) -> None:
-        node = overlay.nodes[session_node[int(plan.query_session[k])]]
-        query, actions = node.originate_query(
-            str(plan.vocab[plan.query_code[k]]), now=scheduler.now,
-            ttl=config.ttl,
-        )
-        guid_of[query.guid] = k
-        origin_of[query.guid] = node.node_id
-        reach_min[(k, node_index(node.node_id))] = 0
-        dispatch(node.node_id, actions, k)
-
-    starts_order = np.argsort(plan.first_round, kind="stable")
-    starts_off = _round_groups(plan.first_round, plan.n_rounds, starts_order)
-    dep_ids = np.flatnonzero(plan.departs)
-    dep_sort = np.lexsort((dep_ids, plan.end_true[dep_ids],
-                           plan.last_round[dep_ids]))
-    dep_order = dep_ids[dep_sort]
-    dep_off = _round_groups(
-        plan.last_round[dep_ids], plan.n_rounds, dep_sort
-    )
-    q_off = np.zeros(plan.n_rounds + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(plan.query_round, minlength=plan.n_rounds), out=q_off[1:]
-    )
-
-    for r in range(plan.n_rounds):
-        for i in starts_order[starts_off[r]: starts_off[r + 1]]:
-            i = int(i)
-            node_id = f"s{i:07d}"
-            library = {
-                str(plan.vocab[c]) for c in plan.session_lib_codes(i)
-            }
-            node = PeerNode(
-                node_id=node_id, ip=peer_ip[i],
-                mode=(PeerMode.ULTRAPEER if plan.ultrapeer[i]
-                      else PeerMode.LEAF),
-                library=library, max_connections=2 ** 31,
-            )
-            overlay.nodes[node_id] = node
-            region = WORKLOAD_REGION_ORDER[int(plan.region_code[i])]
-            overlay.region_of[node_id] = region
-            conn = monitor.open_connection(
-                float(plan.start[i]), peer_ip=peer_ip[i], region=region,
-                user_agent=config.user_agent,
-                ultrapeer=bool(plan.ultrapeer[i]),
-                shared_files=int(plan.lib_counts[i]),
-            )
-            if conn is None:
-                raise AssertionError("monitor rejected a planned session")
-            conn_of[node_id] = conn
-            session_node[i] = node_id
-            overlay.connect(node_id, MONITOR_ID)
-            overlay.connect(node_id, ups[int(plan.attach_pos[i])])
-            if not node.is_ultrapeer:
-                table = node.build_qrp_table(config.qrp_log_size)
-                for neighbour_id in node.neighbours:
-                    overlay.nodes[neighbour_id].install_leaf_table(
-                        node_id, table
-                    )
-        for k in range(int(q_off[r]), int(q_off[r + 1])):
-            scheduler.schedule(float(plan.query_te[k]), lambda k=k: emit(k))
-        scheduler.run(max_events=10 ** 9)
-        for i in dep_order[dep_off[r]: dep_off[r + 1]]:
-            i = int(i)
-            node_id = session_node[i]
-            node = overlay.nodes.pop(node_id)
-            for neighbour in list(node.neighbours):
-                if neighbour in overlay.nodes:
-                    overlay.nodes[neighbour].remove_neighbour(node_id)
-            monitor.client_departed(conn_of.pop(node_id), float(plan.end_true[i]))
-
-    records = monitor.finalize(plan.run_seconds)
-    if hop1_count != plan.n_queries:
-        raise AssertionError("monitor missed a hop-1 query")
-
-    # Reassemble plan-order arrays from the monitor's session records.
-    by_ip = {ip: i for i, ip in enumerate(peer_ip)}
-    end_obs = np.zeros(n, dtype=np.float64)
-    start_obs = np.zeros(n, dtype=np.float64)
-    n_queries = np.zeros(n, dtype=np.int64)
-    region_code = np.zeros(n, dtype=np.int64)
-    ultrapeer = np.zeros(n, dtype=bool)
-    shared = np.zeros(n, dtype=np.int64)
-    hop1_parts: List[Tuple[int, List]] = []
-    if len(records) != n:
-        raise AssertionError("monitor session count does not match the plan")
-    for record in records:
-        i = by_ip[record.peer_ip]
-        start_obs[i] = record.start
-        end_obs[i] = record.end
-        n_queries[i] = len(record.queries)
-        region_code[i] = WORKLOAD_REGION_CODE[record.region]
-        ultrapeer[i] = record.ultrapeer
-        shared[i] = record.shared_files
-        hop1_parts.append((i, list(record.queries)))
-    hop1_parts.sort(key=lambda item: item[0])
-    h_sess = np.concatenate(
-        [np.full(len(qs), i, dtype=np.int64) for i, qs in hop1_parts]
-    ) if hop1_parts else np.zeros(0, dtype=np.int64)
-    h_time = np.asarray(
-        [q.timestamp for _, qs in hop1_parts for q in qs], dtype=np.float64
-    )
-    h_kw = [q.keywords for _, qs in hop1_parts for q in qs]
-    if h_kw:
-        kw_mask, h_code = sorted_lookup(
-            plan.vocab, np.asarray(h_kw, dtype=np.str_)
-        )
-        if not kw_mask.all():
-            raise AssertionError("monitor recorded an unknown keyword")
-    else:
-        h_code = np.zeros(0, dtype=np.int64)
-
-    result = OverlayRunResult(
-        backend="event", run_seconds=plan.run_seconds,
-        n_rounds=plan.n_rounds, peers_simulated=base + n,
-        messages_total=int(msgs.sum()),
-        query_messages=msgs, query_hits=hits,
-        query_reach=np.bincount(
-            np.asarray([k for k, _ in reach_min], dtype=np.int64),
-            minlength=plan.n_queries,
-        ).astype(np.int64) if reach_min else np.zeros(
-            plan.n_queries, dtype=np.int64
-        ),
-        hop1_session=h_sess, hop1_time=h_time, hop1_code=h_code,
-        session_start=start_obs, session_end_observed=end_obs,
-        session_n_queries=n_queries, session_region=region_code,
-        session_ultrapeer=ultrapeer, session_shared_files=shared,
-        keepalive_pings=monitor.keepalive_pings_sent,
-        keepalive_pongs=monitor.keepalive_pongs_received,
-    )
-    if record_reach:
-        triples = np.asarray(
-            [(k, node, depth) for (k, node), depth in reach_min.items()],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        order = np.lexsort((triples[:, 1], triples[:, 0]))
-        result.reach_query = triples[order, 0]
-        result.reach_node = triples[order, 1]
-        result.reach_depth = triples[order, 2]
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def simulate_workload(
+def _prepare(
     workload: ColumnarWorkload,
     run_seconds: float,
-    config: Optional[OverlayConfig] = None,
-    backend: str = "columnar",
-    jobs: int = 1,
-    record_reach: bool = False,
-) -> OverlayRunResult:
-    """Run a Fig. 12 workload through the overlay with a live monitor.
+    config: Optional[OverlayConfig],
+) -> Tuple[OverlayConfig, OverlayNetwork, List[str], OverlayPlan]:
+    """Checks, vocabulary, backbone and seeded plan of one run.
 
-    Every workload session becomes a churn peer that connects to the
-    measurement ultrapeer plus one backbone ultrapeer, floods its
-    queries with TTL/hops semantics, and departs; the monitor observes
-    the hop-1 stream and reconstructs sessions with idle-detection
-    overshoot.  ``backend`` selects the delta-stepped columnar engine
-    or the scalar event-driven reference; both consume the identical
-    seeded plan and must produce identical observables
-    (:func:`compare_runs`).
+    Every engine starts here, so the event reference replays the
+    identical plan.
     """
-    if backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {ENGINE_BACKENDS}"
-        )
     if run_seconds <= 0:
         raise ValueError("run_seconds must be positive")
     config = config or OverlayConfig()
@@ -1216,6 +911,23 @@ def simulate_workload(
         vocab = np.zeros(0, dtype=np.str_)
     overlay, ups = _build_backbone(config, vocab)
     plan = _plan_churn(workload, float(run_seconds), config, vocab, len(ups))
-    if backend == "columnar":
-        return _run_columnar(plan, config, overlay, ups, jobs, record_reach)
-    return _run_event(plan, config, overlay, ups, record_reach)
+    return config, overlay, ups, plan
+
+
+def simulate_workload(
+    workload: ColumnarWorkload,
+    run_seconds: float,
+    config: Optional[OverlayConfig] = None,
+    jobs: int = 1,
+    record_reach: bool = False,
+) -> OverlayRunResult:
+    """Run a Fig. 12 workload through the overlay with a live monitor.
+
+    Every workload session becomes a churn peer that connects to the
+    measurement ultrapeer plus one backbone ultrapeer, floods its
+    queries with TTL/hops semantics, and departs; the monitor observes
+    the hop-1 stream and reconstructs sessions with idle-detection
+    overshoot.  Output is byte-identical for any ``jobs``.
+    """
+    config, overlay, ups, plan = _prepare(workload, run_seconds, config)
+    return _run_columnar(plan, config, overlay, ups, jobs, record_reach)

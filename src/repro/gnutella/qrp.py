@@ -19,14 +19,13 @@ from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.kernels import segment_ids, segmented_arange, unique_sorted
+from repro.core.kernels import segmented_arange, unique_sorted
 
 __all__ = [
     "keyword_hash",
     "keyword_hashes",
     "text_hash_table",
     "QueryRouteTable",
-    "PackedQRPTables",
 ]
 
 #: LimeWire's default QRP table: 2**16 slots.
@@ -161,79 +160,3 @@ def text_hash_table(texts: Sequence[str], bits: int) -> Tuple[np.ndarray, np.nda
     keys = unique_sorted(np.asarray(word_text, dtype=np.int64) * size + hashes)
     counts = np.bincount(keys // size, minlength=n).astype(np.int64)
     return (keys % size).astype(np.int64), counts
-
-
-class PackedQRPTables:
-    """A stack of QRP bit tables as one packed uint64 matrix.
-
-    Row ``r`` is one leaf's presence table (``2**log_size`` bits packed
-    64 per word); the batched overlay engine keeps one row per node and
-    answers "would ultrapeer forward query q to leaf r?" for whole
-    (row, query) batches with bitwise-AND array ops instead of per-leaf
-    Python set probes.  Bit-for-bit equivalent to
-    :class:`QueryRouteTable` -- the parity tests hold the two forms to
-    identical ``might_match`` decisions on shared libraries.
-    """
-
-    def __init__(self, n_rows: int, log_size: int = 12):
-        if not 4 <= log_size <= 24:
-            raise ValueError(f"log_size must be in 4..24, got {log_size}")
-        if n_rows < 0:
-            raise ValueError(f"n_rows must be >= 0, got {n_rows}")
-        self.log_size = log_size
-        self.size = 1 << log_size
-        self.words = (self.size + 63) // 64
-        self.bits = np.zeros((n_rows, self.words), dtype=np.uint64)
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.bits.shape[0])
-
-    def set_bits(self, rows: np.ndarray, hashes: np.ndarray) -> None:
-        """Set slot ``hashes[i]`` in table row ``rows[i]`` (batch add_file)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        hashes = np.asarray(hashes, dtype=np.int64)
-        np.bitwise_or.at(
-            self.bits,
-            (rows, hashes >> 6),
-            np.uint64(1) << (hashes & 63).astype(np.uint64),
-        )
-
-    def add_libraries(self, rows: np.ndarray, names: Sequence[str]) -> None:
-        """Hash file name ``names[i]`` into row ``rows[i]``, in batch."""
-        hashes, counts = text_hash_table(names, self.log_size)
-        self.set_bits(np.repeat(np.asarray(rows, dtype=np.int64), counts), hashes)
-
-    def contains(self, rows: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-        """Whether slot ``hashes[i]`` is set in row ``rows[i]``."""
-        rows = np.asarray(rows, dtype=np.int64)
-        hashes = np.asarray(hashes, dtype=np.int64)
-        word = self.bits[rows, hashes >> 6]
-        return (word >> (hashes & 63).astype(np.uint64)) & np.uint64(1) != 0
-
-    def might_match(
-        self, rows: np.ndarray, hashes: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Batched forwarding predicate over (row, query-hash-set) pairs.
-
-        ``rows[i]`` is probed with the ``counts[i]`` hashes of query
-        ``i`` (the :func:`text_hash_table` layout); True requires every
-        hash present and at least one keyword, exactly like
-        :meth:`QueryRouteTable.might_match`.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        hit = self.contains(np.repeat(rows, counts), hashes)
-        misses = np.bincount(
-            segment_ids(counts), weights=~hit, minlength=rows.size
-        )
-        return (misses == 0) & (counts > 0)
-
-    def to_scalar(self, row: int) -> QueryRouteTable:
-        """The equivalent :class:`QueryRouteTable` for one row (tests)."""
-        table = QueryRouteTable(self.log_size)
-        slots = np.nonzero(
-            (self.bits[row][:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-        )
-        table._slots = set((slots[0] * 64 + slots[1]).tolist())
-        return table

@@ -7,11 +7,11 @@ session arrivals, query emissions, and idle-detection timers.
 
 Heap entries are pure ``(time, seq)`` keys -- the callback itself lives
 in a side table and is never compared.  Equal-timestamp events therefore
-order strictly by scheduling sequence, which the ``backend="event"`` /
-``backend="columnar"`` overlay equivalence battery depends on: with
-per-link latency zeroed, a flood's delivery order must be a function of
-scheduling order alone, not of whatever ``heapq`` would make of
-comparing two closures.
+order strictly by scheduling sequence, which the overlay equivalence
+battery (the event reference against the columnar engine) depends on:
+with per-link latency zeroed, a flood's delivery order must be a
+function of scheduling order alone, not of whatever ``heapq`` would
+make of comparing two closures.
 """
 
 from __future__ import annotations

@@ -182,10 +182,11 @@ class CSRTopology:
         """Convert an :class:`~repro.gnutella.overlay.OverlayNetwork`.
 
         Returns ``(topology, node_ids)`` with node ``node_ids[i]`` at
-        index ``i`` (ids sorted, so the mapping is reproducible).  Both
-        engine backends run the *same* object-built backbone through
-        this conversion, which is what makes their topologies identical
-        by construction rather than by parallel re-implementation.
+        index ``i`` (ids sorted, so the mapping is reproducible).  The
+        columnar engine converts the *same* object-built backbone its
+        event reference runs on, which is what makes their topologies
+        identical by construction rather than by parallel
+        re-implementation.
         ``capacity`` reserves extra inactive slots past the backbone
         (one per future churn session) without changing the conversion.
         """

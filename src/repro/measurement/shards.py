@@ -24,9 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Union
 
 from .columnar import COLUMNAR_SCHEMA_VERSION, ColumnarTrace, ColumnarTraceBuilder
 
@@ -212,19 +210,6 @@ class ShardedTrace:
         for index in range(len(self.shards)):
             yield self.load_shard(index, mmap_mode=mmap_mode)
 
-    def iter_windows(
-        self,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        mmap_mode: Optional[str] = "r",
-    ) -> Iterator[Tuple[ShardInfo, ColumnarTrace]]:
-        """Shards whose ``[start, end)`` window intersects the query range."""
-        lo = self.start_time if start is None else float(start)
-        hi = self.end_time if end is None else float(end)
-        for index, info in enumerate(self.shards):
-            if info.end > lo and info.start < hi:
-                yield info, self.load_shard(index, mmap_mode=mmap_mode)
-
     def concat(self, mmap_mode: Optional[str] = "r") -> ColumnarTrace:
         """Merge every shard back into one in-memory :class:`ColumnarTrace`.
 
@@ -244,10 +229,3 @@ class ShardedTrace:
         trace.counters = dict(self.counters)
         return trace
 
-    def query_hits_total(self) -> int:
-        """Observed one-hop queryhit total, without loading keyword columns."""
-        total = 0
-        for shard in self.iter_shards():
-            if shard.n_queries:
-                total += int(np.asarray(shard.query_hits).sum())
-        return total

@@ -212,7 +212,8 @@ def load_or_synthesize_sharded(
     """The sharded on-disk trace for ``config``: opened from cache when
     warm, else synthesized shard by shard *directly into* the cache entry
     (through a temp directory + rename, so concurrent readers never see a
-    partial entry).
+    partial entry).  When another process completes the same entry
+    first, the rename fails and that entry is returned.
 
     A sharded trace always lives on disk somewhere; with
     ``use_cache=False`` the caller must supply the ``workdir`` to
@@ -233,6 +234,10 @@ def load_or_synthesize_sharded(
         _synthesizer(config).run_sharded(tmp)
         os.replace(tmp, path)
     except OSError as exc:
+        # A writer that finished the same entry first wins the race.
+        sharded = cache.load_sharded(config)
+        if sharded is not None:
+            return sharded
         if workdir is not None:
             warnings.warn(
                 f"could not write sharded cache entry ({exc}); "

@@ -1,9 +1,11 @@
-"""Tests for the vectorized columnar workload generator backend.
+"""Tests for the vectorized columnar workload generator.
 
-The contract with the event backend is *distributional equivalence*
-(same model, different draw order → KS-indistinguishable realizations),
-plus hard guarantees of its own: byte-identical output across runs and
-worker counts, lossless round-trips to session objects and ``.npz``.
+The contract with the scalar reference
+(``event_reference.EventWorkloadGenerator``) is *distributional
+equivalence* (same model, different draw order → KS-indistinguishable
+realizations), plus hard guarantees of its own: byte-identical output
+across runs and worker counts, lossless round-trips to session objects
+and ``.npz``.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.model import WorkloadModel
 from repro.core.popularity import CLASS_ORDER, QueryUniverse
 from repro.core.regions import MAJOR_REGIONS, Region
 from equivalence_reference import generator_ks_checks
+from event_reference import EventWorkloadGenerator, columnar_from_sessions
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +106,8 @@ class TestBackendEquivalence:
         # query gaps, and the hourly region mix must all be
         # KS-indistinguishable between the two engines.
         duration = 12 * 3600.0
-        event = ColumnarWorkload.from_sessions(
-            SyntheticWorkloadGenerator(
-                n_peers=250, seed=33, backend="event"
-            ).iter_sessions(duration)
+        event = columnar_from_sessions(
+            EventWorkloadGenerator(n_peers=250, seed=33).iter_sessions(duration)
         )
         columnar = SyntheticWorkloadGenerator(
             n_peers=250, seed=33
@@ -118,18 +119,18 @@ class TestBackendEquivalence:
         assert gap / event.n_sessions < 0.35, (event.n_sessions, columnar.n_sessions)
 
     def test_backend_dispatch(self):
-        col = SyntheticWorkloadGenerator(n_peers=30, seed=3)
-        assert col.backend == "columnar"
-        sessions = col.generate(1800.0)
-        workload = col.generate_columnar(1800.0)
-        assert len(sessions) == workload.n_sessions
-        assert [s.start for s in sessions] == workload.session_start.tolist()
-        event = SyntheticWorkloadGenerator(n_peers=30, seed=3, backend="event")
-        assert event.generate(1800.0)
+        # Every output form is the one columnar workload.
+        gen = SyntheticWorkloadGenerator(n_peers=30, seed=3)
+        workload = gen.generate_columnar(1800.0)
+        for sessions in (gen.generate(1800.0), list(gen.iter_sessions(1800.0))):
+            assert workload.equals(columnar_from_sessions(sessions))
+        assert not hasattr(gen, "backend")
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            SyntheticWorkloadGenerator(backend="vectorized")
+        # One engine: the generator takes no engine selector at all.
+        for backend in ("columnar", "event", "vectorized"):
+            with pytest.raises(TypeError, match="backend"):
+                SyntheticWorkloadGenerator(backend=backend)
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -155,7 +156,7 @@ class TestBackendEquivalence:
 
 class TestRoundTrips:
     def test_sessions_round_trip(self, workload):
-        rebuilt = ColumnarWorkload.from_sessions(workload.iter_sessions())
+        rebuilt = columnar_from_sessions(workload.iter_sessions())
         assert workload.equals(rebuilt)
 
     def test_session_objects_well_formed(self, workload):
@@ -181,9 +182,9 @@ class TestRoundTrips:
             region=Region.OTHER, start=0.0, duration=1.0, passive=True
         )
         # OTHER itself is representable; a non-Region value is not.
-        assert ColumnarWorkload.from_sessions([bad]).n_sessions == 1
+        assert columnar_from_sessions([bad]).n_sessions == 1
         with pytest.raises(ValueError, match="unknown region"):
-            ColumnarWorkload.from_sessions(
+            columnar_from_sessions(
                 [GeneratedSession(region="mars", start=0.0, duration=1.0, passive=True)]
             )
 

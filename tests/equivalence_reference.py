@@ -13,7 +13,9 @@ Two kinds of contract:
   large sample is not held to sampling noise below modelling fidelity.
 * **Same bytes.**  :func:`streamed_equivalence_checks` requires every
   streamed Table 2 / Fig. 1-11 product to equal the ``SessionRecord``
-  function over the in-memory trace bit for bit.
+  function over the in-memory trace bit for bit, and
+  :func:`compare_runs` every observable of the columnar overlay engine
+  to equal its event reference's (``event_reference``).
 """
 
 import dataclasses
@@ -45,6 +47,7 @@ from repro.analysis.shared_files import shared_files_distribution
 from repro.core.generator_columnar import ColumnarWorkload
 from repro.core.regions import Region
 from repro.filtering import apply_filters_columnar
+from repro.gnutella.columnar_overlay import OverlayRunResult
 from repro.measurement import ColumnarTrace
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
@@ -360,3 +363,42 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
         "checks": checks,
         "all_identical": all(checks.values()),
     }
+
+
+# ---------------------------------------------------------------------------
+# Same bytes: the overlay engine against its event reference
+# ---------------------------------------------------------------------------
+
+
+def compare_runs(a: OverlayRunResult, b: OverlayRunResult) -> dict:
+    """The overlay equivalence battery: every observable must match."""
+    checks = {
+        "query_messages": bool(np.array_equal(a.query_messages, b.query_messages)),
+        "query_hits": bool(np.array_equal(a.query_hits, b.query_hits)),
+        "query_reach": bool(np.array_equal(a.query_reach, b.query_reach)),
+        "messages_total": a.messages_total == b.messages_total,
+        "hop1_stream": (
+            np.array_equal(a.hop1_session, b.hop1_session)
+            and np.array_equal(a.hop1_time, b.hop1_time)
+            and np.array_equal(a.hop1_code, b.hop1_code)
+        ),
+        "sessions": all(
+            np.array_equal(getattr(a, name), getattr(b, name))
+            for name in (
+                "session_start", "session_end_observed", "session_n_queries",
+                "session_region", "session_ultrapeer", "session_shared_files",
+            )
+        ),
+        "keepalives": (
+            a.keepalive_pings == b.keepalive_pings
+            and a.keepalive_pongs == b.keepalive_pongs
+        ),
+    }
+    if a.reach_query is not None and b.reach_query is not None:
+        checks["reach_sets"] = (
+            np.array_equal(a.reach_query, b.reach_query)
+            and np.array_equal(a.reach_node, b.reach_node)
+            and np.array_equal(a.reach_depth, b.reach_depth)
+        )
+    checks["ok"] = all(checks.values())
+    return checks

@@ -166,10 +166,9 @@ ALLOWED = {
         core.kernels.sampling core.kernels.segmented core.kernels.setops
         core.kernels.sharding core.model core.parameters core.popularity
         core.regions core.runtime core.special geoip geoip.database gnutella
-        gnutella.clients gnutella.columnar_overlay gnutella.handshake
-        gnutella.messages gnutella.overlay gnutella.overlay_bench gnutella.peer
-        gnutella.pongcache gnutella.qrp gnutella.routing gnutella.simulator
-        gnutella.topology measurement measurement.monitor
+        gnutella.columnar_overlay gnutella.messages gnutella.overlay
+        gnutella.overlay_bench gnutella.peer gnutella.pongcache gnutella.qrp
+        gnutella.routing gnutella.simulator gnutella.topology
     """,
     "serve + loadtest": """
         _lazy cli core core.distributions core.events core.generator_columnar

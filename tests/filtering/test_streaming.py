@@ -1,19 +1,18 @@
 """Streaming rules 1-5: chunked filtering equals the one-shot pipeline.
 
-Two adversarial inputs: shards from sharded synthesis (sessions whole,
-one shard per window) and ``split_for_streaming`` chunks (sessions cut
-mid-lifetime at arbitrary boundaries, ``split_sessions=True``).  Either
-way the accumulated Table 2 report -- and the kept/eligible query sets
--- must be bit-identical to ``apply_filters_columnar`` on the whole
-trace.
+Shards from sharded synthesis hold whole sessions, one shard per
+window, and many sessions outlive their shard's window.  The
+accumulated Table 2 report -- and the kept/eligible query sets -- must
+be bit-identical to ``apply_filters_columnar`` on the whole trace.  A
+chunk that cuts a session apart must be refused, not filtered.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis import run_streaming
 from repro.filtering import apply_filters_columnar
-from repro.filtering.streaming import StreamingFilter, split_for_streaming
-from repro.measurement import ColumnarTrace
+from repro.filtering.streaming import StreamingFilter
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
 
@@ -63,21 +62,30 @@ class TestShardedInput:
         assert np.array_equal(gaps, reference.interarrival_times())
 
 
-class TestSplitSessionInput:
-    def test_mid_session_cuts_reproduce_the_report(self, reference):
-        trace = reference.trace
-        cuts = [trace.end_time * f for f in (0.21, 0.5, 0.53, 0.9)]
-        filt = StreamingFilter(split_sessions=True)
-        drain(filt, split_for_streaming(trace, cuts))
-        assert filt.report.as_dict() == reference.report.as_dict()
+class TestCutSessionsRefused:
+    @pytest.fixture
+    def cut(self, sharded):
+        # A chunk that begins after its first session began: that
+        # session's earlier part would sit in another chunk.
+        chunk = sharded.load_shard(1, mmap_mode=None)
+        chunk.start_time = float(chunk.session_start.min()) + 1.0
+        return chunk
 
-    def test_empty_chunks_are_harmless(self, reference):
-        trace = reference.trace
-        # Duplicate cuts produce zero-width, zero-session chunks.
-        cuts = [100.0, 100.0, trace.end_time - 1.0]
-        filt = StreamingFilter(split_sessions=True)
-        drain(filt, split_for_streaming(trace, cuts))
-        assert filt.report.as_dict() == reference.report.as_dict()
+    def test_push_refuses_a_cut_session(self, cut):
+        filt = StreamingFilter()
+        with pytest.raises(ValueError, match="cut at a chunk edge"):
+            filt.push(cut)
+        assert filt.report.as_dict() == StreamingFilter().report.as_dict()
+
+    def test_run_streaming_refuses_a_cut_session(self, sharded, cut):
+        with pytest.raises(ValueError, match="cut at a chunk edge"):
+            run_streaming([sharded.load_shard(0), cut])
+
+    def test_every_synthesized_shard_holds_whole_sessions(self, sharded):
+        assert sharded.n_shards == 4
+        for shard in sharded.iter_shards():
+            assert shard.session_start.min() >= shard.start_time
+            assert StreamingFilter().push(shard) is not None
 
 
 def test_single_chunk_degenerates_to_one_shot(reference):

@@ -1,8 +1,9 @@
 """Tests for the delta-stepped batched overlay engine.
 
-The heart of this file is the backend-equivalence battery: one Fig. 12
+The heart of this file is the equivalence battery: one Fig. 12
 workload replayed through the columnar array engine and through the
-scalar ``PeerNode``/``EventScheduler`` reference, with every observable
+scalar ``PeerNode``/``EventScheduler`` reference
+(``event_reference.simulate_workload_event``), with every observable
 compared -- per-query message counts, hits, reach sets with depths, the
 monitor's hop-1 capture stream, the reconstructed sessions, and the
 keepalive totals.  The property suite in
@@ -15,14 +16,13 @@ import pytest
 
 from repro.core import SyntheticWorkloadGenerator
 from repro.gnutella.columnar_overlay import (
-    ENGINE_BACKENDS,
     OverlayConfig,
-    compare_runs,
-    flood_context_from_overlay,
     flood_queries,
     simulate_workload,
 )
 from repro.gnutella.overlay import OverlayNetwork
+from equivalence_reference import compare_runs
+from event_reference import flood_context_from_overlay, simulate_workload_event
 
 RUN_SECONDS = 900.0
 
@@ -40,12 +40,8 @@ def workload():
 
 @pytest.fixture(scope="class")
 def both_runs(workload):
-    columnar = simulate_workload(
-        workload, RUN_SECONDS, backend="columnar", record_reach=True
-    )
-    event = simulate_workload(
-        workload, RUN_SECONDS, backend="event", record_reach=True
-    )
+    columnar = simulate_workload(workload, RUN_SECONDS, record_reach=True)
+    event = simulate_workload_event(workload, RUN_SECONDS, record_reach=True)
     return columnar, event
 
 
@@ -77,7 +73,7 @@ class TestBackendEquivalence:
     def test_jobs_byte_identity(self, workload, both_runs):
         columnar, _ = both_runs
         sharded = simulate_workload(
-            workload, RUN_SECONDS, backend="columnar", jobs=3, record_reach=True
+            workload, RUN_SECONDS, jobs=3, record_reach=True
         )
         assert compare_runs(columnar, sharded)["ok"]
 
@@ -99,12 +95,11 @@ class TestBackendEquivalence150Peers(TestBackendEquivalence):
 
 
 class TestValidation:
-    def test_backends_registry(self):
-        assert ENGINE_BACKENDS == ("columnar", "event")
-
     def test_unknown_backend_rejected(self, workload):
-        with pytest.raises(ValueError, match="backend"):
-            simulate_workload(workload, RUN_SECONDS, backend="gpu")
+        # One engine: the library takes no engine selector at all.
+        for backend in ("columnar", "event", "gpu"):
+            with pytest.raises(TypeError, match="backend"):
+                simulate_workload(workload, RUN_SECONDS, backend=backend)
 
     def test_bad_run_seconds_rejected(self, workload):
         with pytest.raises(ValueError, match="run_seconds"):

@@ -1,12 +1,10 @@
 """Tests for the Query Routing Protocol tables."""
 
-import numpy as np
 import pytest
 
 from repro.gnutella.messages import Query, new_guid
 from repro.gnutella.peer import PeerMode, PeerNode
 from repro.gnutella.qrp import (
-    PackedQRPTables,
     QueryRouteTable,
     keyword_hash,
     keyword_hashes,
@@ -157,37 +155,3 @@ class TestBatchedParity:
             want = sorted({keyword_hash(w, 12) for w in text.lower().split() if w})
             assert segment == want
             offset += count
-
-    def test_packed_tables_match_query_route_table(self):
-        libraries = [
-            ["alpha beta", "gamma delta"],
-            ["beta", "epsilon zeta eta"],
-            [],
-        ]
-        packed = PackedQRPTables(len(libraries), log_size=10)
-        for row, names in enumerate(libraries):
-            packed.add_libraries(np.repeat(row, len(names)), names)
-        queries = ["alpha", "beta", "alpha beta", "gamma", "zeta eta", "nope", ""]
-        q_hashes, q_counts = text_hash_table(queries, 10)
-        for row, names in enumerate(libraries):
-            table = QueryRouteTable(log_size=10)
-            table.add_library(names)
-            got = packed.might_match(
-                np.repeat(row, len(queries)), q_hashes, q_counts
-            )
-            want = [table.might_match(q) for q in queries]
-            assert got.tolist() == want
-
-    def test_to_scalar_round_trip(self):
-        packed = PackedQRPTables(2, log_size=8)
-        packed.add_libraries(np.array([0, 1]), ["alpha beta", "gamma"])
-        for row, names in enumerate((["alpha beta"], ["gamma"])):
-            want = QueryRouteTable(log_size=8)
-            want.add_library(names)
-            assert packed.to_scalar(row)._slots == want._slots
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError, match="log_size"):
-            PackedQRPTables(1, log_size=2)
-        with pytest.raises(ValueError, match="n_rows"):
-            PackedQRPTables(-1, log_size=8)

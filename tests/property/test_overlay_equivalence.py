@@ -17,14 +17,11 @@ from hypothesis import strategies as st
 
 from repro.core import SyntheticWorkloadGenerator
 from repro.gnutella import columnar_overlay
-from repro.gnutella.columnar_overlay import (
-    compare_runs,
-    flood_context_from_overlay,
-    flood_queries,
-    simulate_workload,
-)
+from repro.gnutella.columnar_overlay import flood_queries, simulate_workload
 from repro.gnutella.overlay import OverlayNetwork
 from repro.gnutella.topology import CSRTopology
+from equivalence_reference import compare_runs
+from event_reference import flood_context_from_overlay, simulate_workload_event
 
 CATALOG = [f"song track{i}" for i in range(25)] + [f"movie {i}" for i in range(15)]
 
@@ -115,12 +112,8 @@ def test_simulation_battery_on_random_workloads(n_peers, seed, rounds):
     workload = SyntheticWorkloadGenerator(
         n_peers=n_peers, seed=seed
     ).generate_columnar(run_seconds)
-    columnar = simulate_workload(
-        workload, run_seconds, backend="columnar", record_reach=True
-    )
-    event = simulate_workload(
-        workload, run_seconds, backend="event", record_reach=True
-    )
+    columnar = simulate_workload(workload, run_seconds, record_reach=True)
+    event = simulate_workload_event(workload, run_seconds, record_reach=True)
     checks = compare_runs(columnar, event)
     assert checks["ok"], checks
 

@@ -178,6 +178,59 @@ class TestCacheRoundTrip:
         assert not hasattr(TraceCache(tmp_path), "format")
 
 
+class TestLostWriteRace:
+    """Another process completes the same entry while this one synthesizes."""
+
+    CFG = SynthesisConfig(days=0.02, seed=31337)
+
+    @pytest.fixture
+    def racing(self, tmp_path, monkeypatch):
+        import shutil
+
+        from repro.synthesis import cache as cache_module
+
+        cache = TraceCache(tmp_path / "cache")
+        runs = []
+
+        class RacingSynthesizer:
+            """Finishes the final entry itself just before returning, so
+            this writer's rename finds the entry already in place."""
+
+            def __init__(self, config):
+                self.config = config
+
+            def run_sharded(self, dest):
+                runs.append(dest)
+                sharded = TraceSynthesizer(self.config).run_sharded(dest)
+                shutil.copytree(dest, cache.shards_path_for(self.config))
+                return sharded
+
+        monkeypatch.setattr(cache_module, "_synthesizer", RacingSynthesizer)
+        return cache, runs
+
+    def test_loser_returns_the_winning_entry(self, racing, tmp_path):
+        import warnings
+
+        cache, runs = racing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sharded = load_or_synthesize_sharded(
+                self.CFG, cache=cache, workdir=tmp_path / "work"
+            )
+        assert len(runs) == 1
+        assert sharded.root == cache.shards_path_for(self.CFG)
+        assert not (tmp_path / "work").exists()
+        # The loser's temporary directory is gone.
+        assert sorted(cache.root.iterdir()) == [sharded.root]
+
+    def test_loser_without_workdir_does_not_raise(self, racing):
+        cache, runs = racing
+        sharded = load_or_synthesize_sharded(self.CFG, cache=cache)
+        assert len(runs) == 1
+        assert sharded.root == cache.shards_path_for(self.CFG)
+        assert sharded.counters == TraceSynthesizer(self.CFG).run().counters
+
+
 class TestExperimentContextCache:
     def test_context_populates_and_reuses_cache(self, tmp_path):
         from repro.experiments import ExperimentContext

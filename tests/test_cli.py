@@ -110,26 +110,21 @@ class TestCommands:
         assert {"region", "start", "duration", "passive", "queries"} <= set(record)
 
     def test_overlay_backends_agree(self, capsys, monkeypatch):
-        # The CLI runs the columnar engine; swapping the library's event
-        # reference in underneath must print the very same numbers.
-        from functools import partial
-
+        # The CLI runs the columnar engine; putting the event reference
+        # in its place must print the very same output.
+        from event_reference import simulate_workload_event
         from repro.gnutella import columnar_overlay
 
-        outputs = []
-        for backend in ("columnar", "event"):
-            monkeypatch.setattr(
-                columnar_overlay, "simulate_workload",
-                partial(columnar_overlay.simulate_workload, backend=backend),
-            )
-            code = main(["overlay", "--peers", "30", "--hours", "0.1", "--seed", "5"])
-            monkeypatch.undo()
-            assert code == 0
-            out = capsys.readouterr().out
-            assert f"(backend={backend})" in out and "hop-1 captures" in out
-            # Strip the backend tag: every number must be identical.
-            outputs.append(out.replace(backend, ""))
-        assert outputs[0] == outputs[1]
+        def event(workload, run_seconds, config=None, jobs=1):
+            return simulate_workload_event(workload, run_seconds, config=config)
+
+        argv = ["overlay", "--peers", "30", "--hours", "0.1", "--seed", "5"]
+        assert main(argv) == 0
+        columnar = capsys.readouterr().out
+        assert "hop-1 captures" in columnar
+        monkeypatch.setattr(columnar_overlay, "simulate_workload", event)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == columnar
 
     def test_generate_writes_npz(self, tmp_path, capsys):
         from repro.core import from_npz
