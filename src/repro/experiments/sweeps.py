@@ -21,10 +21,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.analysis import active_sessions, queries_per_session_ccdf
+from repro.analysis import run_streaming
 from repro.core.popularity import QueryClassId, QueryUniverse, top_n_overlap
 from repro.core.regions import Region
-from repro.filtering import apply_filters
+from repro.filtering import apply_filters_columnar
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
 __all__ = ["sweep_persistence", "sweep_requery_interval", "sweep_arrival_rate"]
@@ -88,8 +88,8 @@ def sweep_requery_interval(
         )
         config = SynthesisConfig(days=days, mean_arrival_rate=rate, seed=seed)
         population = PeerPopulation(seed=seed + 2, profiles=scaled)
-        trace = TraceSynthesizer(config, population=population).run()
-        report = apply_filters(trace.sessions).report
+        trace = TraceSynthesizer(config, population=population).run_columnar()
+        report = apply_filters_columnar(trace).report
         after_rule1 = report.initial_queries - report.rule1_removed_queries
         rows.append({
             "interval_scale": factor,
@@ -108,15 +108,15 @@ def sweep_arrival_rate(
     for rate in rates:
         trace = TraceSynthesizer(
             SynthesisConfig(days=days, mean_arrival_rate=rate, seed=seed)
-        ).run()
-        filtered = apply_filters(trace.sessions)
-        views = active_sessions(filtered)
-        eu = queries_per_session_ccdf(views).get(Region.EUROPE)
-        passive = np.mean([s.is_passive for s in filtered.sessions])
+        ).run_columnar()
+        analysis = run_streaming([trace])
+        eu = analysis.active.queries_per_session_ccdf().get(Region.EUROPE)
+        # Passive sessions among the rule-3 survivors.
+        passive = analysis.passive.duration.size / max(analysis.report.final_sessions, 1)
         rows.append({
             "rate": rate,
             "sessions": trace.n_connections,
-            "passive_fraction": float(passive),
+            "passive_fraction": passive,
             "eu_p_ge5_queries": float(eu.at(4.5)) if eu else float("nan"),
         })
     return rows

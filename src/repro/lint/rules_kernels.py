@@ -43,7 +43,6 @@ __all__ = ["RawKernelIdiom", "DeprecatedShimImport"]
 ENGINE_PATHS = (
     "repro/synthesis/columnar_engine",
     "repro/synthesis/synthesizer",
-    "repro/synthesis/event_engine",
     "repro/core/generator_columnar",
     "repro/measurement/columnar",
     "repro/measurement/shards",

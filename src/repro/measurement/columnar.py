@@ -419,15 +419,15 @@ def _load_npz_members(path: Union[str, Path], mmap_mode) -> Dict[str, np.ndarray
 class ColumnarTraceBuilder:
     """Accumulates per-shard :class:`ColumnarTrace` parts and merges them.
 
-    The columnar counterpart of
-    :func:`repro.measurement.trace.merge_traces`, with the same canonical
-    ordering -- sessions by ``(start, end, peer_ip)``, observations by
-    ``(timestamp, ip)``, counters summed -- so a merged columnar trace
-    and a merge of the equivalent record traces agree row for row.  The
-    flat query table is permuted in whole session blocks to follow the
-    session sort, and the parts' vocabularies merge into the canonical
-    ones (sorted, exactly the strings in use), so a build does not
-    depend on how its rows were split into parts.
+    Merged as if one node recorded every part, in one canonical order:
+    sessions by ``(start, end, peer_ip)``, observations by
+    ``(timestamp, ip)``, counters summed.  Callers keep the parts
+    disjoint (no session recorded twice); sharded synthesis does so by
+    partitioning connection *arrivals*.  The flat query table is
+    permuted in whole session blocks to follow the session sort, and the
+    parts' vocabularies merge into the canonical ones (sorted, exactly
+    the strings in use), so a build does not depend on how its rows were
+    split into parts.
     """
 
     def __init__(self) -> None:

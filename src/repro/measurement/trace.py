@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.events import QueryRecord, SessionRecord
 from repro.core.regions import Region
 
-__all__ = ["PongObservation", "QueryHitObservation", "Trace", "merge_traces"]
+__all__ = ["PongObservation", "QueryHitObservation", "Trace"]
 
 
 @dataclass(frozen=True)
@@ -123,36 +123,6 @@ class Trace:
         if trace is None:
             raise ValueError(f"{path}: empty trace file")
         return trace
-
-
-def merge_traces(traces: Iterable[Trace]) -> Trace:
-    """Merge partial traces into one, as if one node recorded them all.
-
-    Used by sharded synthesis (each worker covers one time slice of the
-    measurement window) and applicable to distributed-capture merges in
-    general: sessions are ordered by start time, observation samples by
-    timestamp, and counters summed.  Callers are responsible for the
-    shards being disjoint (no session recorded twice) -- the synthesis
-    sharder guarantees this by partitioning connection *arrivals*, with
-    sessions allowed to outlive their shard's window.
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace to merge")
-    merged = Trace(
-        start_time=min(t.start_time for t in traces),
-        end_time=max(t.end_time for t in traces),
-    )
-    for trace in traces:
-        merged.sessions.extend(trace.sessions)
-        merged.pongs.extend(trace.pongs)
-        merged.queryhits.extend(trace.queryhits)
-        for name, value in trace.counters.items():
-            merged.counters[name] = merged.counters.get(name, 0) + value
-    merged.sessions.sort(key=lambda s: (s.start, s.end, s.peer_ip))
-    merged.pongs.sort(key=lambda p: (p.timestamp, p.ip))
-    merged.queryhits.sort(key=lambda q: (q.timestamp, q.ip))
-    return merged
 
 
 def _session_to_dict(session: SessionRecord) -> Dict:

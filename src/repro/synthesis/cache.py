@@ -11,9 +11,9 @@ derived from
 
 * every content-affecting config field (``jobs`` is deliberately
   *excluded* -- the worker count never changes the trace, only the shard
-  count does, and the *effective* shard count is part of the key);
+  count does, and the shard count is part of the key);
 * the wiring fingerprint (the default model/universe/population stack;
-  custom wiring bypasses the cache entirely);
+  a caller-supplied population bypasses the cache entirely);
 * a schema/code version stamp, bumped whenever the synthesizer's output
   for a fixed config changes, so stale entries can never be mistaken for
   fresh ones.
@@ -82,19 +82,6 @@ def default_cache_dir() -> Path:
     return base / "repro-p2p" / "traces"
 
 
-def effective_shard_count(config: SynthesisConfig) -> int:
-    """Shard count a default-wiring :class:`TraceSynthesizer` will use.
-
-    Mirrors the synthesizer's single-shard fallback for slot-capped
-    configs; part of the cache key because the shard count (unlike the
-    worker count) determines trace content.
-    """
-    n = len(shard_windows(config))
-    if n > 1 and config.max_slots is not None:
-        return 1
-    return n
-
-
 def trace_cache_key(config: SynthesisConfig) -> str:
     """Content hash addressing the trace this config synthesizes.
 
@@ -102,13 +89,13 @@ def trace_cache_key(config: SynthesisConfig) -> str:
     byte-identical traces under the current code version.
     """
     fields = dataclasses.asdict(config)
-    # jobs/shard_days shape *how* the trace is computed; the effective
-    # shard count is what decides content.
+    # jobs/shard_days shape *how* the trace is computed; the shard count
+    # is what decides content.
     fields.pop("jobs", None)
     fields.pop("shard_days", None)
     payload = {
         "config": fields,
-        "n_shards": effective_shard_count(config),
+        "n_shards": len(shard_windows(config)),
         "wiring": _DEFAULT_WIRING,
         "cache_version": TRACE_CACHE_VERSION,
         "package_version": __version__,

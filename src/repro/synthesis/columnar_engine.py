@@ -1,10 +1,8 @@
 """Vectorized columnar synthesis: the whole trace as NumPy batches.
 
-The event-loop engine (:class:`~repro.synthesis.event_engine.EventShardEngine`)
-walks a heap of per-event Python tuples through the measurement monitor.
-This module synthesizes the *same generative model* -- arrivals,
-identities, quick disconnects, session plans, the four client-automation
-rules, monitor end/keep-alive semantics, and background samples -- as
+This module synthesizes the generative model -- arrivals, identities,
+quick disconnects, session plans, the four client-automation rules,
+monitor end/keep-alive semantics, and background samples -- as
 whole-shard array operations, emitting a
 :class:`~repro.measurement.columnar.ColumnarTrace` directly: no per-event
 tuples, no ``Trace`` record objects, no JSONL hop.
@@ -12,11 +10,14 @@ tuples, no ``Trace`` record objects, no JSONL hop.
 Equivalence contract
 --------------------
 
-Every random quantity is drawn from the *same distribution* as the event
-path, but batched RNG calls consume the streams in a different order, so
-for a fixed seed the columnar trace is a different, equally-distributed
-realization (see METHODOLOGY.md section 8).  Deterministic quantities are
-replicated exactly:
+The test suite keeps a per-event reference (``synthesize_event`` in
+``tests/event_reference.py``), which walks a heap of event tuples
+through the record :class:`~repro.measurement.monitor.MeasurementNode`.
+Every random quantity here is drawn from the *same distribution* as
+that loop, but batched RNG calls consume the streams in a different
+order, so for a fixed seed the columnar trace is a different,
+equally-distributed realization (see METHODOLOGY.md section 8).
+Deterministic quantities are replicated exactly:
 
 * arrival times (same ``ArrivalProcess`` batch draw, same stream);
 * IP allocation (same per-region counters, arrival order, disjoint
@@ -87,22 +88,21 @@ def _region_mix_stack() -> CategoricalTableStack:
 
 
 def synthesize_shard_columnar(
-    config,
-    n_shards: int,
-    index: int,
-    start: float,
-    end: float,
-    model: Optional[WorkloadModel] = None,
-    universe: Optional[QueryUniverse] = None,
+    config, n_shards: int, index: int, start: float, end: float
 ) -> ColumnarTrace:
-    """Columnar counterpart of :func:`~.event_engine.synthesize_shard_event`
-    (worker entry point)."""
+    """Synthesize time shard ``index`` of ``n_shards`` with the default
+    wiring (worker-process entry point).
+
+    Each worker builds its own model and universe deterministically (the
+    canonical-order :meth:`~repro.core.popularity.QueryUniverse.prebuild`
+    makes every worker's universe identical) instead of paying to pickle
+    them across the process boundary.
+    """
     from .synthesizer import _prebuild_day, _shard_ip_range, _shard_streams
 
     streams = _shard_streams(config.seed, n_shards, index)
-    model = model or WorkloadModel.paper()
-    if universe is None:
-        universe = QueryUniverse(seed=config.seed + 1).prebuild(_prebuild_day(config))
+    model = WorkloadModel.paper()
+    universe = QueryUniverse(seed=config.seed + 1).prebuild(_prebuild_day(config))
     population = PeerPopulation(seed=streams[0], **_shard_ip_range(n_shards, index))
     behavior = UserBehavior(model=model, universe=universe, seed=streams[1])
     arrivals = ArrivalProcess(config.mean_arrival_rate, seed=streams[2])
@@ -117,8 +117,8 @@ class ColumnarShardEngine:
     """Vectorized synthesis of one time shard into a ColumnarTrace.
 
     Owns connections *arriving* in ``[start, end)``; their sessions may
-    extend past ``end`` up to the global trace end, exactly like the
-    event engine, so shard merges need no warm-up margin.
+    extend past ``end`` up to the global trace end, so shard merges need
+    no warm-up margin.
     """
 
     def __init__(self, config, model, universe, population, behavior,

@@ -2,8 +2,8 @@
 
 Kept apart from :mod:`.synthesizer` so that reading a cached trace --
 the cache key, the scenario presets, the experiment context -- never
-loads the event synthesizer and the agent, client and monitor layers it
-drives; those load only when a trace is actually synthesized.
+loads the synthesizer and the agent and client layers it drives; those
+load only when a trace is actually synthesized.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ class SynthesisConfig:
 
     ``days`` and ``mean_arrival_rate`` set the scale: the paper saw
     ~4.36M connections over 40 days (~1.26/s); the defaults produce a
-    laptop-sized trace with the same distributions.  ``max_slots=None``
-    removes the 200-slot cap so scaled-down runs don't reject arrivals.
+    laptop-sized trace with the same distributions.
 
     ``jobs`` is the number of synthesis worker processes; ``shard_days``
     optionally pins the shard width (in days) instead of the default
@@ -37,7 +36,6 @@ class SynthesisConfig:
     days: float = 2.0
     mean_arrival_rate: float = 0.35  # connections per second
     seed: int = 20040315
-    max_slots: Optional[int] = None
     #: Probability a departing client sends a proper BYE ("many Gnutella
     #: clients do not terminate ... by sending a BYE message").
     bye_prob: float = 0.05
@@ -57,6 +55,10 @@ class SynthesisConfig:
             raise ValueError("mean_arrival_rate must be positive")
         if not 0.0 <= self.bye_prob <= 1.0:
             raise ValueError("bye_prob must be a probability")
+        if not 0.0 <= self.quick_query_prob <= 1.0:
+            raise ValueError("quick_query_prob must be a probability")
+        if self.background_samples_per_hour < 0:
+            raise ValueError("background_samples_per_hour must be non-negative")
         if int(self.jobs) != self.jobs or self.jobs < 1:
             raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
         if self.shard_days is not None and self.shard_days <= 0:

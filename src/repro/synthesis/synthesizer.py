@@ -21,14 +21,9 @@ Drives the ground-truth layers against the measurement node:
 
 The result is a :class:`~repro.measurement.trace.Trace` whose *user*
 layer follows the paper's fitted model and whose *system* layer carries
-every anomaly class the filter rules target.
-
-Two engines realize this model.  The columnar engine
-(:mod:`.columnar_engine`) synthesizes whole shards as array batches and
-runs every default-wiring configuration; the event engine
-(:mod:`.event_engine`), a per-event loop through the record monitor, is
-its reference and runs the configurations the columnar engine does not
-vectorize (see :attr:`TraceSynthesizer.effective_backend`).
+every anomaly class the filter rules target.  The columnar engine
+(:mod:`.columnar_engine`) realizes this model as whole-shard array
+batches, with the monitor's idle-detection semantics in closed form.
 
 Sharded synthesis
 -----------------
@@ -57,9 +52,8 @@ across collectors.  Shard independence rests on three invariants:
   globally unique because each shard allocates from a disjoint
   per-region counter range (``SHARD_IP_STRIDE`` addresses wide).
 
-Slot-capped runs (``max_slots``) need global concurrent-connection
-accounting and therefore fall back to a single shard, as do runs with a
-caller-supplied population (its RNG and allocator cannot be partitioned).
+A run with a caller-supplied population falls back to a single shard:
+its RNG and allocator cannot be partitioned.
 """
 
 from __future__ import annotations
@@ -137,43 +131,30 @@ def _prebuild_day(config: SynthesisConfig) -> int:
 class TraceSynthesizer:
     """Produces a complete synthetic measurement trace.
 
-    ``model``/``universe``/``population`` override the default wiring
-    (used by sensitivity sweeps).  A caller-supplied population forces a
-    single shard; a caller-supplied model or universe is shipped to the
-    workers as-is and must be picklable.
+    ``population`` overrides the default peer population (the re-query
+    sensitivity sweep scales its client profiles); it forces a single
+    shard.
     """
 
     def __init__(
         self,
         config: Optional[SynthesisConfig] = None,
-        model: Optional[WorkloadModel] = None,
-        universe: Optional[QueryUniverse] = None,
         population: Optional[PeerPopulation] = None,
     ):
         self.config = config or SynthesisConfig()
-        self._custom_model = model is not None
-        self._custom_universe = universe is not None
-        self._custom_population = population is not None
         self._windows = shard_windows(self.config)
-        if len(self._windows) > 1:
-            reason = None
-            if self._custom_population:
-                reason = "a caller-supplied population cannot be partitioned"
-            elif self.config.max_slots is not None:
-                reason = "slot caps need global concurrent-connection accounting"
-            if reason:
-                warnings.warn(
-                    f"sharded synthesis disabled ({reason}); running one shard",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._windows = [(0.0, self.config.end_time)]
+        if len(self._windows) > 1 and population is not None:
+            warnings.warn(
+                "sharded synthesis disabled (a caller-supplied population "
+                "cannot be partitioned); running one shard",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self._windows = [(0.0, self.config.end_time)]
         seed = self.config.seed
         n_shards = len(self._windows)
-        self.model = model or WorkloadModel.paper()
-        self.universe = universe or QueryUniverse(seed=seed + 1)
-        if n_shards == 1 or self._custom_universe:
-            self.universe.prebuild(_prebuild_day(self.config))
+        self.model = WorkloadModel.paper()
+        self.universe = QueryUniverse(seed=seed + 1)
         streams = _shard_streams(seed, n_shards, 0)
         self.population = population or PeerPopulation(
             seed=streams[0], **_shard_ip_range(n_shards, 0)
@@ -187,67 +168,14 @@ class TraceSynthesizer:
     def n_shards(self) -> int:
         return len(self._windows)
 
-    @property
-    def effective_backend(self) -> str:
-        """The engine :meth:`run` uses: the columnar fast path covers
-        default wiring only.  Slot caps need event-ordered accounting,
-        custom populations/models expose scalar-only hooks, and a
-        subclassed universe may override sampling the batch path would
-        bypass; those run the event engine."""
-        if self._custom_population or self._custom_model:
-            return "event"
-        if self.config.max_slots is not None:
-            return "event"
-        if self._custom_universe and type(self.universe) is not QueryUniverse:
-            return "event"
-        return "columnar"
-
     def run(self) -> Trace:
-        """Synthesize the full trace (in parallel when configured)."""
-        if self.effective_backend == "columnar":
-            return self.run_columnar().to_trace()
-        return self.run_event()
-
-    def run_event(self) -> Trace:
-        """Synthesize with the event engine, the per-event reference loop.
-
-        :meth:`run` falls back to it for the configurations named in
-        :attr:`effective_backend`; parity tests call it directly.  A
-        fixed seed gives a different, equally distributed realization
-        from the columnar engine's (their RNG consumption orders differ).
-        """
-        from .event_engine import (
-            EventShardEngine,
-            _finalize_counters,
-            synthesize_shards_event,
-        )
-
-        cfg = self.config
-        if len(self._windows) == 1:
-            start, end = self._windows[0]
-            trace = EventShardEngine(
-                cfg, self.model, self.universe, self.population,
-                self.behavior, self.arrivals, self.hit_model, self._rng,
-            ).run(start, end)
-        else:
-            trace = synthesize_shards_event(
-                cfg, self._windows,
-                self.model if self._custom_model else None,
-                self.universe if self._custom_universe else None,
-            )
-        _finalize_counters(trace)
-        return trace
+        """Synthesize the full trace (in parallel when configured) as records."""
+        return self.run_columnar().to_trace()
 
     def run_columnar(self):
-        """Synthesize directly into a ColumnarTrace (no record objects).
+        """Synthesize directly into a ColumnarTrace (no record objects)."""
+        from repro.measurement.columnar import ColumnarTraceBuilder
 
-        Falls back to columnarizing the event engine's output when the
-        configuration needs it (see :attr:`effective_backend`).
-        """
-        from repro.measurement.columnar import ColumnarTrace, ColumnarTraceBuilder
-
-        if self.effective_backend == "event":
-            return ColumnarTrace.from_trace(self.run_event())
         builder = ColumnarTraceBuilder()
         self._synthesize_parts(builder.append)
         trace = builder.build()
@@ -264,19 +192,10 @@ class TraceSynthesizer:
         at no point does more than roughly ``workers + 1`` shards' worth
         of trace live in memory.  ``ShardedTrace.concat()`` of the result
         is byte-identical to :meth:`run_columnar` for the same config.
-
-        A configuration on the event engine (slot caps, custom wiring;
-        see :attr:`effective_backend`) spills its whole trace as one
-        shard.
         """
-        from repro.measurement.columnar import ColumnarTrace
         from repro.measurement.shards import ShardWriter
 
         writer = ShardWriter(dest, 0.0, self.config.end_time)
-        if self.effective_backend == "event":
-            trace = self.run_event()
-            writer.append(ColumnarTrace.from_trace(trace))
-            return writer.close(trace.counters)
         self._synthesize_parts(writer.append)
         counters = dict(writer.raw_counters)
         _finalize_counter_dict(
@@ -304,9 +223,8 @@ class TraceSynthesizer:
             )
             return
         n = len(self._windows)
-        universe = self.universe if self._custom_universe else None
         tasks = [
-            (cfg, n, index, start, end, None, universe)
+            (cfg, n, index, start, end)
             for index, (start, end) in enumerate(self._windows)
         ]
         # Bounded in-flight window, consumed in shard order: at most
@@ -340,8 +258,8 @@ def _finalize_counter_dict(
 
     Consumes the raw keep-alive totals the shard engines left in
     ``counters`` (summed across shards in shard order) and writes the
-    final keys in one fixed insertion order, so every synthesis path --
-    event, columnar, sharded-on-disk -- produces an identical dict.
+    final keys in one fixed insertion order, so the in-memory and the
+    sharded-on-disk paths produce an identical dict.
     """
     keepalive_pings = counters.pop(_RAW_PINGS, 0)
     keepalive_pongs = counters.pop(_RAW_PONGS, 0)
@@ -378,8 +296,8 @@ def synthesize_trace(
 ) -> Trace:
     """Convenience wrapper: synthesize a trace with default wiring.
 
-    Extra keyword arguments (``jobs``, ``shard_days``, ``max_slots``,
-    ...) forward to :class:`SynthesisConfig`.
+    Extra keyword arguments (``jobs``, ``shard_days``, ...) forward to
+    :class:`SynthesisConfig`.
     """
     config = SynthesisConfig(days=days, mean_arrival_rate=mean_arrival_rate, seed=seed, **kwargs)
     return TraceSynthesizer(config).run()

@@ -1,8 +1,8 @@
 """Columnar trace backend: conversions, .npz persistence, and parity.
 
 The columnar path only earns its speed if it is lossless: every test
-here pins some face of ``Trace == to_trace(from_trace(Trace))``, through
-the ``.npz`` archive, and through ``merge_traces``.
+here pins some face of ``Trace == to_trace(from_trace(Trace))``, directly,
+through the ``.npz`` archive, and through sharded synthesis.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.measurement import (
     PongObservation,
     QueryHitObservation,
     Trace,
-    merge_traces,
     normalize_keywords,
 )
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
@@ -166,25 +165,6 @@ class TestNpzRoundTrip:
 
 
 class TestMergeParity:
-    def test_merge_traces_through_columnar_path(self, tmp_path):
-        """Shard-merge is unchanged by a columnar round-trip of the shards."""
-        shards = [make_trace(0.0), make_trace(86400.0)]
-        expected = merge_traces(shards)
-
-        hopped = []
-        for i, shard in enumerate(shards):
-            path = tmp_path / f"shard{i}.npz"
-            ColumnarTrace.from_trace(shard).save_npz(path)
-            hopped.append(ColumnarTrace.load_npz(path).to_trace())
-        merged = merge_traces(hopped)
-
-        assert merged.sessions == expected.sessions
-        assert merged.pongs == expected.pongs
-        assert merged.queryhits == expected.queryhits
-        assert merged.counters == expected.counters
-        assert merged.start_time == expected.start_time
-        assert merged.end_time == expected.end_time
-
     def test_sharded_synthesis_merge_parity(self, tmp_path):
         """Columnarizing a sharded synthesis output equals the direct trace."""
         config = SynthesisConfig(days=0.1, mean_arrival_rate=0.3, seed=7, jobs=2)

@@ -137,31 +137,6 @@ class TestShardedSynthesis:
         in_memory = TraceSynthesizer(sharded_config).run_columnar()
         assert_columnar_identical(sharded.concat(), in_memory)
 
-    def test_slot_capped_context_spills_the_event_trace(self):
-        # A slot cap runs the event engine, and the context still reads
-        # it through the store: one shard holding the event trace,
-        # canonically sorted, with its finalized counters.
-        from repro.experiments import ExperimentContext, run_many
-
-        config = SynthesisConfig(days=0.1, seed=1, max_slots=50, jobs=2)
-        ctx = ExperimentContext(config)
-        with pytest.warns(RuntimeWarning, match="slot caps"):
-            sharded = ctx.shards
-        with pytest.warns(RuntimeWarning, match="slot caps"):
-            synthesizer = TraceSynthesizer(config)
-        assert synthesizer.effective_backend == "event"
-        event = synthesizer.run_event()
-        builder = ColumnarTraceBuilder()
-        builder.append(ColumnarTrace.from_trace(event))
-        expected = builder.build()
-        assert sharded.n_shards == 1
-        assert sharded.counters == event.counters
-        assert sharded.counters["rejected_connections"] > 0
-        assert_columnar_identical(sharded.load_shard(0), expected)
-        (t1,) = run_many(["T1"], ctx)
-        rows = {row["measure"]: row["ours"] for row in t1.rows}
-        assert rows["direct_connections"] == event.n_connections
-
 
 class TestShardSchema:
     def test_only_peer_addresses_are_per_row_strings(self, sharded):

@@ -15,7 +15,6 @@ from repro.synthesis import (
     load_or_synthesize_sharded,
     trace_cache_key,
 )
-from repro.synthesis.cache import effective_shard_count
 
 
 class TestCacheKey:
@@ -41,7 +40,6 @@ class TestCacheKey:
             ("days", 0.2),
             ("mean_arrival_rate", 0.5),
             ("seed", 8),
-            ("max_slots", 100),
             ("bye_prob", 0.10),
             ("quick_query_prob", 0.20),
             ("background_samples_per_hour", 60),
@@ -53,10 +51,6 @@ class TestCacheKey:
         base = SynthesisConfig(days=0.1, seed=7)
         changed = dataclasses.replace(base, **{field: value})
         assert trace_cache_key(base) != trace_cache_key(changed)
-
-    def test_slot_capped_config_counts_one_shard(self):
-        cfg = SynthesisConfig(days=0.1, jobs=4, max_slots=50)
-        assert effective_shard_count(cfg) == 1
 
 
 class TestDefaultCacheDir:

@@ -22,6 +22,7 @@ from repro.synthesis import (
     load_or_synthesize_sharded,
 )
 from equivalence_reference import columnar_ks_checks
+from event_reference import synthesize_event
 
 CFG = SynthesisConfig(days=0.05, mean_arrival_rate=0.3, seed=1234)
 #: Multi-shard layout: 0.1 days cut into 0.04-day shards (3 shards).
@@ -100,7 +101,7 @@ class TestEquivalence:
 
     @pytest.fixture(scope="class")
     def event(self):
-        return ColumnarTrace.from_trace(TraceSynthesizer(self.SCALE).run_event())
+        return ColumnarTrace.from_trace(synthesize_event(self.SCALE))
 
     @staticmethod
     def assert_same_volume(reference, candidate):
@@ -127,45 +128,20 @@ class TestEquivalence:
         assert checks["ok"] is True, checks
         self.assert_same_volume(event, columnar)
 
-    def test_sharded_event_engine_equivalence(self, event):
-        # run_event() over several shards (synthesize_shards_event, the
-        # path a custom model or universe takes with jobs > 1) must
-        # synthesize the same process as its one-shard run.
-        sharded = ColumnarTrace.from_trace(
-            TraceSynthesizer(replace(self.SCALE, jobs=2)).run_event()
-        )
-        checks = columnar_ks_checks(event, sharded)
-        assert checks["ok"] is True, checks
-        self.assert_same_volume(event, sharded)
-
 
 class TestBackendDispatch:
-    def test_columnar_is_default(self):
-        assert TraceSynthesizer(CFG).effective_backend == "columnar"
-
     def test_invalid_backend_rejected(self):
-        # The engine is not part of the config: default wiring always
-        # runs the columnar engine, so no backend value is accepted.
+        # The engine is not part of the config: the columnar engine is
+        # the only one, so no backend value, slot cap, model or universe
+        # is accepted.
         for backend in ("columnar", "event", "gpu"):
             with pytest.raises(TypeError):
                 SynthesisConfig(days=0.05, backend=backend)
-
-    def test_event_backend_selected_explicitly(self):
-        # run_event() reaches the event engine on a default-wiring
-        # config, which run() would synthesize with the columnar engine.
-        synth = TraceSynthesizer(CFG)
-        assert synth.effective_backend == "columnar"
-        trace = synth.run_event()
-        assert isinstance(trace, Trace)
-        assert trace.n_connections > 50
-        assert "_raw_keepalive_pings" not in trace.counters
-
-    def test_max_slots_falls_back_to_event(self):
-        cfg = replace(CFG, max_slots=50)
-        synth = TraceSynthesizer(cfg)
-        assert synth.effective_backend == "event"
-        # run_columnar still honours its return type via conversion.
-        assert isinstance(synth.run_columnar(), ColumnarTrace)
+        with pytest.raises(TypeError):
+            SynthesisConfig(days=0.05, max_slots=50)
+        for selector in ("model", "universe"):
+            with pytest.raises(TypeError):
+                TraceSynthesizer(CFG, **{selector: None})
 
     def test_run_returns_trace(self):
         trace = TraceSynthesizer(CFG).run()

@@ -9,8 +9,8 @@ import pytest
 from repro.core.validation import ccdf_max_gap
 from repro.filtering import apply_filters
 from repro.synthesis import SynthesisConfig, TraceSynthesizer, shard_windows, synthesize_trace
-from repro.synthesis.event_engine import EventShardEngine
 from repro.synthesis.synthesizer import SHARD_IP_STRIDE
+from event_reference import EventShardEngine
 
 
 def _jsonl_bytes(trace, tmp_path, name):
@@ -106,12 +106,6 @@ class TestShardedDeterminism:
 
 
 class TestShardFallbacks:
-    def test_max_slots_forces_single_shard(self):
-        cfg = SynthesisConfig(days=0.02, jobs=2, max_slots=50)
-        with pytest.warns(RuntimeWarning, match="slot caps"):
-            synth = TraceSynthesizer(cfg)
-        assert synth.n_shards == 1
-
     def test_custom_population_forces_single_shard(self):
         from repro.agents import PeerPopulation
 
