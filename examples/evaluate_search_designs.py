@@ -3,71 +3,49 @@
 The paper motivates its characterization with exactly this use case:
 "Chawathe et al. use simulations of client query behavior to evaluate a
 new overlay network architecture and a new biased random walk search
-protocol."  This example drives the Gnutella overlay substrate with
-queries drawn from the synthetic workload generator and compares three
-flooding configurations on messages-per-query and hit rate:
-
-* TTL 7 flooding (classic Gnutella),
-* TTL 3 flooding (bounded horizon),
-* TTL 7 flooding with 3x content replication (Cohen & Shenker's remedy).
+protocol."  This example replays an hour of the Figure 12 workload
+through the simulated Gnutella overlay -- each session a peer that
+joins, floods its queries and leaves -- once per flooding horizon, and
+compares TTL 1 to 4 on messages per query and hit rate (the share of
+queries answered at least once).
 
 Run:  python examples/evaluate_search_designs.py
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.gnutella import OverlayConfig, simulate_workload
+from repro.gnutella.overlay_bench import overlay_workload
 
-from repro.core import SyntheticWorkloadGenerator
-from repro.core.popularity import QueryClassId, QueryUniverse
-from repro.gnutella import OverlayNetwork
-
-N_QUERIES = 120
-
-
-def build_network(seed: int, replication: float) -> tuple:
-    """An overlay whose libraries hold entries from the query universe."""
-    universe = QueryUniverse(seed=seed, scale=0.2)
-    catalog = list(universe.daily_ranking(0, QueryClassId.NA_ONLY))
-    net = OverlayNetwork(n_ultrapeers=50, n_leaves=150, ultrapeer_degree=5, seed=seed)
-    net.seed_libraries(catalog, mean_files=8.0 * replication)
-    return net, universe
+N_PEERS = 300
+RUN_SECONDS = 3600.0
+TTLS = (1, 2, 3, 4)
 
 
-def run_config(label: str, ttl: int, replication: float, seed: int = 31) -> dict:
-    net, universe = build_network(seed, replication)
-    generator = SyntheticWorkloadGenerator(n_peers=100, seed=seed, universe=universe)
-    # The columnar workload hands back the query strings as one array --
-    # no per-session object materialization just to harvest keywords.
-    workload = generator.generate_columnar(duration_seconds=7200.0)
-    queries = workload.query_keywords[:N_QUERIES].tolist()
-    origins = [i for i, n in net.nodes.items() if n.is_ultrapeer]
-    messages, hits = [], 0
-    for k, keywords in enumerate(queries):
-        outcome = net.flood_query(origins[k % len(origins)], keywords, ttl=ttl)
-        messages.append(outcome.messages_sent)
-        hits += 1 if outcome.hits > 0 else 0
+def run_design(workload, ttl: int) -> dict:
+    """Flood the workload at one TTL; messages per query and hit rate."""
+    result = simulate_workload(workload, RUN_SECONDS, config=OverlayConfig(ttl=ttl))
+    n = max(result.n_queries, 1)
     return {
-        "label": label,
-        "mean_messages": float(np.mean(messages)),
-        "hit_rate": hits / len(queries),
+        "label": f"flood TTL={ttl}",
+        "queries": result.n_queries,
+        "mean_messages": result.messages_total / n,
+        "hit_rate": int((result.query_hits > 0).sum()) / n,
     }
 
 
 def main() -> None:
-    print(f"driving {N_QUERIES} workload queries through each search design\n")
-    rows = [
-        run_config("flood TTL=7", ttl=7, replication=1.0),
-        run_config("flood TTL=3", ttl=3, replication=1.0),
-        run_config("flood TTL=7 + 3x replication", ttl=7, replication=3.0),
-    ]
-    print(f"{'design':32s} {'msgs/query':>12s} {'hit rate':>10s}")
+    workload = overlay_workload(N_PEERS, RUN_SECONDS, seed=31)
+    rows = [run_design(workload, ttl) for ttl in TTLS]
+    print(f"flooding {rows[0]['queries']} workload queries from {N_PEERS} "
+          f"steady-state peers (1 hour) at each horizon\n")
+    print(f"{'design':14s} {'msgs/query':>12s} {'hit rate':>10s}")
     for row in rows:
-        print(f"{row['label']:32s} {row['mean_messages']:12.1f} {row['hit_rate']:10.2f}")
+        print(f"{row['label']:14s} {row['mean_messages']:12.1f} {row['hit_rate']:10.3f}")
     print(
-        "\ntakeaway: a realistic (filtered, regionalized, Zipf-light) workload "
-        "matters -- popularity skew is mild after removing automated re-queries, "
-        "so replication helps hit rate more than deeper flooding does."
+        "\ntakeaway: the hit rate saturates within two hops while each "
+        "further ring keeps adding messages -- the workload's queries are "
+        "answered close to where they start."
     )
 
 

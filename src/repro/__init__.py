@@ -7,8 +7,8 @@ The package is organized bottom-up:
   published parameters, the query popularity model, and the Figure 12
   synthetic workload generator.
 * :mod:`repro.geoip` -- synthetic GeoIP database (substitute for MaxMind).
-* :mod:`repro.gnutella` -- Gnutella 0.6 protocol substrate: messages,
-  routing, peers, client-implementation profiles, overlay simulator.
+* :mod:`repro.gnutella` -- Gnutella 0.6 protocol substrate: handshake,
+  client-implementation profiles, the columnar overlay simulator.
 * :mod:`repro.agents` -- ground-truth user behaviour used to synthesize
   the trace the paper measured.
 * :mod:`repro.measurement` -- the passive measurement ultrapeer and trace

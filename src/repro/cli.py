@@ -493,14 +493,12 @@ def _cmd_loadtest(args) -> int:
 
 
 def _cmd_overlay(args) -> int:
-    from dataclasses import replace
-
     from repro.gnutella.columnar_overlay import OverlayConfig, simulate_workload
     from repro.gnutella.overlay_bench import overlay_workload
 
     run_seconds = args.hours * 3600.0
     workload = overlay_workload(args.peers, run_seconds, seed=args.seed)
-    config = replace(OverlayConfig(), ttl=args.ttl, delta_seconds=args.delta)
+    config = OverlayConfig(ttl=args.ttl, delta_seconds=args.delta)
     result = simulate_workload(workload, run_seconds, config=config, jobs=args.jobs)
     print(
         f"simulated {result.peers_simulated} peers over {run_seconds:g} s "

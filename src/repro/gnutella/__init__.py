@@ -1,5 +1,5 @@
-"""Gnutella protocol substrate: messages, routing, handshake, peers,
-client-implementation profiles, and the overlay simulator."""
+"""Gnutella protocol substrate: handshake, client-implementation
+profiles, QRP keyword hashes, and the columnar overlay simulator."""
 
 from .._lazy import lazy_exports
 
@@ -12,21 +12,10 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "HandshakeError", "HandshakeOffer", "HandshakeResponse", "negotiate",
         "parse_headers",
     ),
-    "messages": (
-        "DEFAULT_TTL", "Bye", "Message", "MessageError", "Ping", "Pong", "Query",
-        "QueryHit", "decode", "new_guid",
-    ),
     "columnar_overlay": (
         "FloodContext", "FloodResult", "OverlayConfig", "OverlayRunResult",
         "flood_queries", "simulate_workload",
     ),
-    "overlay": ("OverlayNetwork", "QueryOutcome"),
-    "peer": ("Action", "PeerMode", "PeerNode"),
-    "qrp": (
-        "QueryRouteTable", "keyword_hash", "keyword_hashes", "text_hash_table",
-    ),
-    "routing": ("DEFAULT_GUID_TTL_SECONDS", "RoutingTable"),
-    "simulator": ("EventScheduler",),
+    "qrp": ("keyword_hashes", "text_hash_table"),
     "topology": ("CSRTopology",),
-    "wire": ("MessageStream",),
 })

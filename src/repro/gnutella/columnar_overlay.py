@@ -1,31 +1,31 @@
 """Delta-stepped batched columnar overlay engine.
 
-The scalar overlay (:mod:`repro.gnutella.overlay` /
-:mod:`repro.gnutella.livesim`) delivers one message per scheduler
-callback, which caps it at toy populations.  This module simulates the
-same ultrapeer/leaf protocol as array programs over the
-:class:`~repro.gnutella.topology.CSRTopology` adjacency:
+Simulates the Gnutella ultrapeer/leaf protocol as array programs over
+the :class:`~repro.gnutella.topology.CSRTopology` adjacency:
 
+* the static backbone (ultrapeer mesh, leaves, monitor links, libraries)
+  is drawn straight into arrays, replaying the object overlay's RNG
+  calls in their order, so no peer object is ever built;
 * query flooding is frontier expansion -- one segmented gather/scatter
   over neighbour lists per TTL ring, duplicate-GUID suppression via
   sorted set-membership kernels, vectorized hop accounting;
 * QRP leaf forwarding is resolved analytically after the ultrapeer BFS
-  from per-keyword-hash postings of the leaf tables, bit-exact with
-  :class:`~repro.gnutella.qrp.QueryRouteTable` (false positives
-  included);
+  from per-keyword-hash postings of the leaf tables, bit-exact with the
+  scalar QRP tables (false positives included);
 * QUERYHIT reverse routing is a depth sum (the reverse path of an
   answerer at BFS depth ``d`` is exactly ``d`` messages long);
 * churn is delta-stepped: sessions connect at the round of their start
   and disconnect at the end of the round of their end, so the round
   width ``delta_seconds`` is part of the simulation's identity.
 
-The engine is held to an event-driven reference that replays the
-*same* seeded plan through the real :class:`~repro.gnutella.peer.PeerNode`
-machinery and the record monitor (``tests/event_reference.py``): both
-call :func:`_prepare`, and the equivalence battery requires identical
-monitor-observed hop-1 query streams, reach sets/TTL horizons,
-per-query message and hit counts, reconstructed sessions, and
-keep-alive totals.
+The engine is held to the Gnutella object stack in
+``tests/gnutella_reference`` (``PeerNode`` forwarding, an event
+scheduler, the record monitor): ``tests/event_reference.py`` builds the
+backbone from those objects, checks it equals :func:`_build_backbone`'s
+arrays, and replays the *same* seeded plan (both call :func:`_prepare`);
+the equivalence battery requires identical monitor-observed hop-1 query
+streams, reach sets/TTL horizons, per-query message and hit counts,
+reconstructed sessions, and keep-alive totals.
 
 All array work dispatches through :mod:`repro.core.kernels`; query
 batches shard over workers via ``pool_map`` with byte-identical output
@@ -51,10 +51,7 @@ from repro.core.kernels import (
     unique_sorted,
 )
 from repro.core.parameters import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS
-from repro.core.regions import Region
 
-from .overlay import OverlayNetwork
-from .peer import PeerMode, PeerNode
 from .qrp import text_hash_table
 from .topology import CSRTopology
 
@@ -69,7 +66,6 @@ __all__ = [
 ]
 
 MONITOR_ID = "monitor"
-MONITOR_IP = "129.217.1.1"
 
 #: Queries per worker task: the unit ``jobs`` fans out.  A task's
 #: memory is bounded by ``FLOOD_ROWS``, not by this size.
@@ -82,22 +78,36 @@ QUERIES_PER_TASK = 512
 #: peers, 21 at 10k).
 FLOOD_ROWS = 1 << 15
 
+#: The static backbone the churn peers attach to: ultrapeers, leaves,
+#: each ultrapeer's mesh degree, each leaf's ultrapeer attachments, and
+#: the monitor's links (to the first ``MONITOR_LINKS`` ultrapeers).
+BACKBONE_ULTRAPEERS = 24
+BACKBONE_LEAVES = 48
+ULTRAPEER_DEGREE = 6
+LEAF_ATTACHMENTS = 2
+MONITOR_LINKS = 6
+#: Probability that a churn peer joins as an ultrapeer.
+CHURN_ULTRAPEER_PROB = 0.15
+#: Mean (Poisson) library size of every backbone and churn peer.
+MEAN_LIBRARY_FILES = 8.0
+#: Leaf QRP tables hold ``2**QRP_LOG_SIZE`` slots.
+QRP_LOG_SIZE = 12
+#: Seeds of the backbone draw and of the churn plan's draw.
+BACKBONE_SEED = 12
+PLAN_SEED = 20
+
+#: The backbone's region mix (North America, Europe, Asia, other).  No
+#: output reads a node's region, but each node's draw advances the
+#: stream its mesh links and library come from.
+_REGION_WEIGHTS = (0.60, 0.20, 0.13, 0.07)
+
 
 @dataclass(frozen=True)
 class OverlayConfig:
-    """Knobs of one overlay simulation."""
+    """The settable knobs of one overlay simulation."""
 
-    n_backbone_ultrapeers: int = 24
-    n_backbone_leaves: int = 48
-    ultrapeer_degree: int = 6
-    leaf_attachments: int = 2
-    monitor_links: int = 6
     delta_seconds: float = 30.0
     ttl: int = 4
-    churn_ultrapeer_prob: float = 0.15
-    mean_library_files: float = 8.0
-    qrp_log_size: int = 12
-    seed: int = 11
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +123,8 @@ class FloodContext:
     table passes ``might_match`` for that code (bit-exact with the
     scalar tables, false positives included); ``holder_*`` is a
     per-code CSR of every node row whose library contains the code
-    (the exact-match answer set of ``PeerNode._matches``).
+    (the exact-match answer set: a peer answers a query whose text is
+    one of its library entries).
     """
 
     topo: CSRTopology
@@ -236,17 +247,6 @@ def _build_flood_tables(
     return (m_off[:-1], m_counts, m_flat), (h_off, h_counts, h_flat)
 
 
-def _library_codes(vocab: np.ndarray, library) -> np.ndarray:
-    """Vocabulary codes of one node's library set (all must resolve)."""
-    if not library:
-        return np.zeros(0, dtype=np.int64)
-    values = np.asarray(sorted(library), dtype=np.str_)
-    mask, idx = sorted_lookup(vocab, values)
-    if not mask.all():
-        raise ValueError("library entry missing from the flood vocabulary")
-    return idx
-
-
 def _cat(parts: List[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
@@ -254,38 +254,21 @@ def _cat(parts: List[np.ndarray]) -> np.ndarray:
 def _flood_context(
     topo: CSRTopology,
     vocab: np.ndarray,
-    overlay: OverlayNetwork,
-    node_ids: Sequence[str],
+    rows: np.ndarray,
+    codes: np.ndarray,
+    is_leaf: np.ndarray,
     log_size: int,
-    churn: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     used_codes: Optional[np.ndarray] = None,
 ) -> FloodContext:
     """The :class:`FloodContext` over ``topo``.
 
-    Postings hold every library entry of ``overlay``'s nodes (row ``i``
-    is ``node_ids[i]``), then the ``(rows, codes, is_leaf)`` entries of
-    ``churn``; ``used_codes`` is passed to :func:`_build_flood_tables`.
+    Node ``rows[i]`` holds library entry ``codes[i]``; the entries with
+    ``is_leaf[i]`` also fill the leaves' QRP tables.  ``used_codes`` is
+    passed to :func:`_build_flood_tables`.
     """
-    leaf_rows, leaf_codes, holder_rows, holder_codes = [], [], [], []
-    for row, node_id in enumerate(node_ids):
-        node = overlay.nodes[node_id]
-        codes = _library_codes(vocab, node.library)
-        if codes.size:
-            holder_rows.append(np.full(codes.size, row, dtype=np.int64))
-            holder_codes.append(codes)
-            if not node.is_ultrapeer:
-                leaf_rows.append(np.full(codes.size, row, dtype=np.int64))
-                leaf_codes.append(codes)
-    if churn is not None:
-        rows, codes, is_leaf = churn
-        holder_rows.append(rows)
-        holder_codes.append(codes)
-        leaf_rows.append(rows[is_leaf])
-        leaf_codes.append(codes[is_leaf])
     matched, holders = _build_flood_tables(
-        vocab, _cat(leaf_rows), _cat(leaf_codes),
-        _cat(holder_rows), _cat(holder_codes), topo.capacity, log_size,
-        used_codes=used_codes,
+        vocab, rows[is_leaf], codes[is_leaf], rows, codes, topo.capacity,
+        log_size, used_codes=used_codes,
     )
     return FloodContext(topo, vocab, *matched, *holders)
 
@@ -333,7 +316,7 @@ def _flood_batch(graph, origins, codes, record_reach) -> Tuple[np.ndarray, ...]:
     hits = np.zeros(nq, dtype=np.int64)
 
     # Ring 1: origination sends one copy to *every* neighbour (leaves
-    # included -- no QRP filter at the origin, per PeerNode.originate).
+    # included -- the origin applies no QRP filter).
     nbr1, deg1 = _csr_take(indptr, indices, origins)
     msgs += deg1
     q1 = np.repeat(qids, deg1)
@@ -570,7 +553,7 @@ def _plan_churn(
     if delta <= 0:
         raise ValueError("delta_seconds must be positive")
     n_rounds = int(np.floor(run_seconds / delta)) + 1
-    rng = np.random.default_rng(config.seed + 9)
+    rng = np.random.default_rng(PLAN_SEED)
 
     keep = workload.session_start <= run_seconds
     rows = np.flatnonzero(keep).astype(np.int64)
@@ -585,9 +568,9 @@ def _plan_churn(
     n = rows.size
 
     attach_pos = rng.integers(0, max(n_attach_ups, 1), size=n)
-    ultrapeer = rng.random(n) < config.churn_ultrapeer_prob
+    ultrapeer = rng.random(n) < CHURN_ULTRAPEER_PROB
     if vocab.size:
-        want = rng.poisson(config.mean_library_files, size=n).astype(np.int64)
+        want = rng.poisson(MEAN_LIBRARY_FILES, size=n).astype(np.int64)
         total = int(want.sum())
         draws = rng.integers(0, vocab.size, size=total)
         owner = np.repeat(np.arange(n, dtype=np.int64), want)
@@ -635,52 +618,101 @@ def _plan_churn(
     )
 
 
-def _build_backbone(
-    config: OverlayConfig, vocab: np.ndarray
-) -> Tuple[OverlayNetwork, List[str]]:
-    """The static backbone + monitor the churn peers attach to.
+@dataclass(frozen=True)
+class Backbone:
+    """The static backbone + monitor the churn peers attach to, as arrays.
 
-    Zero link latency makes event-driven floods strict BFS; connection
-    caps are lifted after construction (slot pressure is not part of
-    the engine's semantics).  Backbone QRP tables are rebuilt at the
-    configured ``qrp_log_size``, the leaf tables the flood tables
-    reproduce.
+    Rows follow the sorted node ids of the object overlay: the leaves
+    (``le00000``, ...), then the monitor, then the ultrapeers
+    (``ul00000``, ...).  ``edge_keys`` holds both directions of every
+    link packed as ``src * n + dst`` over the ``n`` rows, sorted;
+    ``up_rows`` the ultrapeers' rows in index order (the churn peers'
+    attachment targets); ``(lib_rows[i], lib_codes[i])`` every library
+    entry, as vocabulary codes sorted by (row, code).
     """
-    overlay = OverlayNetwork(
-        n_ultrapeers=config.n_backbone_ultrapeers,
-        n_leaves=config.n_backbone_leaves,
-        ultrapeer_degree=config.ultrapeer_degree,
-        leaf_attachments=config.leaf_attachments,
-        latency_ms=(0.0, 0.0),
-        seed=config.seed + 1,
-    )
-    if vocab.size:
-        overlay.seed_libraries(
-            [str(w) for w in vocab], mean_files=config.mean_library_files
-        )
-    monitor = PeerNode(
-        node_id=MONITOR_ID, ip=MONITOR_IP, mode=PeerMode.ULTRAPEER,
-        max_connections=2 ** 31,
-    )
-    overlay.nodes[MONITOR_ID] = monitor
-    overlay.region_of[MONITOR_ID] = Region.EUROPE
-    ups = [
-        node_id for node_id, node in overlay.nodes.items()
-        if node.is_ultrapeer and node_id != MONITOR_ID
-    ]
-    for other in ups[: config.monitor_links]:
-        overlay.connect(MONITOR_ID, other)
-    for node in overlay.nodes.values():
-        node.max_connections = 2 ** 31
-    for node_id, node in overlay.nodes.items():
-        if node.is_ultrapeer:
+
+    is_ultrapeer: np.ndarray
+    edge_keys: np.ndarray
+    up_rows: np.ndarray
+    monitor: int
+    lib_rows: np.ndarray
+    lib_codes: np.ndarray
+
+
+def _build_backbone(
+    vocab: np.ndarray,
+    n_ultrapeers: int = BACKBONE_ULTRAPEERS,
+    n_leaves: int = BACKBONE_LEAVES,
+    degree: int = ULTRAPEER_DEGREE,
+    attachments: int = LEAF_ATTACHMENTS,
+    monitor_links: int = MONITOR_LINKS,
+    mean_files: float = MEAN_LIBRARY_FILES,
+    seed: int = BACKBONE_SEED,
+) -> Backbone:
+    """Draw the backbone: the object overlay's RNG calls, in their order.
+
+    Per ultrapeer a region draw; then the mesh, each ultrapeer in index
+    order linking to ``degree`` minus its current neighbours of a
+    shuffled candidate list (the ultrapeers not yet linked to it that
+    hold fewer than 200 links); per leaf a region draw and its
+    attachments; then, with a vocabulary, each node's Poisson library
+    size and distinct entries (ultrapeers first).  The monitor shares
+    nothing and links to the first ``monitor_links`` ultrapeers.
+    ``vocab`` is sorted, unique and lower-case, so the entries' codes
+    are the sorted picks.
+    """
+    rng = np.random.default_rng(seed)
+    region_p = np.array(_REGION_WEIGHTS, dtype=float)
+    region_p = region_p / region_p.sum(dtype=np.float64)
+    for _ in range(n_ultrapeers):
+        rng.choice(region_p.size, p=region_p)
+    mesh: List[set] = [set() for _ in range(n_ultrapeers)]
+    for u in range(n_ultrapeers):
+        want = degree - len(mesh[u])
+        if want <= 0:
             continue
-        table = node.build_qrp_table(config.qrp_log_size)
-        for neighbour_id in node.neighbours:
-            neighbour = overlay.nodes[neighbour_id]
-            if neighbour.is_ultrapeer:
-                neighbour.install_leaf_table(node_id, table)
-    return overlay, ups
+        candidates = [
+            v for v in range(n_ultrapeers)
+            if v != u and v not in mesh[u] and len(mesh[v]) < 200
+        ]
+        rng.shuffle(candidates)
+        for v in candidates[:want]:
+            mesh[u].add(v)
+            mesh[v].add(u)
+    leaf_ups = []
+    for _ in range(n_leaves):
+        rng.choice(region_p.size, p=region_p)
+        leaf_ups.append(rng.choice(
+            n_ultrapeers, size=min(attachments, n_ultrapeers), replace=False
+        ))
+
+    n_nodes = n_leaves + 1 + n_ultrapeers
+    up_rows = n_leaves + 1 + np.arange(n_ultrapeers, dtype=np.int64)
+    links = [(up_rows[u], up_rows[v]) for u in range(n_ultrapeers) for v in mesh[u]]
+    links += [(j, up_rows[i]) for j, ups in enumerate(leaf_ups) for i in ups]
+    links += [(n_leaves, row) for row in up_rows[:monitor_links]]
+    src, dst = np.asarray(links, dtype=np.int64).reshape(-1, 2).T
+    is_ultrapeer = np.zeros(n_nodes, dtype=bool)
+    is_ultrapeer[n_leaves:] = True
+
+    lib_rows = lib_codes = np.zeros(0, dtype=np.int64)
+    if vocab.size:
+        rows, picks = [], []
+        for row in np.concatenate([up_rows, np.arange(n_leaves)]):
+            count = int(rng.poisson(mean_files))
+            pick = rng.choice(vocab.size, size=min(count, vocab.size), replace=False)
+            rows.append(np.full(pick.size, row, dtype=np.int64))
+            picks.append(pick)
+        keys = unique_sorted(_cat(rows) * np.int64(vocab.size) + _cat(picks))
+        lib_rows, lib_codes = keys // vocab.size, keys % vocab.size
+    return Backbone(
+        is_ultrapeer=is_ultrapeer,
+        edge_keys=unique_sorted(
+            np.concatenate([src * n_nodes + dst, dst * n_nodes + src])
+        ),
+        up_rows=up_rows, monitor=n_leaves,
+        lib_rows=lib_rows, lib_codes=lib_codes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -768,32 +800,34 @@ def _session_keepalives(plan: OverlayPlan) -> Tuple[int, int]:
 def _run_columnar(
     plan: OverlayPlan,
     config: OverlayConfig,
-    overlay: OverlayNetwork,
-    ups: List[str],
+    backbone: Backbone,
     jobs: int,
     record_reach: bool,
 ) -> OverlayRunResult:
     """The delta-stepped array engine over the CSR topology."""
-    node_ids = sorted(overlay.nodes)
-    base = len(node_ids)
+    base = backbone.is_ultrapeer.size
     n = plan.n_sessions
-    topo, _ = CSRTopology.from_overlay(overlay, capacity=base + n)
-    index_of = {node_id: i for i, node_id in enumerate(node_ids)}
-    monitor_idx = index_of[MONITOR_ID]
-    up_idx = np.asarray([index_of[u] for u in ups], dtype=np.int64)
+    topo = CSRTopology(base + n)
+    topo.add_nodes(np.arange(base), backbone.is_ultrapeer)
+    topo.connect(backbone.edge_keys // base, backbone.edge_keys % base)
     sess_idx = base + np.arange(n, dtype=np.int64)
 
     # QRP/holder postings over the full slot space: backbone libraries
     # plus every churn session's planned library.  Static tables --
     # connectivity (the CSR) gates who can actually be reached.
     owner = np.repeat(np.arange(n, dtype=np.int64), plan.lib_counts)
-    churn = (sess_idx[owner], plan.lib_codes, ~plan.ultrapeer[owner])
+    rows = np.concatenate([backbone.lib_rows, sess_idx[owner]])
+    is_leaf = np.concatenate(
+        [~backbone.is_ultrapeer[backbone.lib_rows], ~plan.ultrapeer[owner]]
+    )
     # The table build sets the run's peak RSS: free the owner index first.
     del owner
     ctx = _flood_context(
-        topo, plan.vocab, overlay, node_ids, config.qrp_log_size,
-        churn=churn, used_codes=unique_sorted(plan.query_code),
+        topo, plan.vocab, rows,
+        np.concatenate([backbone.lib_codes, plan.lib_codes]), is_leaf,
+        QRP_LOG_SIZE, used_codes=unique_sorted(plan.query_code),
     )
+    del rows, is_leaf
 
     starts_order = np.argsort(plan.first_round, kind="stable")
     starts_off = _round_groups(plan.first_round, plan.n_rounds, starts_order)
@@ -820,15 +854,15 @@ def _run_columnar(
             topo.connect(
                 np.concatenate([sess_idx[new], sess_idx[new]]),
                 np.concatenate([
-                    np.full(new.size, monitor_idx, dtype=np.int64),
-                    up_idx[plan.attach_pos[new]],
+                    np.full(new.size, backbone.monitor, dtype=np.int64),
+                    backbone.up_rows[plan.attach_pos[new]],
                 ]),
             )
         lo, hi = int(q_off[r]), int(q_off[r + 1])
         if hi > lo:
             origins = sess_idx[plan.query_session[lo:hi]]
             if not topo.has_edges(
-                origins, np.full(origins.size, monitor_idx, dtype=np.int64)
+                origins, np.full(origins.size, backbone.monitor, dtype=np.int64)
             ).all():
                 raise AssertionError("query origin not adjacent to the monitor")
             out = flood_queries(
@@ -891,7 +925,7 @@ def _prepare(
     workload: ColumnarWorkload,
     run_seconds: float,
     config: Optional[OverlayConfig],
-) -> Tuple[OverlayConfig, OverlayNetwork, List[str], OverlayPlan]:
+) -> Tuple[OverlayConfig, Backbone, OverlayPlan]:
     """Checks, vocabulary, backbone and seeded plan of one run.
 
     Every engine starts here, so the event reference replays the
@@ -909,9 +943,11 @@ def _prepare(
         )
     else:
         vocab = np.zeros(0, dtype=np.str_)
-    overlay, ups = _build_backbone(config, vocab)
-    plan = _plan_churn(workload, float(run_seconds), config, vocab, len(ups))
-    return config, overlay, ups, plan
+    backbone = _build_backbone(vocab)
+    plan = _plan_churn(
+        workload, float(run_seconds), config, vocab, backbone.up_rows.size
+    )
+    return config, backbone, plan
 
 
 def simulate_workload(
@@ -929,5 +965,5 @@ def simulate_workload(
     the hop-1 stream and reconstructs sessions with idle-detection
     overshoot.  Output is byte-identical for any ``jobs``.
     """
-    config, overlay, ups, plan = _prepare(workload, run_seconds, config)
-    return _run_columnar(plan, config, overlay, ups, jobs, record_reach)
+    config, backbone, plan = _prepare(workload, run_seconds, config)
+    return _run_columnar(plan, config, backbone, jobs, record_reach)

@@ -1,4 +1,4 @@
-"""Query Routing Protocol (QRP) tables.
+"""Query Routing Protocol (QRP) keyword hashes, batched.
 
 Section 3.1: "A QUERY message is forwarded to all ultrapeer nodes, but is
 only forwarded to the leaf nodes that have a high probability of
@@ -10,114 +10,37 @@ to its ultrapeers; an ultrapeer forwards a query to a leaf only when
 This is the classic LimeWire QRP design: a table of ``2**log_size`` slots
 with the Gnutella keyword hash (a multiplicative hash over lowercased
 keyword bytes).  False positives are possible (hash collisions); false
-negatives are not, which is the property the tests pin down.
+negatives are not.  The columnar overlay engine builds its leaf tables
+from the batched hashes here; the scalar hash and table that the object
+peers hold (``tests/gnutella_reference/qrp.py``) are their bit-exact
+oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.kernels import segmented_arange, unique_sorted
 
-__all__ = [
-    "keyword_hash",
-    "keyword_hashes",
-    "text_hash_table",
-    "QueryRouteTable",
-]
-
-#: LimeWire's default QRP table: 2**16 slots.
-DEFAULT_LOG_SIZE = 16
+__all__ = ["keyword_hashes", "text_hash_table"]
 
 #: The QRP multiplicative constant (golden-ratio hash, per the QRP spec).
 _A = 0x4F1BBCDC
-
-
-def keyword_hash(keyword: str, bits: int) -> int:
-    """The Gnutella QRP hash of one keyword into ``bits`` bits.
-
-    Multiplicative hashing over the little-endian packing of the
-    lowercased keyword bytes, as specified by the QRP proposal.
-    """
-    if not 1 <= bits <= 32:
-        raise ValueError(f"bits must be in 1..32, got {bits}")
-    total = 0
-    for index, byte in enumerate(keyword.lower().encode("utf-8")):
-        total ^= (byte & 0xFF) << ((index & 3) * 8)
-    product = (total * _A) & 0xFFFFFFFF
-    return product >> (32 - bits)
 
 
 def _keywords(text: str) -> List[str]:
     return [w for w in text.lower().split() if w]
 
 
-class QueryRouteTable:
-    """A leaf's keyword presence table, as held by its ultrapeer.
-
-    ``add_file`` hashes every keyword of a shared file's name;
-    ``might_match`` implements the forwarding predicate: all query
-    keywords must hit set slots.
-    """
-
-    def __init__(self, log_size: int = DEFAULT_LOG_SIZE):
-        if not 4 <= log_size <= 24:
-            raise ValueError(f"log_size must be in 4..24, got {log_size}")
-        self.log_size = log_size
-        self.size = 1 << log_size
-        self._slots: Set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    @property
-    def fill_ratio(self) -> float:
-        """Fraction of slots set (dense tables forward almost anything)."""
-        return len(self._slots) / self.size
-
-    def add_file(self, name: str) -> None:
-        """Hash a shared file's keywords into the table."""
-        for keyword in _keywords(name):
-            self._slots.add(keyword_hash(keyword, self.log_size))
-
-    def add_library(self, names: Iterable[str]) -> None:
-        for name in names:
-            self.add_file(name)
-
-    def might_match(self, query_keywords: str) -> bool:
-        """Whether a query could be answered by this leaf.
-
-        True requires every keyword slot set; empty queries never match
-        (the spec forbids forwarding empty queries to leaves).
-        """
-        words = _keywords(query_keywords)
-        if not words:
-            return False
-        return all(keyword_hash(w, self.log_size) in self._slots for w in words)
-
-    def merge(self, other: "QueryRouteTable") -> "QueryRouteTable":
-        """The union table (ultrapeers aggregate leaf tables upstream)."""
-        if other.log_size != self.log_size:
-            raise ValueError("cannot merge tables of different sizes")
-        merged = QueryRouteTable(self.log_size)
-        merged._slots = self._slots | other._slots
-        return merged
-
-
-# ---------------------------------------------------------------------------
-# Batched forms (the columnar overlay engine's leaf-forwarding filter)
-# ---------------------------------------------------------------------------
-
-
 def keyword_hashes(words: Sequence[str], bits: int) -> np.ndarray:
-    """Vectorized :func:`keyword_hash` over a batch of keywords.
+    """The QRP hash of each keyword into ``bits`` bits.
 
-    Bit-exact with the scalar form: the little-endian XOR fold runs as
-    one segmented pass over the concatenated utf-8 bytes, then one
-    32-bit multiplicative hash over the folded words.  Empty keywords
-    are rejected (the scalar tokenizer never produces them).
+    Bit-exact with the scalar per-keyword hash: the little-endian XOR
+    fold runs as one segmented pass over the concatenated utf-8 bytes,
+    then one 32-bit multiplicative hash over the folded words.  Empty
+    keywords are rejected (the tokenizer never produces them).
     """
     if not 1 <= bits <= 32:
         raise ValueError(f"bits must be in 1..32, got {bits}")

@@ -1,11 +1,8 @@
 """CSR array representation of the ultrapeer/leaf overlay topology.
 
-The scalar overlay (:class:`~repro.gnutella.overlay.OverlayNetwork`)
-holds one :class:`~repro.gnutella.peer.PeerNode` object per peer with a
-``neighbours`` dict each -- perfect for protocol fidelity, hopeless past
-a few thousand nodes.  :class:`CSRTopology` keeps the same undirected
-graph as flat arrays: per-node mode/active flags plus one sorted array
-of packed directed edge keys (``src * capacity + dst``), from which the
+:class:`CSRTopology` keeps the undirected overlay graph as flat arrays:
+per-node mode/active flags plus one sorted array of packed directed
+edge keys (``src * capacity + dst``), from which the
 compressed-sparse-row adjacency (``indptr``/``indices``) is rebuilt
 lazily after churn.  Connect/disconnect are *batch* operations -- one
 sorted-set merge or difference over the whole round's churn, on
@@ -15,12 +12,15 @@ lets the delta-stepped engine in
 
 Both edge directions are stored, so a node's neighbour list is one
 contiguous CSR slice and the symmetry invariant is machine-checkable
-(:meth:`CSRTopology.validate`).
+(:meth:`CSRTopology.validate`).  The engine's backbone joins as one
+batch of edge keys; that it is the graph the object overlay of
+``tests/gnutella_reference`` builds from the same seed is identical by
+test, not by construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -172,43 +172,6 @@ class CSRTopology:
             if not isin_sorted(self._keys, self._pack(dst, src)).all():
                 raise AssertionError("edge set not symmetric")
         return self
-
-    # -- conversion ---------------------------------------------------------
-
-    @classmethod
-    def from_overlay(
-        cls, overlay, capacity: Optional[int] = None
-    ) -> Tuple["CSRTopology", List[str]]:
-        """Convert an :class:`~repro.gnutella.overlay.OverlayNetwork`.
-
-        Returns ``(topology, node_ids)`` with node ``node_ids[i]`` at
-        index ``i`` (ids sorted, so the mapping is reproducible).  The
-        columnar engine converts the *same* object-built backbone its
-        event reference runs on, which is what makes their topologies
-        identical by construction rather than by parallel
-        re-implementation.
-        ``capacity`` reserves extra inactive slots past the backbone
-        (one per future churn session) without changing the conversion.
-        """
-        node_ids = sorted(overlay.nodes)
-        index = {node_id: i for i, node_id in enumerate(node_ids)}
-        if capacity is None:
-            capacity = len(node_ids)
-        if capacity < len(node_ids):
-            raise ValueError("capacity smaller than the overlay's node count")
-        topo = cls(capacity)
-        topo.active[: len(node_ids)] = True
-        for node_id, node in overlay.nodes.items():
-            topo.is_ultrapeer[index[node_id]] = node.is_ultrapeer
-        pairs = [
-            (index[node_id], index[neighbour])
-            for node_id, node in overlay.nodes.items()
-            for neighbour in node.neighbours
-        ]
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            topo._keys = unique_sorted(arr[:, 0] * topo.capacity + arr[:, 1])
-        return topo.validate(), node_ids
 
     # -- internals ----------------------------------------------------------
 

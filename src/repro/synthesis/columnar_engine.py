@@ -69,7 +69,7 @@ from repro.measurement.columnar import REGION_CODE, REGION_ORDER, ColumnarTrace
 
 from .hits import HitModel
 
-__all__ = ["ColumnarShardEngine", "synthesize_shard_columnar"]
+__all__ = ["ColumnarShardEngine", "shard_wiring", "synthesize_shard_columnar"]
 
 _SECONDS_PER_DAY = 86400.0
 
@@ -87,11 +87,19 @@ def _region_mix_stack() -> CategoricalTableStack:
     return _REGION_MIX_STACK
 
 
-def synthesize_shard_columnar(
-    config, n_shards: int, index: int, start: float, end: float
-) -> ColumnarTrace:
-    """Synthesize time shard ``index`` of ``n_shards`` with the default
-    wiring (worker-process entry point).
+def shard_wiring(
+    config, n_shards: int, index: int,
+    population: Optional[PeerPopulation] = None,
+) -> tuple:
+    """The default wiring of time shard ``index`` of ``n_shards``.
+
+    Returns what a shard engine takes after the config, each on its own
+    seed stream: the model, the prebuilt universe, the population (the
+    caller's, or a fresh one over the shard's disjoint IP range), the
+    user behaviour, the arrivals, the hit model and the engine RNG.
+    Every call builds fresh state, so a rerun repeats its shard; a
+    caller-supplied population carries its state (RNG, IP counters)
+    from one run into the next.
 
     Each worker builds its own model and universe deterministically (the
     canonical-order :meth:`~repro.core.popularity.QueryUniverse.prebuild`
@@ -103,14 +111,24 @@ def synthesize_shard_columnar(
     streams = _shard_streams(config.seed, n_shards, index)
     model = WorkloadModel.paper()
     universe = QueryUniverse(seed=config.seed + 1).prebuild(_prebuild_day(config))
-    population = PeerPopulation(seed=streams[0], **_shard_ip_range(n_shards, index))
-    behavior = UserBehavior(model=model, universe=universe, seed=streams[1])
-    arrivals = ArrivalProcess(config.mean_arrival_rate, seed=streams[2])
-    engine = ColumnarShardEngine(
-        config, model, universe, population, behavior, arrivals,
+    if population is None:
+        population = PeerPopulation(seed=streams[0], **_shard_ip_range(n_shards, index))
+    return (
+        model, universe, population,
+        UserBehavior(model=model, universe=universe, seed=streams[1]),
+        ArrivalProcess(config.mean_arrival_rate, seed=streams[2]),
         HitModel(universe), np.random.default_rng(streams[3]),
     )
-    return engine.run(start, end)
+
+
+def synthesize_shard_columnar(
+    config, n_shards: int, index: int, start: float, end: float,
+    population: Optional[PeerPopulation] = None,
+) -> ColumnarTrace:
+    """Synthesize time shard ``index`` of ``n_shards`` with
+    :func:`shard_wiring` (the worker-process entry point)."""
+    wiring = shard_wiring(config, n_shards, index, population)
+    return ColumnarShardEngine(config, *wiring).run(start, end)
 
 
 class ColumnarShardEngine:

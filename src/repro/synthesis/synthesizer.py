@@ -62,17 +62,12 @@ import math
 import warnings
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.agents import ArrivalProcess, PeerPopulation, UserBehavior
 from repro.core.kernels import pool_map_windowed, resolve_workers, spawn_shard_streams
-from repro.core.model import WorkloadModel
-from repro.core.popularity import QueryUniverse
 
 from .config import SynthesisConfig, shard_windows
-from .hits import HitModel
 
 if TYPE_CHECKING:
+    from repro.agents import PeerPopulation
     from repro.measurement.trace import Trace
 
 __all__ = [
@@ -133,7 +128,11 @@ class TraceSynthesizer:
 
     ``population`` overrides the default peer population (the re-query
     sensitivity sweep scales its client profiles); it forces a single
-    shard.
+    shard.  Every run builds its wiring afresh
+    (:func:`~repro.synthesis.columnar_engine.shard_wiring`), so running
+    twice gives the same trace, except that a caller-supplied
+    population continues its state (RNG, IP counters) from one run into
+    the next.
     """
 
     def __init__(
@@ -151,18 +150,7 @@ class TraceSynthesizer:
                 stacklevel=2,
             )
             self._windows = [(0.0, self.config.end_time)]
-        seed = self.config.seed
-        n_shards = len(self._windows)
-        self.model = WorkloadModel.paper()
-        self.universe = QueryUniverse(seed=seed + 1)
-        streams = _shard_streams(seed, n_shards, 0)
-        self.population = population or PeerPopulation(
-            seed=streams[0], **_shard_ip_range(n_shards, 0)
-        )
-        self.behavior = UserBehavior(model=self.model, universe=self.universe, seed=streams[1])
-        self.arrivals = ArrivalProcess(self.config.mean_arrival_rate, seed=streams[2])
-        self.hit_model = HitModel(self.universe)
-        self._rng = np.random.default_rng(streams[3])
+        self._population = population
 
     @property
     def n_shards(self) -> int:
@@ -209,27 +197,16 @@ class TraceSynthesizer:
     def _synthesize_parts(self, consume) -> None:
         """Feed each shard window's raw columnar part to ``consume``, in
         shard order (in parallel when configured)."""
-        from .columnar_engine import ColumnarShardEngine
-
         cfg = self.config
-        if len(self._windows) == 1:
-            start, end = self._windows[0]
-            self.universe.prebuild(_prebuild_day(cfg))
-            consume(
-                ColumnarShardEngine(
-                    cfg, self.model, self.universe, self.population,
-                    self.behavior, self.arrivals, self.hit_model, self._rng,
-                ).run(start, end)
-            )
-            return
         n = len(self._windows)
         tasks = [
-            (cfg, n, index, start, end)
+            (cfg, n, index, start, end, self._population)
             for index, (start, end) in enumerate(self._windows)
         ]
         # Bounded in-flight window, consumed in shard order: at most
         # ~workers + 1 completed parts are alive at once, keeping the
-        # out-of-core RSS budget intact.
+        # out-of-core RSS budget intact.  One shard (the only case a
+        # caller's population reaches) runs in this process.
         pool_map_windowed(
             _columnar_shard_task, tasks, resolve_workers(cfg.jobs, n), consume
         )

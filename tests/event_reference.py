@@ -1,15 +1,17 @@
 """Event-driven references the columnar overlay, generator and synthesizer are held to.
 
-* :func:`simulate_workload_event` replays the seeded plan of
-  :func:`repro.gnutella.columnar_overlay.simulate_workload` (both start
-  from ``_prepare``) through the real ``PeerNode``/``EventScheduler``
-  machinery and the record ``MeasurementNode``, with zero link latency,
-  so every flood is a strict BFS.  ``compare_runs`` in
-  ``equivalence_reference`` requires its observables to equal the
-  columnar engine's.
+* :func:`simulate_workload_event` builds the overlay backbone from the
+  Gnutella object stack (``gnutella_reference``), checks it equals the
+  arrays :func:`repro.gnutella.columnar_overlay._prepare` draws, and
+  replays the seeded plan of
+  :func:`~repro.gnutella.columnar_overlay.simulate_workload` through
+  real ``PeerNode``/``EventScheduler`` machinery and the record
+  ``MeasurementNode``, with zero link latency, so every flood is a
+  strict BFS.  ``compare_runs`` in ``equivalence_reference`` requires
+  its observables to equal the columnar engine's.
 * :func:`flood_context_from_overlay` builds the batched flood tables
-  over a scalar :class:`~repro.gnutella.overlay.OverlayNetwork`, so one
-  flood can be checked against ``OverlayNetwork.flood_query``.
+  over an object :class:`~gnutella_reference.overlay.OverlayNetwork`,
+  so one flood can be checked against ``OverlayNetwork.flood_query``.
 * :class:`EventWorkloadGenerator` is the scalar Fig. 12 loop: a heap of
   steady-state peer slots, one ``sample()`` call per random quantity.
   :func:`columnar_from_sessions` turns its sessions into a
@@ -28,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.agents import ArrivalProcess, PeerPopulation, UserBehavior
+from repro.agents import PeerPopulation
 from repro.agents.population import sample_shared_files_batch
 from repro.core.events import GeneratedQuery, GeneratedSession
 from repro.core.generator_columnar import (
@@ -50,6 +52,7 @@ from repro.core.regions import MAJOR_REGIONS, Region, hour_of_day, is_peak_hour
 from repro.gnutella.clients import expand_user_session
 from repro.gnutella.columnar_overlay import (
     MONITOR_ID,
+    QRP_LOG_SIZE,
     FloodContext,
     OverlayConfig,
     OverlayPlan,
@@ -58,24 +61,27 @@ from repro.gnutella.columnar_overlay import (
     _prepare,
     _round_groups,
 )
-from repro.gnutella.messages import Query, QueryHit
-from repro.gnutella.overlay import OverlayNetwork
-from repro.gnutella.peer import PeerMode, PeerNode
-from repro.gnutella.simulator import EventScheduler
-from repro.gnutella.topology import CSRTopology
 from repro.measurement import MeasurementNode
 from repro.measurement.trace import PongObservation, QueryHitObservation, Trace
 from repro.synthesis import SynthesisConfig
-from repro.synthesis.columnar_engine import _region_mix_stack
-from repro.synthesis.hits import HitModel
+from repro.synthesis.columnar_engine import _region_mix_stack, shard_wiring
 from repro.synthesis.synthesizer import (
     _QUERYHIT_SAMPLE_PROB,
     _RAW_PINGS,
     _RAW_PONGS,
     _finalize_counter_dict,
-    _prebuild_day,
-    _shard_streams,
 )
+
+from gnutella_reference.backbone import (
+    build_object_backbone,
+    check_backbone,
+    from_overlay,
+    library_entries,
+)
+from gnutella_reference.messages import Query, QueryHit
+from gnutella_reference.overlay import OverlayNetwork
+from gnutella_reference.peer import PeerMode, PeerNode
+from gnutella_reference.simulator import EventScheduler
 
 #: User agent every churn peer presents to the record monitor.
 USER_AGENT = "repro-sim/1.0"
@@ -109,7 +115,9 @@ def simulate_workload_event(
     themselves are event-driven.  Zero latency makes delivery strict
     BFS, which is what the columnar engine computes directly.
     """
-    config, overlay, ups, plan = _prepare(workload, run_seconds, config)
+    config, backbone, plan = _prepare(workload, run_seconds, config)
+    overlay, ups = build_object_backbone(plan.vocab)
+    check_backbone(backbone, overlay, ups, plan.vocab)
     node_ids = sorted(overlay.nodes)
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     base = len(node_ids)
@@ -228,7 +236,7 @@ def simulate_workload_event(
             overlay.connect(node_id, MONITOR_ID)
             overlay.connect(node_id, ups[int(plan.attach_pos[i])])
             if not node.is_ultrapeer:
-                table = node.build_qrp_table(config.qrp_log_size)
+                table = node.build_qrp_table(QRP_LOG_SIZE)
                 for neighbour_id in node.neighbours:
                     overlay.nodes[neighbour_id].install_leaf_table(
                         node_id, table
@@ -327,13 +335,14 @@ def flood_context_from_overlay(
     The vocabulary is the union of every node's library with
     ``extra_vocab`` (include the query texts you intend to flood).
     Returns ``(context, node_ids)`` with the same index mapping as
-    :meth:`CSRTopology.from_overlay`.
+    :func:`~gnutella_reference.backbone.from_overlay`.
     """
-    topo, node_ids = CSRTopology.from_overlay(overlay, capacity=capacity)
+    topo, node_ids = from_overlay(overlay, capacity=capacity)
     words = {w for node in overlay.nodes.values() for w in node.library}
     words.update(str(w).lower() for w in extra_vocab)
     vocab = np.unique(np.asarray(sorted(words), dtype=np.str_))
-    return _flood_context(topo, vocab, overlay, node_ids, log_size), node_ids
+    rows, codes, is_leaf = library_entries(overlay, node_ids, vocab)
+    return _flood_context(topo, vocab, rows, codes, is_leaf, log_size), node_ids
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +520,14 @@ def synthesize_event(
 ) -> Trace:
     """The whole window as one shard through the per-event engine.
 
-    Wired like a one-shard :class:`~repro.synthesis.TraceSynthesizer`
-    (same seed streams, model, universe and population), whatever
-    ``config.jobs`` asks for.  A fixed seed gives a different, equally
-    distributed realization from the columnar engine's: the two consume
-    their RNG streams in different orders.
+    Wired by the one-shard synthesizer's own
+    :func:`~repro.synthesis.columnar_engine.shard_wiring` (same seed
+    streams, model, universe and population), whatever ``config.jobs``
+    asks for.  A fixed seed gives a different, equally distributed
+    realization from the columnar engine's: the two consume their RNG
+    streams in different orders.
     """
-    streams = _shard_streams(config.seed, 1, 0)
-    model = WorkloadModel.paper()
-    universe = QueryUniverse(seed=config.seed + 1).prebuild(_prebuild_day(config))
-    engine = EventShardEngine(
-        config, model, universe,
-        population or PeerPopulation(seed=streams[0]),
-        UserBehavior(model=model, universe=universe, seed=streams[1]),
-        ArrivalProcess(config.mean_arrival_rate, seed=streams[2]),
-        HitModel(universe), np.random.default_rng(streams[3]),
-    )
+    engine = EventShardEngine(config, *shard_wiring(config, 1, 0, population))
     trace = engine.run(0.0, config.end_time)
     _finalize_counters(trace)
     return trace

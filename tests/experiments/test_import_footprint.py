@@ -165,10 +165,9 @@ ALLOWED = {
         core.generator_columnar core.kernels
         core.kernels.sampling core.kernels.segmented core.kernels.setops
         core.kernels.sharding core.model core.parameters core.popularity
-        core.regions core.runtime core.special geoip geoip.database gnutella
-        gnutella.columnar_overlay gnutella.messages gnutella.overlay
-        gnutella.overlay_bench gnutella.peer gnutella.pongcache gnutella.qrp
-        gnutella.routing gnutella.simulator gnutella.topology
+        core.regions core.runtime core.special gnutella
+        gnutella.columnar_overlay gnutella.overlay_bench gnutella.qrp
+        gnutella.topology
     """,
     "serve + loadtest": """
         _lazy cli core core.distributions core.events core.generator_columnar

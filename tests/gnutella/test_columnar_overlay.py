@@ -17,12 +17,14 @@ import pytest
 from repro.core import SyntheticWorkloadGenerator
 from repro.gnutella.columnar_overlay import (
     OverlayConfig,
+    _prepare,
     flood_queries,
     simulate_workload,
 )
-from repro.gnutella.overlay import OverlayNetwork
 from equivalence_reference import compare_runs
 from event_reference import flood_context_from_overlay, simulate_workload_event
+from gnutella_reference.backbone import build_object_backbone, check_backbone
+from gnutella_reference.overlay import OverlayNetwork
 
 RUN_SECONDS = 900.0
 
@@ -94,7 +96,23 @@ class TestBackendEquivalence150Peers(TestBackendEquivalence):
         return _workload(150, 11)
 
 
+class TestBackboneIdentity:
+    def test_arrays_are_the_object_build(self, workload):
+        # The run's backbone, drawn as arrays at the module constants
+        # over the workload's vocabulary, is the object overlay's.
+        _, backbone, plan = _prepare(workload, RUN_SECONDS, None)
+        overlay, ups = build_object_backbone(plan.vocab)
+        check_backbone(backbone, overlay, ups, plan.vocab)
+        assert backbone.is_ultrapeer.size == 73
+        assert backbone.lib_codes.size > 0
+
+
 class TestValidation:
+    def test_only_ttl_and_delta_are_settable(self):
+        assert OverlayConfig(delta_seconds=20.0, ttl=6) == OverlayConfig(20.0, 6)
+        with pytest.raises(TypeError):
+            OverlayConfig(seed=3)
+
     def test_unknown_backend_rejected(self, workload):
         # One engine: the library takes no engine selector at all.
         for backend in ("columnar", "event", "gpu"):

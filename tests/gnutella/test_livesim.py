@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gnutella.livesim import MONITOR_ID, LiveOverlayMeasurement
+from gnutella_reference.livesim import MONITOR_ID, LiveOverlayMeasurement
 
 
 @pytest.fixture(scope="module")

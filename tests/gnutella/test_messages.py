@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gnutella.messages import (
+from gnutella_reference.messages import (
     DEFAULT_TTL,
     Bye,
     MessageError,

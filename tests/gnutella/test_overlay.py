@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.regions import Region
-from repro.gnutella.overlay import OverlayNetwork
-from repro.gnutella.peer import PeerMode
+from gnutella_reference.overlay import OverlayNetwork
+from gnutella_reference.peer import PeerMode
 
 
 @pytest.fixture(scope="module")

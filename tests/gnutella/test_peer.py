@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.gnutella.messages import Ping, Pong, Query, QueryHit, new_guid
-from repro.gnutella.peer import PeerMode, PeerNode
+from gnutella_reference.messages import Ping, Pong, Query, QueryHit, new_guid
+from gnutella_reference.peer import PeerMode, PeerNode
 
 
 def make_ultrapeer(node_id="up0", neighbours=()):

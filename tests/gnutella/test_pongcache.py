@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gnutella.messages import Ping, Pong, new_guid
-from repro.gnutella.peer import PeerMode, PeerNode
-from repro.gnutella.pongcache import PongCache
+from gnutella_reference.messages import Ping, Pong, new_guid
+from gnutella_reference.peer import PeerMode, PeerNode
+from gnutella_reference.pongcache import PongCache
 
 
 def pong(ip, files=5):

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.gnutella.messages import Query, new_guid
-from repro.gnutella.peer import PeerMode, PeerNode
-from repro.gnutella.qrp import (
-    QueryRouteTable,
-    keyword_hash,
-    keyword_hashes,
-    text_hash_table,
-)
+from repro.gnutella.qrp import keyword_hashes, text_hash_table
+from gnutella_reference.messages import Query, new_guid
+from gnutella_reference.peer import PeerMode, PeerNode
+from gnutella_reference.qrp import QueryRouteTable, keyword_hash
 
 
 class TestKeywordHash:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.gnutella.messages import new_guid
-from repro.gnutella.routing import DEFAULT_GUID_TTL_SECONDS, RoutingTable
+from gnutella_reference.messages import new_guid
+from gnutella_reference.routing import DEFAULT_GUID_TTL_SECONDS, RoutingTable
 
 
 class TestRecord:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gnutella.simulator import EventScheduler
+from gnutella_reference.simulator import EventScheduler
 
 
 class TestScheduling:

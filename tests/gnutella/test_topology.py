@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gnutella.overlay import OverlayNetwork
 from repro.gnutella.topology import CSRTopology
+from gnutella_reference.backbone import from_overlay
+from gnutella_reference.overlay import OverlayNetwork
 
 
 def small_topo(capacity=10):
@@ -90,7 +91,7 @@ class TestLifecycle:
 class TestFromOverlay:
     def test_parity_with_object_graph(self):
         net = OverlayNetwork(n_ultrapeers=8, n_leaves=20, seed=5)
-        topo, node_ids = CSRTopology.from_overlay(net)
+        topo, node_ids = from_overlay(net)
         index = {n: i for i, n in enumerate(node_ids)}
         assert topo.n_nodes == len(net.nodes)
         for node_id, node in net.nodes.items():
@@ -102,7 +103,7 @@ class TestFromOverlay:
 
     def test_capacity_reserves_churn_slots(self):
         net = OverlayNetwork(n_ultrapeers=4, n_leaves=6, seed=5)
-        topo, node_ids = CSRTopology.from_overlay(net, capacity=50)
+        topo, node_ids = from_overlay(net, capacity=50)
         assert topo.capacity == 50
         assert topo.n_nodes == len(node_ids)
         assert not topo.active[len(node_ids):].any()
@@ -110,4 +111,4 @@ class TestFromOverlay:
     def test_capacity_too_small_rejected(self):
         net = OverlayNetwork(n_ultrapeers=4, n_leaves=6, seed=5)
         with pytest.raises(ValueError, match="capacity"):
-            CSRTopology.from_overlay(net, capacity=3)
+            from_overlay(net, capacity=3)

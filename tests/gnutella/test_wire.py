@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.gnutella.messages import MessageError, Ping, Pong, Query, new_guid
-from repro.gnutella.wire import MessageStream
+from gnutella_reference.messages import MessageError, Ping, Pong, Query, new_guid
+from gnutella_reference.wire import MessageStream
 
 
 def frames():

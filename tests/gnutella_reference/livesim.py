@@ -34,9 +34,9 @@ import numpy as np
 from repro.agents import PeerPopulation, UserBehavior
 from repro.core.events import SessionRecord
 from repro.core.regions import Region, hour_of_day
+from repro.gnutella.clients import expand_user_session
 from repro.measurement import MeasurementNode
 
-from .clients import expand_user_session
 from .messages import Message, Query
 from .overlay import OverlayNetwork
 from .peer import PeerMode, PeerNode
@@ -66,8 +66,8 @@ class LiveOverlayMeasurement:
     """Small-scale, full-fidelity measurement-in-the-overlay run.
 
     Parameters mirror the synthesizer at miniature scale; every message
-    is an actual :class:`~repro.gnutella.messages.Message` routed through
-    :class:`~repro.gnutella.peer.PeerNode` forwarding logic.
+    is an actual :class:`~gnutella_reference.messages.Message` routed through
+    :class:`~gnutella_reference.peer.PeerNode` forwarding logic.
     """
 
     def __init__(

@@ -1,11 +1,11 @@
 """Gnutella overlay network simulator.
 
-Builds a full ultrapeer/leaf topology of :class:`~repro.gnutella.peer.PeerNode`
+Builds a full ultrapeer/leaf topology of :class:`~gnutella_reference.peer.PeerNode`
 objects and delivers messages through the
-:class:`~repro.gnutella.simulator.EventScheduler` with per-link latency.
-This is the substrate for the search-behaviour examples (query flooding,
-TTL horizon, QUERYHIT reverse routing) and for validating that the peer
-forwarding rules compose correctly at network scale.
+:class:`~gnutella_reference.simulator.EventScheduler` with per-link latency.
+This is the oracle the columnar overlay engine's floods (query
+flooding, TTL horizon, QUERYHIT reverse routing) are held to, and the
+check that the peer forwarding rules compose correctly at network scale.
 
 "The construction algorithm of the Gnutella overlay network does not
 contain any geographic bias in the peers that are directly connected"

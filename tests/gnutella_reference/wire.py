@@ -38,7 +38,7 @@ class MessageStream:
     def feed(self, chunk: bytes) -> List[Message]:
         """Append a chunk; return every message completed by it.
 
-        Raises :class:`~repro.gnutella.messages.MessageError` on an
+        Raises :class:`~gnutella_reference.messages.MessageError` on an
         oversized payload length or a malformed complete message.
         """
         self._buffer.extend(chunk)

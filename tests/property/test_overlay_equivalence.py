@@ -17,11 +17,16 @@ from hypothesis import strategies as st
 
 from repro.core import SyntheticWorkloadGenerator
 from repro.gnutella import columnar_overlay
-from repro.gnutella.columnar_overlay import flood_queries, simulate_workload
-from repro.gnutella.overlay import OverlayNetwork
+from repro.gnutella.columnar_overlay import (
+    _build_backbone,
+    flood_queries,
+    simulate_workload,
+)
 from repro.gnutella.topology import CSRTopology
 from equivalence_reference import compare_runs
 from event_reference import flood_context_from_overlay, simulate_workload_event
+from gnutella_reference.backbone import build_object_backbone, check_backbone
+from gnutella_reference.overlay import OverlayNetwork
 
 CATALOG = [f"song track{i}" for i in range(25)] + [f"movie {i}" for i in range(15)]
 
@@ -94,6 +99,36 @@ def test_flood_is_sub_batch_invariant(n_ultrapeers, n_leaves, degree, seed, ttl,
         single = flood_queries(ctx, origins, codes, ttl=ttl, record_reach=True)
     for name in ("messages", "hits", "reach", "reach_query", "reach_node", "reach_depth"):
         assert np.array_equal(getattr(single, name), getattr(default, name)), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_ultrapeers=st.integers(2, 40),
+    n_leaves=st.integers(0, 80),
+    degree=st.integers(1, 9),
+    attachments=st.integers(1, 3),
+    monitor_links=st.integers(0, 7),
+    mean_files=st.floats(0.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+    words=st.lists(st.sampled_from(CATALOG), unique=True),
+)
+@example(n_ultrapeers=24, n_leaves=0, degree=6, attachments=2, monitor_links=6,
+         mean_files=8.0, seed=12, words=[])
+def test_array_backbone_is_the_object_build(
+    n_ultrapeers, n_leaves, degree, attachments, monitor_links, mean_files,
+    seed, words,
+):
+    # Node modes, edge keys, ultrapeer rows and library codes drawn as
+    # arrays equal the object overlay's for any sizes and seed, with or
+    # without leaves and libraries.
+    vocab = np.unique(np.asarray(words, dtype=np.str_))
+    sizes = dict(
+        n_ultrapeers=n_ultrapeers, n_leaves=n_leaves, degree=degree,
+        attachments=attachments, monitor_links=monitor_links,
+        mean_files=mean_files, seed=seed,
+    )
+    overlay, ups = build_object_backbone(vocab, **sizes)
+    check_backbone(_build_backbone(vocab, **sizes), overlay, ups, vocab)
 
 
 @settings(max_examples=6, deadline=None)

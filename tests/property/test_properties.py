@@ -19,8 +19,8 @@ from repro.core.events import QueryRecord, SessionRecord
 from repro.core.regions import Region
 from repro.core.stats import empirical_ccdf
 from repro.filtering import apply_filters, rule2_duplicates, rule45_interarrival_marks
-from repro.gnutella.messages import Query, decode, new_guid
-from repro.gnutella.routing import RoutingTable
+from gnutella_reference.messages import Query, decode, new_guid
+from gnutella_reference.routing import RoutingTable
 
 # -- distribution laws ---------------------------------------------------------
 

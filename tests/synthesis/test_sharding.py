@@ -9,6 +9,7 @@ import pytest
 from repro.core.validation import ccdf_max_gap
 from repro.filtering import apply_filters
 from repro.synthesis import SynthesisConfig, TraceSynthesizer, shard_windows, synthesize_trace
+from repro.synthesis.columnar_engine import shard_wiring
 from repro.synthesis.synthesizer import SHARD_IP_STRIDE
 from event_reference import EventShardEngine
 
@@ -67,6 +68,14 @@ class TestShardedDeterminism:
         b = synthesize_trace(days=self.DAYS, jobs=3, shard_days=self.DAYS / 3)
         assert _jsonl_bytes(a, tmp_path, "a.jsonl") == _jsonl_bytes(b, tmp_path, "b.jsonl")
 
+    def test_one_shard_synthesizer_reruns_identically(self, tmp_path):
+        # Each run wires the shard afresh: a second run on the same
+        # object must not continue the first run's RNG streams.
+        synth = TraceSynthesizer(SynthesisConfig(days=0.05, mean_arrival_rate=0.3, seed=5))
+        assert synth.n_shards == 1
+        a, b = synth.run(), synth.run()
+        assert _jsonl_bytes(a, tmp_path, "a.jsonl") == _jsonl_bytes(b, tmp_path, "b.jsonl")
+
     def test_different_shard_count_changes_realization(self):
         a = synthesize_trace(days=self.DAYS, jobs=1)
         b = synthesize_trace(days=self.DAYS, jobs=3)
@@ -118,7 +127,8 @@ class TestShardFallbacks:
         cfg = SynthesisConfig(days=0.02)
         synth = TraceSynthesizer(cfg)
         assert synth.n_shards == 1
-        assert synth.population._allocator._counter_limit is None
+        _, _, population, *_ = shard_wiring(cfg, synth.n_shards, 0)
+        assert population._allocator._counter_limit is None
 
 
 class TestStatisticalEquivalence:

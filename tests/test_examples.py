@@ -43,9 +43,12 @@ class TestQueryCacheStudy:
         assert "takeaway" in out
 
 
-class TestLiveMeasurement:
-    def test_attribution_holds(self, capsys):
-        load_example("live_measurement").main()
-        out = capsys.readouterr().out
-        assert "HOLDS" in out
-        assert "hops=1" in out
+class TestEvaluateSearchDesigns:
+    def test_one_row_per_ttl_and_messages_never_fall(self, capsys):
+        example = load_example("evaluate_search_designs")
+        example.main()
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("flood TTL=")]
+        assert [row[1] for row in rows] == [f"TTL={ttl}" for ttl in example.TTLS]
+        messages = [float(row[2]) for row in rows]
+        assert messages == sorted(messages)
